@@ -4,12 +4,19 @@ Both adapters answer the same two questions -- ``neighbors(entity)`` and
 ``label(id)`` -- so the executor never knows which one it is talking to.
 Neighbor lists are sorted by (relation, entity, direction) so candidate
 ordering, and therefore whole traces, are reproducible.
+
+The SPARQL adapter answers one ``neighbors`` call with at most three
+round-trips: two edge queries and one batched label query for the frontier
+and every neighbour not yet labelled.  Labels are cached per adapter, so
+the executor's ``label`` calls that follow cost nothing.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 import time
+from collections.abc import Iterable
 from enum import Enum
 from typing import Protocol
 
@@ -21,6 +28,8 @@ from .triples import Direction
 FREEBASE_PREFIX = "http://rdf.freebase.com/ns/"
 FREEBASE_ID_PATTERN = r"[a-z]\.[0-9a-z_]+"
 FREEBASE_LABEL_PROPERTY = "type.object.name"
+# Labels one SparqlGraphStore keeps; past this the oldest are evicted first.
+LABEL_CACHE_SIZE = 50_000
 
 Neighbor = tuple[str, str, Direction]  # (relation, other_entity, direction)
 
@@ -35,25 +44,37 @@ class SparqlTemplate(str, Enum):
     OUTGOING_EDGES = "outgoing_edges"
     INCOMING_EDGES = "incoming_edges"
     LABEL = "label"
+    LABELS = "labels"
 
 
 def render_sparql(
     template: SparqlTemplate,
-    entity: str,
+    entity: str | Iterable[str],
     *,
     prefix: str = FREEBASE_PREFIX,
     id_pattern: str = FREEBASE_ID_PATTERN,
     label_property: str = FREEBASE_LABEL_PROPERTY,
     limit: int = 200,
 ) -> str:
-    """Substitute an entity ID into a fixed query template.
+    """Substitute entity IDs into a fixed query template.
 
-    IDs are validated against the configured grammar before substitution;
-    anything outside it is rejected, which doubles as injection protection.
+    ``LABELS`` takes any number of IDs and has no LIMIT, since a truncated
+    answer would read as "no label" for the IDs cut off; the other
+    templates take exactly one.  IDs are validated against the configured
+    grammar before substitution; anything outside it is rejected, which
+    doubles as injection protection.
     """
-    if not re.fullmatch(id_pattern, entity):
-        raise InvalidEntityId(f"entity id does not match grammar {id_pattern!r}: {entity!r}")
+    ids = [entity] if isinstance(entity, str) else list(entity)
+    for one in ids:
+        if not re.fullmatch(id_pattern, one):
+            raise InvalidEntityId(f"entity id does not match grammar {id_pattern!r}: {one!r}")
     header = f"PREFIX ns: <{prefix}>\n"
+    if template is SparqlTemplate.LABELS:
+        values = " ".join(f"ns:{one}" for one in ids)
+        return f"{header}SELECT ?x ?label WHERE {{ VALUES ?x {{ {values} }} ?x ns:{label_property} ?label }}"
+    if len(ids) != 1:
+        raise ValueError(f"{template.value} takes one entity id, got {len(ids)}")
+    entity = ids[0]
     if template is SparqlTemplate.OUTGOING_EDGES:
         body = f"SELECT ?relation ?tail WHERE {{ ns:{entity} ?relation ?tail }}"
     elif template is SparqlTemplate.INCOMING_EDGES:
@@ -72,17 +93,20 @@ def execute(
     timeout: float = 30.0,
     retries: int = 2,
     backoff: float = 0.5,
+    session: requests.Session | None = None,
 ) -> list[dict[str, str]]:
     """Run a query over the SPARQL 1.1 protocol; return variable->value rows.
 
-    POSTs the query, asks for SPARQL JSON results, and retries transport
-    failures and 5xx responses twice with exponential backoff before giving
-    up with KgUnavailable.
+    POSTs the query (through ``session`` if given, so connections are
+    pooled), asks for SPARQL JSON results, and retries transport failures
+    and 5xx responses twice with exponential backoff before giving up with
+    KgUnavailable.
     """
+    post = requests.post if session is None else session.post
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         try:
-            resp = requests.post(
+            resp = post(
                 endpoint,
                 data={"query": query},
                 headers={"Accept": "application/sparql-results+json"},
@@ -115,8 +139,23 @@ def execute(
     raise KgUnavailable(f"SPARQL endpoint unreachable after {retries + 1} attempts: {last_error}")
 
 
+def _field(row: dict[str, str], var: str) -> str:
+    try:
+        return row[var]
+    except KeyError:
+        raise MalformedResults(f"result row lacks ?{var}: {sorted(row)}") from None
+
+
+_UNCACHED = object()
+
+
 class SparqlGraphStore:
-    """GraphStore over a remote SPARQL 1.1 endpoint."""
+    """GraphStore over a remote SPARQL 1.1 endpoint.
+
+    Labels, ``None`` included, are cached for the adapter's lifetime, which
+    assumes the graph does not change under it.  Requests go through one
+    pooled ``requests.Session``, opened on the first query.
+    """
 
     def __init__(
         self,
@@ -138,8 +177,11 @@ class SparqlGraphStore:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        self._labels: dict[str, str | None] = {}
+        self._lock = threading.Lock()
+        self._session: requests.Session | None = None
 
-    def _render(self, template: SparqlTemplate, entity: str) -> str:
+    def _render(self, template: SparqlTemplate, entity: str | list[str]) -> str:
         return render_sparql(
             template,
             entity,
@@ -150,12 +192,17 @@ class SparqlGraphStore:
         )
 
     def _execute(self, query: str) -> list[dict[str, str]]:
+        if self._session is None:
+            with self._lock:
+                if self._session is None:
+                    self._session = requests.Session()
         return execute(
             self.endpoint,
             query,
             timeout=self.timeout,
             retries=self.retries,
             backoff=self.backoff,
+            session=self._session,
         )
 
     def _localize(self, value: str) -> str:
@@ -163,19 +210,47 @@ class SparqlGraphStore:
             return value[len(self.prefix):]
         return value
 
+    def _remember(self, labels: dict[str, str | None]) -> None:
+        with self._lock:
+            self._labels.update(labels)
+            while len(self._labels) > LABEL_CACHE_SIZE:
+                del self._labels[next(iter(self._labels))]
+
+    def _fetch_labels(self, ids: Iterable[str]) -> None:
+        """One batched query for every grammatical, uncached ID."""
+        missing = [
+            i for i in dict.fromkeys(ids) if i not in self._labels and re.fullmatch(self.id_pattern, i)
+        ]
+        if not missing:
+            return
+        found: dict[str, str] = {}
+        for row in self._execute(self._render(SparqlTemplate.LABELS, missing)):
+            found.setdefault(self._localize(_field(row, "x")), _field(row, "label"))
+        self._remember({i: found.get(i) for i in missing})
+
     def neighbors(self, entity: str) -> list[Neighbor]:
         out: list[Neighbor] = []
-        for row in self._execute(self._render(SparqlTemplate.OUTGOING_EDGES, entity)):
-            out.append((self._localize(row["relation"]), self._localize(row["tail"]), Direction.OUTGOING))
-        for row in self._execute(self._render(SparqlTemplate.INCOMING_EDGES, entity)):
-            out.append((self._localize(row["relation"]), self._localize(row["head"]), Direction.INCOMING))
-        return sorted(set(out), key=lambda n: (n[0], n[1], n[2].value))
+        for template, other, direction in (
+            (SparqlTemplate.OUTGOING_EDGES, "tail", Direction.OUTGOING),
+            (SparqlTemplate.INCOMING_EDGES, "head", Direction.INCOMING),
+        ):
+            for row in self._execute(self._render(template, entity)):
+                relation = self._localize(_field(row, "relation"))
+                out.append((relation, self._localize(_field(row, other)), direction))
+        neighbors = sorted(set(out), key=lambda n: (n[0], n[1], n[2].value))
+        self._fetch_labels([entity, *(other for _, other, _ in neighbors)])
+        return neighbors
 
     def label(self, entity_or_relation: str) -> str | None:
+        cached = self._labels.get(entity_or_relation, _UNCACHED)
+        if cached is not _UNCACHED:
+            return cached
         if not re.fullmatch(self.id_pattern, entity_or_relation):
             return None
         rows = self._execute(self._render(SparqlTemplate.LABEL, entity_or_relation))
-        return rows[0]["label"] if rows else None
+        text = _field(rows[0], "label") if rows else None
+        self._remember({entity_or_relation: text})
+        return text
 
 
 class InMemoryGraphStore:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from importlib import resources
 from typing import Callable, TypeVar
 
@@ -48,6 +49,7 @@ class Decision:
             raise ValueError("Finish decision requires a non-empty answer")
 
 
+@cache
 def load_prompt(stage: str) -> str:
     return resources.files("kgqa_engine").joinpath(f"prompts/{stage}.txt").read_text(encoding="utf-8")
 

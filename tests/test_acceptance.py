@@ -237,6 +237,7 @@ def test_criterion_knowledge_monotonicity():
 _OUTGOING_Q = re.compile(r"SELECT \?relation \?tail WHERE \{ ns:(\S+) \?relation \?tail \}")
 _INCOMING_Q = re.compile(r"SELECT \?relation \?head WHERE \{ \?head \?relation ns:(\S+) \}")
 _LABEL_Q = re.compile(r"SELECT \?label WHERE \{ ns:(\S+) ns:(\S+) \?label \}")
+_LABELS_Q = re.compile(r"SELECT \?x \?label WHERE \{ VALUES \?x \{ ([^}]*) \} \?x ns:(\S+) \?label \}")
 
 
 class _SparqlTestHandler(BaseHTTPRequestHandler):
@@ -263,6 +264,13 @@ class _SparqlTestHandler(BaseHTTPRequestHandler):
             entity = match.group(1)
             if entity in self.labels:
                 bindings.append({"label": {"type": "literal", "value": self.labels[entity]}})
+        elif match := _LABELS_Q.search(query):
+            for term in match.group(1).split():
+                entity = term.removeprefix("ns:")
+                if entity in self.labels:
+                    bindings.append(
+                        {"x": self._uri(entity), "label": {"type": "literal", "value": self.labels[entity]}}
+                    )
         body = json.dumps(
             {"head": {"vars": []}, "results": {"bindings": bindings}}
         ).encode("utf-8")
@@ -299,6 +307,12 @@ def test_criterion_adapter_equivalence():
             handler.triples = triples
             handler.labels = labels
             memory_store = make_store(triples, labels)
+            # a fresh store answers label() by its single-id query (cache miss)
+            fresh_store = SparqlGraphStore(endpoint, retries=0, timeout=5)
+            for entity in entities:
+                if memory_store.label(entity) != fresh_store.label(entity):
+                    mismatches += 1
+            # this one answers label() from what neighbors() batched (cache hit)
             sparql_store = SparqlGraphStore(endpoint, retries=0, timeout=5)
             for entity in entities:
                 if set(memory_store.neighbors(entity)) != set(sparql_store.neighbors(entity)):
@@ -431,7 +445,7 @@ def test_criterion_end_to_end_live():
             ]
         )
         traces_ok = all(
-            load_trace_jsonl(os.path.join(tmp, f"{e.id}.trace.jsonl"))[-1].stage is Stage.FINISH
+            load_trace_jsonl(os.path.join(tmp, f"{e.id}.trace.jsonl"))[-1]["stage"] == Stage.FINISH.value
             for e in examples
         )
     report("end-to-end live bench", code in (0, 1) and traces_ok)

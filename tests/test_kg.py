@@ -4,12 +4,17 @@ import json
 import random
 import re
 import string
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 import pytest
+import requests
 
+from conftest import StageBackend
+from kgqa_engine import kg as kg_mod
 from kgqa_engine.errors import InvalidEntityId, KgUnavailable, MalformedResults, ParseError
 from kgqa_engine.kg import (
     FREEBASE_PREFIX,
@@ -20,6 +25,8 @@ from kgqa_engine.kg import (
     load_memory_store,
     render_sparql,
 )
+from kgqa_engine.orchestrator import Engine, Stage
+from kgqa_engine.pruning import HashingEmbedder
 from kgqa_engine.triples import Direction
 
 
@@ -36,6 +43,19 @@ class TestRenderSparql:
     def test_label_query(self):
         query = render_sparql(SparqlTemplate.LABEL, "m.0abc")
         assert "ns:m.0abc ns:type.object.name ?label" in query
+
+    def test_batched_label_query(self):
+        query = render_sparql(SparqlTemplate.LABELS, ["m.0a", "m.0b"])
+        assert "SELECT ?x ?label WHERE { VALUES ?x { ns:m.0a ns:m.0b } ?x ns:type.object.name ?label }" in query
+        assert "LIMIT" not in query  # a truncated answer would cache "no label" wrongly
+
+    def test_batched_label_query_validates_every_id(self):
+        with pytest.raises(InvalidEntityId):
+            render_sparql(SparqlTemplate.LABELS, ["m.0a", "m.0a } ?s ?p ?o {"])
+
+    def test_single_id_templates_take_one_id(self):
+        with pytest.raises(ValueError):
+            render_sparql(SparqlTemplate.LABEL, ["m.0a", "m.0b"])
 
     def test_limit_applied(self):
         assert render_sparql(SparqlTemplate.OUTGOING_EDGES, "m.0abc", limit=17).endswith("LIMIT 17")
@@ -87,12 +107,13 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     _StubHandler.responses = []
     _StubHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}/sparql"
     server.shutdown()
+    server.server_close()
 
 
 def sparql_json(rows, variables):
@@ -151,6 +172,7 @@ class TestSparqlGraphStore:
         _StubHandler.responses = [
             (200, sparql_json([{"relation": f"{ns}r.b", "tail": f"{ns}m.0t"}], ["relation", "tail"])),
             (200, sparql_json([{"relation": f"{ns}r.a", "head": f"{ns}m.0h"}], ["relation", "head"])),
+            (200, sparql_json([], ["x", "label"])),
         ]
         store = SparqlGraphStore(stub_server, retries=0)
         assert store.neighbors("m.0x") == [
@@ -166,6 +188,154 @@ class TestSparqlGraphStore:
     def test_label_lookup(self, stub_server):
         _StubHandler.responses = [(200, sparql_json([{"label": "Paris"}], ["label"]))]
         assert SparqlGraphStore(stub_server, retries=0).label("m.0paris") == "Paris"
+
+    def test_unavailable_endpoint_raises_through_session(self):
+        with pytest.raises(KgUnavailable):
+            execute("http://127.0.0.1:1/sparql", "q", retries=0, timeout=0.2, session=requests.Session())
+
+
+def edges_and_labels(outgoing, incoming, labels):
+    """Stub responses for one neighbors() call: two edge queries, one label batch."""
+    ns = FREEBASE_PREFIX
+    return [
+        (200, sparql_json([{"relation": f"{ns}{r}", "tail": f"{ns}{t}"} for r, t in outgoing], ["relation", "tail"])),
+        (200, sparql_json([{"relation": f"{ns}{r}", "head": f"{ns}{h}"} for r, h in incoming], ["relation", "head"])),
+        (200, sparql_json([{"x": f"{ns}{x}", "label": text} for x, text in labels], ["x", "label"])),
+    ]
+
+
+class TestRoundTrips:
+    """One explore costs at most three POSTs; labels are then served from the cache."""
+
+    def test_explore_costs_at_most_three_posts(self, stub_server):
+        _StubHandler.responses = edges_and_labels(
+            [("r.b", "m.0t1"), ("r.c", "m.0t2")],
+            [("r.a", "m.0h")],
+            [("m.0x", "Frontier"), ("m.0t1", "Tail one"), ("m.0h", "Head")],
+        )
+        store = SparqlGraphStore(stub_server, retries=0)
+        neighbors = store.neighbors("m.0x")
+        labels = [store.label("m.0x")] + [store.label(other) for _, other, _ in neighbors]
+        assert labels == ["Frontier", "Head", "Tail one", None]
+        assert len(_StubHandler.seen) == 3
+        assert "VALUES ?x { ns:m.0x ns:m.0h ns:m.0t1 ns:m.0t2 }" in _StubHandler.seen[2]
+
+    @pytest.mark.parametrize("rows, expected", [([{"label": "Paris"}], "Paris"), ([], None)])
+    def test_repeated_label_costs_nothing(self, stub_server, rows, expected):
+        _StubHandler.responses = [(200, sparql_json(rows, ["label"]))]
+        store = SparqlGraphStore(stub_server, retries=0)
+        assert store.label("m.0paris") == expected
+        assert store.label("m.0paris") == expected  # "no label" is cached too
+        assert len(_StubHandler.seen) == 1
+
+    def test_labelled_neighbours_are_not_asked_for_again(self, stub_server):
+        _StubHandler.responses = edges_and_labels([("r.b", "m.0t")], [], [("m.0x", "X")])
+        _StubHandler.responses += edges_and_labels([], [("r.b", "m.0x")], [("m.0t", "T")])
+        store = SparqlGraphStore(stub_server, retries=0)
+        store.neighbors("m.0x")
+        store.neighbors("m.0t")  # both ends already cached: no label batch
+        assert len(_StubHandler.seen) == 5
+        assert store.label("m.0t") is None  # cached as unlabelled by the first batch
+
+    def test_ungrammatical_neighbour_never_sent(self, stub_server):
+        ns = FREEBASE_PREFIX
+        _StubHandler.responses = [
+            (200, sparql_json([{"relation": f"{ns}r.b", "tail": "http://example.org/x y"}], ["relation", "tail"])),
+            (200, sparql_json([{"relation": f"{ns}r.a", "head": f"{ns}M.0BAD"}], ["relation", "head"])),
+            (200, sparql_json([], ["x", "label"])),
+        ]
+        store = SparqlGraphStore(stub_server, retries=0)
+        store.neighbors("m.0x")
+        assert "VALUES ?x { ns:m.0x }" in _StubHandler.seen[2]
+        assert store.label("M.0BAD") is None and store.label("http://example.org/x y") is None
+        assert len(_StubHandler.seen) == 3
+
+    def test_first_row_per_id_wins(self, stub_server):
+        _StubHandler.responses = edges_and_labels([], [], [("m.0x", "First"), ("m.0x", "Second")])
+        store = SparqlGraphStore(stub_server, retries=0)
+        store.neighbors("m.0x")
+        assert store.label("m.0x") == "First"
+
+    def test_cache_evicts_oldest_past_its_size(self, stub_server, monkeypatch):
+        monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 2)
+        _StubHandler.responses = [(200, sparql_json([{"label": "L"}], ["label"]))]
+        store = SparqlGraphStore(stub_server, retries=0)
+        for entity in ["m.0a", "m.0b", "m.0c", "m.0c", "m.0b"]:
+            store.label(entity)
+        assert len(_StubHandler.seen) == 3
+        store.label("m.0a")  # evicted first, so asked for again
+        assert len(_StubHandler.seen) == 4
+
+    def test_cache_survives_concurrent_lookups_and_eviction(self, monkeypatch):
+        # kgqa bench --concurrency shares one store between threads
+        monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 8)
+        store = SparqlGraphStore("http://unused.invalid/sparql")
+        store._execute = lambda query: [{"label": re.search(r"ns:(\S+) ns:", query)[1].upper()}]
+        ids = [f"m.0{i}" for i in range(40)]
+
+        def lookups(worker):
+            picks = [ids[(n * 7 + worker) % len(ids)] for n in range(10_000)]
+            return [(i, store.label(i)) for i in picks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = [f.result(timeout=30) for f in [pool.submit(lookups, w) for w in range(6)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(text == i.upper() for pairs in results for i, text in pairs)
+        assert sum(len(pairs) for pairs in results) == 6 * 10_000
+        assert len(store._labels) <= 8
+
+    def test_session_opened_lazily_and_reused(self, stub_server):
+        _StubHandler.responses = [(200, sparql_json([{"label": "L"}], ["label"]))]
+        store = SparqlGraphStore(stub_server, retries=0)
+        assert store._session is None
+        store.label("m.0a")
+        session = store._session
+        store.label("m.0b")
+        assert isinstance(session, requests.Session) and store._session is session
+
+
+class TestMalformedBindings:
+    """A row lacking a projected variable is MalformedResults, never KeyError."""
+
+    ns = FREEBASE_PREFIX
+    CASES = {
+        "edge row lacks tail": [(200, sparql_json([{"relation": f"{ns}r.b"}], ["relation", "tail"]))],
+        "edge row lacks relation": [(200, sparql_json([{"tail": f"{ns}m.0t"}], ["relation", "tail"]))],
+        "edge row lacks head": [
+            (200, sparql_json([], ["relation", "tail"])),
+            (200, sparql_json([{"relation": f"{ns}r.a"}], ["relation", "head"])),
+        ],
+        "label row lacks label": edges_and_labels([], [], [])[:2]
+        + [(200, sparql_json([{"x": f"{ns}m.0x"}], ["x", "label"]))],
+        "label row lacks x": edges_and_labels([], [], [])[:2]
+        + [(200, sparql_json([{"label": "X"}], ["x", "label"]))],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_neighbors_raises_malformed(self, stub_server, case):
+        _StubHandler.responses = self.CASES[case]
+        with pytest.raises(MalformedResults):
+            SparqlGraphStore(stub_server, retries=0).neighbors("m.0x")
+
+    def test_single_label_row_lacking_label(self, stub_server):
+        _StubHandler.responses = [(200, sparql_json([{"other": "X"}], ["other"]))]
+        with pytest.raises(MalformedResults):
+            SparqlGraphStore(stub_server, retries=0).label("m.0x")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_engine_run_still_finishes(self, stub_server, case):
+        _StubHandler.responses = self.CASES[case]
+        engine = Engine(
+            backend=StageBackend(),
+            kg=SparqlGraphStore(stub_server, retries=0),
+            embedder=HashingEmbedder(),
+        )
+        result = engine.run("where is it?", ["m.0x"])
+        assert result.trace[-1].stage is Stage.FINISH
 
 
 class TestInMemoryStore:
