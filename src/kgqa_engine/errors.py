@@ -40,14 +40,14 @@ class NoFrontier(EngineError):
 
 
 class PruningUnavailable(EngineError):
-    """Embedding backend failed; the current attempt is abandoned."""
+    """Embeddings failed or are unusable; the current attempt is abandoned."""
 
 
-class ZeroVector(EngineError):
+class ZeroVector(PruningUnavailable):
     """Cosine similarity of a vector with no nonzero component."""
 
 
-class DimensionMismatch(EngineError):
+class DimensionMismatch(PruningUnavailable):
     """Cosine similarity of vectors with different dimensions."""
 
 

@@ -63,7 +63,16 @@ class Executor:
 
     # -- exploration ----------------------------------------------------------
 
-    def _make_candidate(self, frontier: str, relation: str, other: str, direction: Direction) -> CandidateTriple:
+    def _label(self, labels: dict[str, str], entity_or_relation: str) -> str:
+        """``kg.label`` once per distinct id per explore; "" when unlabeled."""
+        text = labels.get(entity_or_relation)
+        if text is None:
+            text = labels[entity_or_relation] = self.kg.label(entity_or_relation) or ""
+        return text
+
+    def _make_candidate(
+        self, frontier: str, relation: str, other: str, direction: Direction, labels: dict[str, str]
+    ) -> CandidateTriple:
         if direction is Direction.OUTGOING:
             head, tail = frontier, other
         else:
@@ -73,28 +82,31 @@ class Executor:
             relation=relation,
             tail=tail,
             direction=direction,
-            head_label=self.kg.label(head) or "",
-            relation_label=self.kg.label(relation) or "",
-            tail_label=self.kg.label(tail) or "",
+            head_label=self._label(labels, head),
+            relation_label=self._label(labels, relation),
+            tail_label=self._label(labels, tail),
         )
 
     def _retrieve_candidates(self, frontier: str, memory: IntegratedMemory) -> list[CandidateTriple]:
         candidates: list[CandidateTriple] = []
+        labels: dict[str, str] = {}
         for relation, other, direction in self.kg.neighbors(frontier):
-            cand = self._make_candidate(frontier, relation, other, direction)
+            cand = self._make_candidate(frontier, relation, other, direction, labels)
             memory.record_explored(cand)
             if (
                 self.expand_unlabeled
                 and direction is Direction.OUTGOING
                 and not cand.tail_label
             ):
-                expanded = self._expand_mediator(cand, memory)
+                expanded = self._expand_mediator(cand, memory, labels)
                 candidates.extend(expanded if expanded else [cand])
             else:
                 candidates.append(cand)
         return candidates
 
-    def _expand_mediator(self, first_hop: CandidateTriple, memory: IntegratedMemory) -> list[CandidateTriple]:
+    def _expand_mediator(
+        self, first_hop: CandidateTriple, memory: IntegratedMemory, labels: dict[str, str]
+    ) -> list[CandidateTriple]:
         """Hop once more through an unlabeled (CVT-style) node.
 
         Freebase answers often sit behind such mediators; the two hops are
@@ -105,7 +117,7 @@ class Executor:
         for relation, other, direction in self.kg.neighbors(mediator):
             if direction is not Direction.OUTGOING or other == first_hop.head:
                 continue
-            second = self._make_candidate(mediator, relation, other, direction)
+            second = self._make_candidate(mediator, relation, other, direction, labels)
             memory.record_explored(second)
             compounds.append(
                 CandidateTriple(

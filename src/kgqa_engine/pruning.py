@@ -8,9 +8,12 @@ to the step objective are kept.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import re
-from typing import Protocol, Sequence
+import threading
+from operator import mul
+from typing import Iterable, Protocol, Sequence
 
 import requests
 
@@ -19,20 +22,50 @@ from .triples import CandidateTriple
 
 Vector = Sequence[float]
 
+# Token -> bucket entries one HashingEmbedder keeps; past this it starts over.
+TOKEN_MEMO_SIZE = 8_192
+_TOKEN = re.compile(r"[a-z0-9]+")
+_MEMO_LOCK = threading.Lock()  # taken on memo misses only
+
 
 class Embedder(Protocol):
     def embed(self, texts: list[str]) -> list[list[float]]: ...
 
 
+def _sum_squares(v: Vector) -> float:
+    nonzero = [*filter(None, v)]
+    return sum(map(mul, nonzero, nonzero))
+
+
+def _cosines(u: Vector, vectors: Iterable[Vector]) -> list[float]:
+    """Cosine similarity of ``u`` with each vector; ``u``'s norm is taken once.
+
+    Only nonzero components enter the sums, in ascending index order:
+    skipping exact zeros leaves every float sum bit for bit unchanged.
+    A non-finite component raises ``PruningUnavailable``, so it can never
+    rank first.
+    """
+    dim = len(u)
+    nonzeros = [(i, a) for i, a in enumerate(u) if a]
+    nu = math.sqrt(_sum_squares(u))
+    if not math.isfinite(nu):
+        raise PruningUnavailable("objective vector has a non-finite component")
+    scores = []
+    for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatch(f"dimensions differ: {dim} vs {len(v)}")
+        nv = math.sqrt(_sum_squares(v))
+        dot = sum([a * v[i] for i, a in nonzeros])
+        if not math.isfinite(dot + nv):  # inf or NaN in either
+            raise PruningUnavailable("vector has a non-finite component")
+        if nu == 0.0 or nv == 0.0:
+            raise ZeroVector("cosine similarity undefined for a zero vector")
+        scores.append(max(-1.0, min(1.0, dot / (nu * nv))))
+    return scores
+
+
 def cosine_similarity(u: Vector, v: Vector) -> float:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"dimensions differ: {len(u)} vs {len(v)}")
-    dot = sum(a * b for a, b in zip(u, v))
-    nu = math.sqrt(sum(a * a for a in u))
-    nv = math.sqrt(sum(b * b for b in v))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine similarity undefined for a zero vector")
-    return max(-1.0, min(1.0, dot / (nu * nv)))
+    return _cosines(u, [v])[0]
 
 
 def prune(
@@ -46,7 +79,7 @@ def prune(
     Scores are populated on every candidate either way.  At or below the
     threshold the input list comes back unchanged; above it, the top
     ``threshold`` by cosine similarity are returned sorted score-descending,
-    ties broken by lexicographic rendering.
+    ties broken by lexicographic rendering, then by key.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -57,13 +90,16 @@ def prune(
         vectors = embedder.embed([objective] + texts)
     except Exception as exc:
         raise PruningUnavailable(f"embedder failed: {exc}") from exc
-    objective_vec = vectors[0]
-    for cand, vec in zip(candidates, vectors[1:]):
-        cand.score = cosine_similarity(objective_vec, vec)
+    if len(vectors) != len(texts) + 1:
+        raise PruningUnavailable(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
+    for cand, score in zip(candidates, _cosines(vectors[0], vectors[1:])):
+        cand.score = score
     if len(candidates) <= threshold:
         return candidates
-    ranked = sorted(candidates, key=lambda c: (-c.score, c.render(), c.key()))
-    return ranked[:threshold]
+    ranked = heapq.nsmallest(
+        threshold, zip(candidates, texts), key=lambda ct: (-ct[0].score, ct[1], ct[0].key())
+    )
+    return [c for c, _ in ranked]
 
 
 class HashingEmbedder:
@@ -71,14 +107,28 @@ class HashingEmbedder:
 
     def __init__(self, dim: int = 64):
         self.dim = dim
+        self._buckets: dict[str, int] = {}
+
+    def _bucket(self, token: str) -> int:
+        bucket = int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % self.dim
+        with _MEMO_LOCK:
+            if len(self._buckets) >= TOKEN_MEMO_SIZE:
+                self._buckets.clear()
+            self._buckets[token] = bucket
+        return bucket
 
     def _one(self, text: str) -> list[float]:
         vec = [0.0] * self.dim
-        for token in re.findall(r"[a-z0-9]+", text.lower()):
-            digest = hashlib.md5(token.encode("utf-8")).hexdigest()
-            vec[int(digest, 16) % self.dim] += 1.0
-        if not any(vec):
+        tokens = _TOKEN.findall(text.lower())
+        if not tokens:
             vec[0] = 1.0  # token-free text still needs a nonzero vector
+            return vec
+        buckets = self._buckets
+        for token in tokens:
+            try:
+                vec[buckets[token]] += 1.0
+            except KeyError:
+                vec[self._bucket(token)] += 1.0
         return vec
 
     def embed(self, texts: list[str]) -> list[list[float]]:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from kgqa_engine.kg import InMemoryGraphStore
 from kgqa_engine.memory import IntegratedMemory, PlanStep, StepStatus
+
+# Same examples on every run, and no per-example deadline: property tests
+# must neither wander nor flake on a slow or contended machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 class StageBackend:

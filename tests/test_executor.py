@@ -1,6 +1,7 @@
 """Executor: frontier resolution, exploration bookkeeping, selection."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -141,6 +142,50 @@ class TestMediatorExpansion:
         obs = executor.explore("e1", memory.current_step(), memory)
         # e3 has a label file entry? e3 labeled "Three" -> no expansion of e2/e3
         assert obs.candidates_total == 2
+
+
+class CountingStore:
+    """Graph store that counts ``label`` calls per id."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.label_calls = Counter()
+
+    def neighbors(self, entity):
+        return self.inner.neighbors(entity)
+
+    def label(self, entity_or_relation):
+        self.label_calls[entity_or_relation] += 1
+        return self.inner.label(entity_or_relation)
+
+
+class TestLabelLookups:
+    def hub(self):
+        # a hub with repeated relations, two unlabeled mediators sharing
+        # relations and a tail, and an incoming edge from a shared tail
+        triples = [("hub", f"rel.{i % 3}", f"t{i % 7}") for i in range(20)]
+        triples += [("hub", "via", "cvt1"), ("hub", "via", "cvt2"), ("t1", "rel.back", "hub")]
+        triples += [(cvt, "leg", f"t{j}") for cvt in ("cvt1", "cvt2") for j in range(3)]
+        labels = {"hub": "Hub", "rel.0": "zero", "via": "via", "leg": "leg"}
+        labels.update({f"t{i}": f"Tail {i}" for i in range(0, 7, 2)})
+        return make_store(triples, labels)
+
+    @pytest.mark.parametrize("expand", [False, True])
+    def test_one_lookup_per_distinct_id_per_explore(self, expand):
+        store = CountingStore(self.hub())
+        memory = make_memory(topic=("hub",))
+        executor = make_executor(store, expand_unlabeled=expand, prune_threshold=100)
+        obs = executor.explore("hub", memory.current_step(), memory)
+        assert set(store.label_calls.values()) == {1}
+        # the labels are the ones a direct lookup gives
+        for c in obs.candidates:
+            if "/" not in c.relation:
+                assert c.relation_label == (store.inner.label(c.relation) or "")
+            assert c.head_label == (store.inner.label(c.head) or "")
+            assert c.tail_label == (store.inner.label(c.tail) or "")
+        # a second explore looks every id up afresh
+        executor.explore("hub", memory.current_step(), memory)
+        assert set(store.label_calls.values()) == {2}
 
 
 class TestSelectEntity:

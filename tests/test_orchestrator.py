@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl
@@ -172,6 +174,78 @@ class TestTermination:
         result = engine.run("q?", [entities[0]])
         assert result.cycles <= 8
         assert result.error_note and "cycle budget" in result.error_note
+
+
+class FaultyEmbedder:
+    """HashingEmbedder whose output is corrupted on every ``every``-th call."""
+
+    FAULTS = ("zero", "short", "long", "nan", "inf", "-inf", "fewer", "more")
+
+    def __init__(self, fault, position, every):
+        self.fault = fault
+        self.position = position
+        self.every = every
+        self.calls = 0
+
+    def embed(self, texts):
+        vecs = HashingEmbedder().embed(texts)
+        self.calls += 1
+        if self.calls % self.every:
+            return vecs
+        i = self.position % len(vecs)  # 0 is the objective
+        if self.fault == "zero":
+            vecs[i] = [0.0] * len(vecs[i])
+        elif self.fault == "short":
+            vecs[i] = vecs[i][:-1]
+        elif self.fault == "long":
+            vecs[i] = vecs[i] + [1.0]
+        elif self.fault in ("nan", "inf", "-inf"):
+            vecs[i][self.position % len(vecs[i])] = float(self.fault)
+        elif self.fault == "fewer":
+            del vecs[i]
+        else:
+            vecs.append(vecs[i])
+        return vecs
+
+
+class TestEmbedderFaults:
+    @settings(max_examples=60)
+    @given(
+        fault=st.sampled_from(FaultyEmbedder.FAULTS),
+        position=st.integers(0, 400),
+        every=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        threshold=st.sampled_from([2, 70]),
+    )
+    def test_run_finishes_without_failed_exploration(self, fault, position, every, seed, threshold):
+        rng = random.Random(seed)
+        store, entities = random_kg(rng, n_entities=20)
+        config = EngineConfig(prune_threshold=threshold)
+        engine = Engine(
+            backend=StageBackend(),
+            kg=store,
+            embedder=FaultyEmbedder(fault, position, every),
+            config=config,
+        )
+        result = engine.run("q?", [rng.choice(entities)])
+        assert result.trace[-1].stage is Stage.FINISH
+        assert result.cycles <= config.max_total_cycles
+        assert not (result.error_note or "").startswith("exploration failed")
+        assert_trace_grammar(result.trace)
+
+    @pytest.mark.parametrize("fault", ["zero", "short", "nan"])
+    def test_bad_vector_abandons_the_attempt(self, fault):
+        store, entities = random_kg(random.Random(2))
+        engine = Engine(
+            backend=StageBackend(),
+            kg=store,
+            embedder=FaultyEmbedder(fault, position=1, every=1),
+            config=EngineConfig(),
+        )
+        result = engine.run("q?", [entities[0]])
+        observe = events_by_stage(result.trace, "observe")[0]
+        assert "pruning unavailable" in observe.payload["observation"]["rationale"]
+        assert result.error_note is None or "exploration failed" not in result.error_note
 
 
 class TestDegradedPaths:

@@ -1,10 +1,18 @@
 """Cosine similarity and candidate pruning, checked against a sort oracle."""
 
+import hashlib
 import math
 import random
+import re
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from kgqa_engine import pruning
 from kgqa_engine.errors import DimensionMismatch, PruningUnavailable, ZeroVector
 from kgqa_engine.pruning import (
     CachingEmbedder,
@@ -66,13 +74,14 @@ def make_candidates(n, rng=None, vocab=None):
     return cands
 
 
+def cos(u, v):
+    """Reference cosine: a fresh dot and two fresh norms over every component."""
+    dot = sum(a * b for a, b in zip(u, v))
+    return dot / (math.sqrt(sum(a * a for a in u)) * math.sqrt(sum(b * b for b in v)))
+
+
 def oracle_top_t(candidates, objective, t, embedder):
     """Independent reference: embed, score with a fresh dot/norm, full sort."""
-
-    def cos(u, v):
-        dot = sum(a * b for a, b in zip(u, v))
-        return dot / (math.sqrt(sum(a * a for a in u)) * math.sqrt(sum(b * b for b in v)))
-
     obj_vec = embedder.embed([objective])[0]
     scored = []
     for c in candidates:
@@ -165,6 +174,119 @@ class TestPrune:
         with pytest.raises(PruningUnavailable):
             prune(make_candidates(3), "o", 5, BrokenEmbedder())
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [lambda vecs: vecs[:-1], lambda vecs: vecs[:-3], lambda vecs: vecs + vecs[:1]],
+        ids=["one_short", "three_short", "one_extra"],
+    )
+    def test_wrong_vector_count_becomes_pruning_unavailable(self, tamper):
+        with pytest.raises(PruningUnavailable):
+            prune(make_candidates(3), "o", 5, TamperedEmbedder(tamper))
+
+    def test_vector_faults_are_pruning_unavailable(self):
+        assert issubclass(ZeroVector, PruningUnavailable)
+        assert issubclass(DimensionMismatch, PruningUnavailable)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["candidate", "objective"])
+    def test_non_finite_component_never_ranks(self, bad, where):
+        def corrupt(vecs):
+            vecs = [list(v) for v in vecs]
+            vecs[2 if where == "candidate" else 0][5] = bad
+            return vecs
+
+        with pytest.raises(PruningUnavailable):
+            prune(make_candidates(10), "the capital", 3, TamperedEmbedder(corrupt))
+
+    def test_non_finite_where_objective_is_zero(self):
+        # the dot product skips this component; the candidate's norm must not
+        def corrupt(vecs):
+            zero_at = vecs[0].index(0.0)
+            vecs = [list(v) for v in vecs]
+            vecs[1][zero_at] = math.inf
+            return vecs
+
+        with pytest.raises(PruningUnavailable):
+            prune(make_candidates(4), "the capital", 2, TamperedEmbedder(corrupt))
+
+
+class TamperedEmbedder:
+    """HashingEmbedder output passed through ``tamper`` before it is returned."""
+
+    def __init__(self, tamper):
+        self.tamper = tamper
+
+    def embed(self, texts):
+        return self.tamper(HashingEmbedder().embed(texts))
+
+
+class FixedEmbedder:
+    """Hands out preset vectors: the objective's first, then one per text."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, texts):
+        assert len(texts) == len(self.vectors)
+        return self.vectors
+
+
+# exact zeros make a vector sparse; the rest keep their squares clear of
+# underflow and overflow, so every reference norm is positive and finite
+component = st.one_of(
+    st.just(0.0),
+    st.floats(-1e6, 1e6, allow_nan=False).filter(lambda x: x == 0.0 or abs(x) > 1e-100),
+)
+
+
+@st.composite
+def objective_and_vectors(draw):
+    dim = draw(st.integers(1, 24))
+    vector = st.lists(component, min_size=dim, max_size=dim).filter(any)
+    return draw(vector), draw(st.lists(vector, min_size=1, max_size=12))
+
+
+# few words and few ids, so equal scores, equal renderings and equal keys all occur
+word = st.sampled_from(["river", "city", "capital city", ""])
+candidate = st.builds(
+    CandidateTriple,
+    head=st.sampled_from(["h1", "h2", "h3"]),
+    relation=st.sampled_from(["r1", "r2"]),
+    tail=st.sampled_from(["t1", "t2", "t3"]),
+    direction=st.sampled_from(list(Direction)),
+    head_label=word,
+    relation_label=word,
+    tail_label=word,
+)
+
+
+@st.composite
+def candidates_and_threshold(draw):
+    cands = draw(st.lists(candidate, min_size=1, max_size=40))
+    return cands, draw(st.integers(1, len(cands) + 2))
+
+
+class TestPruneProperties:
+    @given(objective_and_vectors())
+    def test_scores_equal_reference_formula_bitwise(self, drawn):
+        objective, vectors = drawn
+        cands = make_candidates(len(vectors))
+        prune(cands, "objective", len(cands), FixedEmbedder([objective, *vectors]))
+        for cand, vec in zip(cands, vectors):
+            expected = repr(max(-1.0, min(1.0, cos(objective, vec))))
+            assert repr(cand.score) == expected
+            assert repr(cosine_similarity(objective, vec)) == expected
+
+    @given(candidates_and_threshold(), st.sampled_from(["find the capital city", "river", ""]))
+    def test_kept_set_and_order_equal_full_sort(self, drawn, objective):
+        cands, threshold = drawn
+        kept = prune(list(cands), objective, threshold, HashingEmbedder())
+        if len(cands) <= threshold:
+            expected = cands
+        else:
+            expected = sorted(cands, key=lambda c: (-c.score, c.render(), c.key()))[:threshold]
+        assert [id(c) for c in kept] == [id(c) for c in expected]
+
 
 class TestHashingEmbedder:
     def test_deterministic(self):
@@ -178,6 +300,64 @@ class TestHashingEmbedder:
 
     def test_empty_text_has_nonzero_vector(self):
         assert any(HashingEmbedder().embed([""])[0])
+
+    @staticmethod
+    def reference(text, dim=64):
+        vec = [0.0] * dim
+        for token in re.findall(r"[a-z0-9]+", text.lower()):
+            vec[int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % dim] += 1.0
+        return vec if any(vec) else [1.0] + [0.0] * (dim - 1)
+
+    def test_matches_md5_bucket_reference(self):
+        texts = ["Capital of France", "capital —capital→ CAPITAL", "m.0h12 —rel.x→ t9", "", "--"]
+        for dim in (7, 64):
+            embedder = HashingEmbedder(dim=dim)
+            # twice: the second pass reads every bucket from the token memo
+            for _ in range(2):
+                assert embedder.embed(texts) == [self.reference(t, dim) for t in texts]
+
+    def test_token_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(pruning, "TOKEN_MEMO_SIZE", 5)
+        embedder = HashingEmbedder()
+        texts = [f"token{i} shared" for i in range(40)]
+        assert embedder.embed(texts) == [self.reference(t) for t in texts]
+        assert len(embedder._buckets) <= 5
+
+    def test_token_memo_shared_across_threads(self, monkeypatch):
+        class SizeWatchingDict(dict):
+            """Records its largest size; yields the thread after every size check."""
+
+            largest = 0
+
+            def __len__(self):
+                size = super().__len__()
+                time.sleep(0)  # let another thread act on the size just read
+                return size
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.largest = max(self.largest, super().__len__())
+
+        monkeypatch.setattr(pruning, "TOKEN_MEMO_SIZE", 8)
+        embedder = HashingEmbedder()
+        embedder._buckets = SizeWatchingDict()
+        texts = [f"t{i} t{i + 1} t{i * 7 % 40}" for i in range(40)]
+
+        def picks(worker):
+            return [texts[(n * 7 + worker) % len(texts)] for n in range(500)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda w: embedder.embed(picks(w)), w) for w in range(6)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        expected = {t: self.reference(t) for t in texts}
+        for worker, vectors in enumerate(results):
+            assert vectors == [expected[t] for t in picks(worker)]
+        assert embedder._buckets.largest <= 8
 
 
 class TestCachingEmbedder:
