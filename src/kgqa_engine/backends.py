@@ -9,6 +9,7 @@ stage tag names the response schema the caller expects
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from typing import Protocol
@@ -16,6 +17,8 @@ from typing import Protocol
 import requests
 
 from .errors import BackendUnavailable, ScriptMismatch
+
+log = logging.getLogger(__name__)
 
 STAGES = ("decompose", "predict", "classify", "think", "evaluate", "select", "answer", "extract")
 
@@ -29,6 +32,9 @@ class ChatCompletionBackend:
 
     Temperature defaults to 0 for reproducibility; the bearer token comes
     from an environment variable so it never lands in config files.
+    Transport failures, 5xx, 429 and malformed bodies are retried with
+    exponential backoff, each retry logged at INFO; any other 4xx raises
+    BackendUnavailable at once.
     """
 
     def __init__(
@@ -64,17 +70,23 @@ class ChatCompletionBackend:
         for attempt in range(self.retries + 1):
             try:
                 resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    raise BackendUnavailable(f"HTTP {resp.status_code}")
-                resp.raise_for_status()
-                try:
-                    return resp.json()["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError, TypeError) as exc:
-                    raise BackendUnavailable(f"malformed completion response: {exc}") from exc
-            except (requests.RequestException, BackendUnavailable) as exc:
+            except requests.RequestException as exc:
                 last_error = exc
-                if attempt < self.retries:
-                    time.sleep(self.backoff * (2**attempt))
+            else:
+                if resp.status_code < 400:
+                    try:
+                        return resp.json()["choices"][0]["message"]["content"]
+                    except (ValueError, KeyError, IndexError, TypeError) as exc:
+                        last_error = BackendUnavailable(f"malformed completion response: {exc}")
+                elif resp.status_code < 500 and resp.status_code != 429:
+                    raise BackendUnavailable(f"chat endpoint rejected the request with HTTP {resp.status_code}")
+                else:
+                    last_error = BackendUnavailable(f"HTTP {resp.status_code}")
+            if attempt < self.retries:
+                delay = self.backoff * (2**attempt)
+                log.info("chat attempt %d of %d failed (%s); retrying in %.3g s",
+                         attempt + 1, self.retries + 1, last_error, delay)
+                time.sleep(delay)
         raise BackendUnavailable(
             f"chat endpoint unreachable after {self.retries + 1} attempts: {last_error}"
         )

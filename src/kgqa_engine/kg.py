@@ -5,14 +5,17 @@ Both adapters answer the same two questions -- ``neighbors(entity)`` and
 Neighbor lists are sorted by (relation, entity, direction) so candidate
 ordering, and therefore whole traces, are reproducible.
 
-The SPARQL adapter answers one ``neighbors`` call with at most three
-round-trips: two edge queries and one batched label query for the frontier
-and every neighbour not yet labelled.  Labels are cached per adapter, so
-the executor's ``label`` calls that follow cost nothing.
+The SPARQL adapter answers one ``neighbors`` call with at most two
+round-trips: one edge query (the UNION of both directions) and one batched
+label query for the frontier and every neighbour not yet labelled.  Labels
+are cached per adapter, so the executor's ``label`` calls that follow cost
+nothing.  Only an entity with ``limit`` or more edges in one direction can
+cost a third round-trip, to refill the other direction.
 """
 
 from __future__ import annotations
 
+import logging
 import re
 import threading
 import time
@@ -33,6 +36,8 @@ LABEL_CACHE_SIZE = 50_000
 
 Neighbor = tuple[str, str, Direction]  # (relation, other_entity, direction)
 
+log = logging.getLogger(__name__)
+
 
 class GraphStore(Protocol):
     def neighbors(self, entity: str) -> list[Neighbor]: ...
@@ -43,6 +48,7 @@ class GraphStore(Protocol):
 class SparqlTemplate(str, Enum):
     OUTGOING_EDGES = "outgoing_edges"
     INCOMING_EDGES = "incoming_edges"
+    NEIGHBORS = "neighbors"
     LABEL = "label"
     LABELS = "labels"
 
@@ -60,9 +66,10 @@ def render_sparql(
 
     ``LABELS`` takes any number of IDs and has no LIMIT, since a truncated
     answer would read as "no label" for the IDs cut off; the other
-    templates take exactly one.  IDs are validated against the configured
-    grammar before substitution; anything outside it is rejected, which
-    doubles as injection protection.
+    templates take exactly one.  ``NEIGHBORS`` asks for both edge
+    directions at once, so its LIMIT is twice ``limit``.  IDs are validated
+    against the configured grammar before substitution; anything outside it
+    is rejected, which doubles as injection protection.
     """
     ids = [entity] if isinstance(entity, str) else list(entity)
     for one in ids:
@@ -79,6 +86,12 @@ def render_sparql(
         body = f"SELECT ?relation ?tail WHERE {{ ns:{entity} ?relation ?tail }}"
     elif template is SparqlTemplate.INCOMING_EDGES:
         body = f"SELECT ?relation ?head WHERE {{ ?head ?relation ns:{entity} }}"
+    elif template is SparqlTemplate.NEIGHBORS:
+        body = (
+            f"SELECT ?relation ?tail ?head WHERE {{ {{ ns:{entity} ?relation ?tail }} "
+            f"UNION {{ ?head ?relation ns:{entity} }} }}"
+        )
+        limit *= 2
     elif template is SparqlTemplate.LABEL:
         body = f"SELECT ?label WHERE {{ ns:{entity} ns:{label_property} ?label }}"
     else:  # pragma: no cover - enum is exhaustive
@@ -98,9 +111,10 @@ def execute(
     """Run a query over the SPARQL 1.1 protocol; return variable->value rows.
 
     POSTs the query (through ``session`` if given, so connections are
-    pooled), asks for SPARQL JSON results, and retries transport failures
-    and 5xx responses twice with exponential backoff before giving up with
-    KgUnavailable.
+    pooled) and asks for SPARQL JSON results.  Transport failures, 5xx and
+    429 are retried ``retries`` times with exponential backoff, each retry
+    logged at INFO, before giving up with KgUnavailable; any other 4xx means the
+    endpoint rejected the query and raises KgUnavailable at once.
     """
     post = requests.post if session is None else session.post
     last_error: Exception | None = None
@@ -112,31 +126,37 @@ def execute(
                 headers={"Accept": "application/sparql-results+json"},
                 timeout=timeout,
             )
-            if resp.status_code >= 500:
-                raise KgUnavailable(f"endpoint returned HTTP {resp.status_code}")
-            resp.raise_for_status()
-            try:
-                doc = resp.json()
-                bindings = doc["results"]["bindings"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MalformedResults(f"non-conforming SPARQL JSON results: {exc}") from exc
-            rows = []
-            for binding in bindings:
-                if not isinstance(binding, dict):
-                    raise MalformedResults("binding row is not an object")
-                row = {}
-                for var, cell in binding.items():
-                    try:
-                        row[var] = cell["value"]
-                    except (KeyError, TypeError) as exc:
-                        raise MalformedResults(f"binding cell missing value: {exc}") from exc
-                rows.append(row)
-            return rows
-        except (requests.RequestException, KgUnavailable) as exc:
+        except requests.RequestException as exc:
             last_error = exc
-            if attempt < retries:
-                time.sleep(backoff * (2**attempt))
-    raise KgUnavailable(f"SPARQL endpoint unreachable after {retries + 1} attempts: {last_error}")
+        else:
+            if resp.status_code < 400:
+                break
+            if resp.status_code < 500 and resp.status_code != 429:
+                raise KgUnavailable(f"endpoint rejected the query with HTTP {resp.status_code}")
+            last_error = KgUnavailable(f"endpoint returned HTTP {resp.status_code}")
+        if attempt < retries:
+            delay = backoff * (2**attempt)
+            log.info("SPARQL attempt %d of %d failed (%s); retrying in %.3g s",
+                     attempt + 1, retries + 1, last_error, delay)
+            time.sleep(delay)
+    else:
+        raise KgUnavailable(f"SPARQL endpoint unreachable after {retries + 1} attempts: {last_error}")
+    try:
+        bindings = resp.json()["results"]["bindings"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedResults(f"non-conforming SPARQL JSON results: {exc}") from exc
+    rows = []
+    for binding in bindings:
+        if not isinstance(binding, dict):
+            raise MalformedResults("binding row is not an object")
+        row = {}
+        for var, cell in binding.items():
+            try:
+                row[var] = cell["value"]
+            except (KeyError, TypeError) as exc:
+                raise MalformedResults(f"binding cell missing value: {exc}") from exc
+        rows.append(row)
+    return rows
 
 
 def _field(row: dict[str, str], var: str) -> str:
@@ -148,13 +168,22 @@ def _field(row: dict[str, str], var: str) -> str:
 
 _UNCACHED = object()
 
+# The variable naming an edge's far end in a NEIGHBORS row -> the edge's
+# direction and the query for that direction alone.
+_ENDS = {
+    "tail": (Direction.OUTGOING, SparqlTemplate.OUTGOING_EDGES),
+    "head": (Direction.INCOMING, SparqlTemplate.INCOMING_EDGES),
+}
+
 
 class SparqlGraphStore:
     """GraphStore over a remote SPARQL 1.1 endpoint.
 
     Labels, ``None`` included, are cached for the adapter's lifetime, which
     assumes the graph does not change under it.  Requests go through one
-    pooled ``requests.Session``, opened on the first query.
+    pooled ``requests.Session``, opened on the first query, which resolves
+    the environment's proxy, CA-bundle and netrc settings for the endpoint
+    once: changes to them after that query are not seen.
     """
 
     def __init__(
@@ -195,7 +224,7 @@ class SparqlGraphStore:
         if self._session is None:
             with self._lock:
                 if self._session is None:
-                    self._session = requests.Session()
+                    self._session = self._open_session()
         return execute(
             self.endpoint,
             query,
@@ -204,6 +233,20 @@ class SparqlGraphStore:
             backoff=self.backoff,
             session=self._session,
         )
+
+    def _open_session(self) -> requests.Session:
+        """A session with what ``requests`` takes from the environment for
+        this endpoint (proxies after ``NO_PROXY``, CA bundle, netrc auth)
+        fixed on it, so no request reads ``os.environ`` or ``~/.netrc`` again.
+        """
+        session = requests.Session()
+        settings = session.merge_environment_settings(self.endpoint, {}, None, None, None)
+        session.proxies = settings["proxies"]
+        session.verify = settings["verify"]
+        session.cert = settings["cert"]
+        session.auth = requests.utils.get_netrc_auth(self.endpoint)
+        session.trust_env = False
+        return session
 
     def _localize(self, value: str) -> str:
         if value.startswith(self.prefix):
@@ -229,12 +272,24 @@ class SparqlGraphStore:
         self._remember({i: found.get(i) for i in missing})
 
     def neighbors(self, entity: str) -> list[Neighbor]:
+        """At most ``limit`` edges per direction, from one UNION query.
+
+        A full answer (``2 * limit`` rows) may have cut one direction short;
+        only then is that direction asked for again on its own.
+        """
+        rows = self._execute(self._render(SparqlTemplate.NEIGHBORS, entity))
+        by_end: dict[str, list[dict[str, str]]] = {other: [] for other in _ENDS}
+        for row in rows:
+            ends = [other for other in _ENDS if other in row]
+            if len(ends) != 1:
+                raise MalformedResults(f"union row needs exactly one of ?tail and ?head: {sorted(row)}")
+            by_end[ends[0]].append(row)
         out: list[Neighbor] = []
-        for template, other, direction in (
-            (SparqlTemplate.OUTGOING_EDGES, "tail", Direction.OUTGOING),
-            (SparqlTemplate.INCOMING_EDGES, "head", Direction.INCOMING),
-        ):
-            for row in self._execute(self._render(template, entity)):
+        for other, (direction, template) in _ENDS.items():
+            found = by_end[other]
+            if len(rows) >= 2 * self.limit and len(found) < self.limit:
+                found = self._execute(self._render(template, entity))
+            for row in found[: self.limit]:
                 relation = self._localize(_field(row, "relation"))
                 out.append((relation, self._localize(_field(row, other)), direction))
         neighbors = sorted(set(out), key=lambda n: (n[0], n[1], n[2].value))

@@ -43,7 +43,9 @@ def _cosines(u: Vector, vectors: Iterable[Vector]) -> list[float]:
     Only nonzero components enter the sums, in ascending index order:
     skipping exact zeros leaves every float sum bit for bit unchanged.
     A non-finite component raises ``PruningUnavailable``, so it can never
-    rank first.
+    rank first.  Components are not type-checked: ``None`` is skipped like
+    a zero, so it reads as 0 where the objective is zero and raises
+    ``TypeError`` where it is not, as any other non-number does.
     """
     dim = len(u)
     nonzeros = [(i, a) for i, a in enumerate(u) if a]
@@ -79,7 +81,8 @@ def prune(
     Scores are populated on every candidate either way.  At or below the
     threshold the input list comes back unchanged; above it, the top
     ``threshold`` by cosine similarity are returned sorted score-descending,
-    ties broken by lexicographic rendering, then by key.
+    ties broken by lexicographic rendering, then by key.  Unusable vectors,
+    non-numeric components included, raise ``PruningUnavailable``.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -92,7 +95,11 @@ def prune(
         raise PruningUnavailable(f"embedder failed: {exc}") from exc
     if len(vectors) != len(texts) + 1:
         raise PruningUnavailable(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
-    for cand, score in zip(candidates, _cosines(vectors[0], vectors[1:])):
+    try:
+        scores = _cosines(vectors[0], vectors[1:])
+    except TypeError as exc:
+        raise PruningUnavailable(f"embedder returned a non-numeric vector: {exc}") from exc
+    for cand, score in zip(candidates, scores):
         cand.score = score
     if len(candidates) <= threshold:
         return candidates

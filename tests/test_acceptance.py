@@ -236,6 +236,9 @@ def test_criterion_knowledge_monotonicity():
 
 _OUTGOING_Q = re.compile(r"SELECT \?relation \?tail WHERE \{ ns:(\S+) \?relation \?tail \}")
 _INCOMING_Q = re.compile(r"SELECT \?relation \?head WHERE \{ \?head \?relation ns:(\S+) \}")
+_NEIGHBORS_Q = re.compile(
+    r"SELECT \?relation \?tail \?head WHERE \{ \{ ns:(\S+) \?relation \?tail \} UNION \{ \?head \?relation ns:\1 \} \}"
+)
 _LABEL_Q = re.compile(r"SELECT \?label WHERE \{ ns:(\S+) ns:(\S+) \?label \}")
 _LABELS_Q = re.compile(r"SELECT \?x \?label WHERE \{ VALUES \?x \{ ([^}]*) \} \?x ns:(\S+) \?label \}")
 
@@ -250,16 +253,12 @@ class _SparqlTestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         query = parse_qs(self.rfile.read(length).decode("utf-8"))["query"][0]
         bindings = []
-        if match := _OUTGOING_Q.search(query):
-            entity = match.group(1)
-            for head, rel, tail in self.triples:
-                if head == entity:
-                    bindings.append({"relation": self._uri(rel), "tail": self._uri(tail)})
+        if match := _NEIGHBORS_Q.search(query):
+            bindings = self._edges(match.group(1), "tail") + self._edges(match.group(1), "head")
+        elif match := _OUTGOING_Q.search(query):
+            bindings = self._edges(match.group(1), "tail")
         elif match := _INCOMING_Q.search(query):
-            entity = match.group(1)
-            for head, rel, tail in self.triples:
-                if tail == entity:
-                    bindings.append({"relation": self._uri(rel), "head": self._uri(head)})
+            bindings = self._edges(match.group(1), "head")
         elif match := _LABEL_Q.search(query):
             entity = match.group(1)
             if entity in self.labels:
@@ -279,6 +278,15 @@ class _SparqlTestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _edges(self, entity: str, other: str) -> list[dict]:
+        """Bindings of the edges leaving (``other`` = "tail") or entering ``entity``."""
+        bindings = []
+        for head, rel, tail in self.triples:
+            near, far = (head, tail) if other == "tail" else (tail, head)
+            if near == entity:
+                bindings.append({"relation": self._uri(rel), other: self._uri(far)})
+        return bindings
 
     @staticmethod
     def _uri(local: str) -> dict:

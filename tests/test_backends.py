@@ -1,11 +1,13 @@
 """Backend adapters: scripted replay discipline, chat HTTP client."""
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from kgqa_engine import backends as backends_mod
 from kgqa_engine.backends import ChatCompletionBackend, RecordingBackend, ScriptedBackend
 from kgqa_engine.errors import BackendUnavailable, ScriptMismatch
 
@@ -73,11 +75,12 @@ class _ChatHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def chat_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
     _ChatHandler.responses = []
     _ChatHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def completion(text):
@@ -113,3 +116,33 @@ class TestChatCompletionBackend:
         backend = ChatCompletionBackend(chat_server, "m", retries=0)
         with pytest.raises(BackendUnavailable):
             backend.complete("p", "think")
+
+    def test_client_error_fails_fast(self, chat_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(backends_mod.time, "sleep", sleeps.append)
+        _ChatHandler.responses = [(401, b"no token")]
+        backend = ChatCompletionBackend(chat_server, "m", retries=2, backoff=0.5)
+        with pytest.raises(BackendUnavailable, match="HTTP 401"):
+            backend.complete("p", "think")
+        assert len(_ChatHandler.seen) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_server_error_and_throttling_are_retried(self, chat_server, monkeypatch, status):
+        sleeps = []
+        monkeypatch.setattr(backends_mod.time, "sleep", sleeps.append)
+        _ChatHandler.responses = [(status, b"busy")]
+        backend = ChatCompletionBackend(chat_server, "m", retries=2, backoff=0.5)
+        with pytest.raises(BackendUnavailable, match=f"HTTP {status}"):
+            backend.complete("p", "think")
+        assert len(_ChatHandler.seen) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_each_retry_is_logged(self, chat_server, caplog):
+        caplog.set_level(logging.INFO, logger="kgqa_engine.backends")
+        _ChatHandler.responses = [(500, b"broken"), (200, completion("ok"))]
+        backend = ChatCompletionBackend(chat_server, "m", retries=2, backoff=0.01)
+        assert backend.complete("p", "think") == "ok"
+        assert [(r.name, r.levelno) for r in caplog.records] == [("kgqa_engine.backends", logging.INFO)]
+        message = caplog.records[0].getMessage()
+        assert "attempt 1 of 3" in message and "HTTP 500" in message and "retrying in 0.01 s" in message

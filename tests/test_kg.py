@@ -1,6 +1,7 @@
 """Graph access layer: query rendering, protocol client, in-memory store."""
 
 import json
+import logging
 import random
 import re
 import string
@@ -59,6 +60,18 @@ class TestRenderSparql:
 
     def test_limit_applied(self):
         assert render_sparql(SparqlTemplate.OUTGOING_EDGES, "m.0abc", limit=17).endswith("LIMIT 17")
+
+    def test_neighbors_query_unions_both_directions(self):
+        query = render_sparql(SparqlTemplate.NEIGHBORS, "m.0abc", limit=17)
+        assert query.endswith(  # limit edges per direction, two directions
+            "SELECT ?relation ?tail ?head WHERE "
+            "{ { ns:m.0abc ?relation ?tail } UNION { ?head ?relation ns:m.0abc } } LIMIT 34"
+        )
+
+    @pytest.mark.parametrize("bad", ["m.0abc } UNION { ?s ?p ?o", "M.0ABC", ""])
+    def test_neighbors_query_validates_id(self, bad):
+        with pytest.raises(InvalidEntityId):
+            render_sparql(SparqlTemplate.NEIGHBORS, bad)
 
     @pytest.mark.parametrize("bad", ["m.0abc}", "m.0abc . ?x ?y ?z", "M.0ABC", "", "x", "m.0abc\n"])
     def test_grammar_violations_rejected(self, bad):
@@ -165,13 +178,42 @@ class TestExecute:
         with pytest.raises(KgUnavailable):
             execute("http://127.0.0.1:1/sparql", "q", retries=1, backoff=0.01, timeout=0.2)
 
+    def test_client_error_fails_fast(self, stub_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(kg_mod.time, "sleep", sleeps.append)
+        _StubHandler.responses = [(400, b"bad query")]
+        with pytest.raises(KgUnavailable, match="HTTP 400"):
+            execute(stub_server, "q", retries=2, backoff=0.5)
+        assert len(_StubHandler.seen) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_server_error_and_throttling_are_retried(self, stub_server, monkeypatch, status):
+        sleeps = []
+        monkeypatch.setattr(kg_mod.time, "sleep", sleeps.append)
+        _StubHandler.responses = [(status, b"busy")]
+        with pytest.raises(KgUnavailable, match=f"HTTP {status}"):
+            execute(stub_server, "q", retries=2, backoff=0.5)
+        assert len(_StubHandler.seen) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_each_retry_is_logged(self, stub_server, caplog):
+        caplog.set_level(logging.INFO, logger="kgqa_engine.kg")
+        _StubHandler.responses = [(500, b"oops"), (200, sparql_json([], ["label"]))]
+        assert execute(stub_server, "q", retries=2, backoff=0.01) == []
+        assert [(r.name, r.levelno) for r in caplog.records] == [("kgqa_engine.kg", logging.INFO)]
+        message = caplog.records[0].getMessage()
+        assert "attempt 1 of 3" in message and "HTTP 500" in message and "retrying in 0.01 s" in message
+
 
 class TestSparqlGraphStore:
     def test_neighbors_merges_and_localizes(self, stub_server):
         ns = FREEBASE_PREFIX
         _StubHandler.responses = [
-            (200, sparql_json([{"relation": f"{ns}r.b", "tail": f"{ns}m.0t"}], ["relation", "tail"])),
-            (200, sparql_json([{"relation": f"{ns}r.a", "head": f"{ns}m.0h"}], ["relation", "head"])),
+            (200, sparql_json(
+                [{"relation": f"{ns}r.b", "tail": f"{ns}m.0t"}, {"relation": f"{ns}r.a", "head": f"{ns}m.0h"}],
+                ["relation", "tail", "head"],
+            )),
             (200, sparql_json([], ["x", "label"])),
         ]
         store = SparqlGraphStore(stub_server, retries=0)
@@ -194,20 +236,27 @@ class TestSparqlGraphStore:
             execute("http://127.0.0.1:1/sparql", "q", retries=0, timeout=0.2, session=requests.Session())
 
 
+def union_rows(outgoing, incoming):
+    """Rows of the NEIGHBORS query: (relation, tail) rows, then (relation, head) rows."""
+    ns = FREEBASE_PREFIX
+    return [{"relation": f"{ns}{r}", "tail": f"{ns}{t}"} for r, t in outgoing] + [
+        {"relation": f"{ns}{r}", "head": f"{ns}{h}"} for r, h in incoming
+    ]
+
+
 def edges_and_labels(outgoing, incoming, labels):
-    """Stub responses for one neighbors() call: two edge queries, one label batch."""
+    """Stub responses for one neighbors() call: one union edge query, one label batch."""
     ns = FREEBASE_PREFIX
     return [
-        (200, sparql_json([{"relation": f"{ns}{r}", "tail": f"{ns}{t}"} for r, t in outgoing], ["relation", "tail"])),
-        (200, sparql_json([{"relation": f"{ns}{r}", "head": f"{ns}{h}"} for r, h in incoming], ["relation", "head"])),
+        (200, sparql_json(union_rows(outgoing, incoming), ["relation", "tail", "head"])),
         (200, sparql_json([{"x": f"{ns}{x}", "label": text} for x, text in labels], ["x", "label"])),
     ]
 
 
 class TestRoundTrips:
-    """One explore costs at most three POSTs; labels are then served from the cache."""
+    """One explore costs at most two POSTs; labels are then served from the cache."""
 
-    def test_explore_costs_at_most_three_posts(self, stub_server):
+    def test_explore_costs_at_most_two_posts(self, stub_server):
         _StubHandler.responses = edges_and_labels(
             [("r.b", "m.0t1"), ("r.c", "m.0t2")],
             [("r.a", "m.0h")],
@@ -217,8 +266,9 @@ class TestRoundTrips:
         neighbors = store.neighbors("m.0x")
         labels = [store.label("m.0x")] + [store.label(other) for _, other, _ in neighbors]
         assert labels == ["Frontier", "Head", "Tail one", None]
-        assert len(_StubHandler.seen) == 3
-        assert "VALUES ?x { ns:m.0x ns:m.0h ns:m.0t1 ns:m.0t2 }" in _StubHandler.seen[2]
+        assert len(_StubHandler.seen) == 2
+        assert "UNION" in _StubHandler.seen[0]
+        assert "VALUES ?x { ns:m.0x ns:m.0h ns:m.0t1 ns:m.0t2 }" in _StubHandler.seen[1]
 
     @pytest.mark.parametrize("rows, expected", [([{"label": "Paris"}], "Paris"), ([], None)])
     def test_repeated_label_costs_nothing(self, stub_server, rows, expected):
@@ -234,27 +284,62 @@ class TestRoundTrips:
         store = SparqlGraphStore(stub_server, retries=0)
         store.neighbors("m.0x")
         store.neighbors("m.0t")  # both ends already cached: no label batch
-        assert len(_StubHandler.seen) == 5
+        assert len(_StubHandler.seen) == 3
         assert store.label("m.0t") is None  # cached as unlabelled by the first batch
 
     def test_ungrammatical_neighbour_never_sent(self, stub_server):
         ns = FREEBASE_PREFIX
         _StubHandler.responses = [
-            (200, sparql_json([{"relation": f"{ns}r.b", "tail": "http://example.org/x y"}], ["relation", "tail"])),
-            (200, sparql_json([{"relation": f"{ns}r.a", "head": f"{ns}M.0BAD"}], ["relation", "head"])),
+            (200, sparql_json(
+                [{"relation": f"{ns}r.b", "tail": "http://example.org/x y"}, {"relation": f"{ns}r.a", "head": f"{ns}M.0BAD"}],
+                ["relation", "tail", "head"],
+            )),
             (200, sparql_json([], ["x", "label"])),
         ]
         store = SparqlGraphStore(stub_server, retries=0)
         store.neighbors("m.0x")
-        assert "VALUES ?x { ns:m.0x }" in _StubHandler.seen[2]
+        assert "VALUES ?x { ns:m.0x }" in _StubHandler.seen[1]
         assert store.label("M.0BAD") is None and store.label("http://example.org/x y") is None
-        assert len(_StubHandler.seen) == 3
+        assert len(_StubHandler.seen) == 2
 
     def test_first_row_per_id_wins(self, stub_server):
         _StubHandler.responses = edges_and_labels([], [], [("m.0x", "First"), ("m.0x", "Second")])
         store = SparqlGraphStore(stub_server, retries=0)
         store.neighbors("m.0x")
         assert store.label("m.0x") == "First"
+
+    def test_full_answer_refills_the_short_direction(self, stub_server):
+        # limit 2: four rows fill the union, so the single incoming row may be cut short
+        outgoing = [("r.o", f"m.0t{i}") for i in range(3)]
+        _StubHandler.responses = edges_and_labels(outgoing, [("r.i", "m.0h0")], [])[:1]
+        _StubHandler.responses += [
+            (200, sparql_json(union_rows([], [("r.i", "m.0h0"), ("r.i", "m.0h1")]), ["relation", "head"])),
+            (200, sparql_json([], ["x", "label"])),
+        ]
+        store = SparqlGraphStore(stub_server, retries=0, limit=2)
+        assert store.neighbors("m.0x") == [
+            ("r.i", "m.0h0", Direction.INCOMING),
+            ("r.i", "m.0h1", Direction.INCOMING),
+            ("r.o", "m.0t0", Direction.OUTGOING),  # the union's first two outgoing rows
+            ("r.o", "m.0t1", Direction.OUTGOING),
+        ]
+        assert len(_StubHandler.seen) == 3
+        assert _StubHandler.seen[1].endswith("SELECT ?relation ?head WHERE { ?head ?relation ns:m.0x } LIMIT 2")
+        assert "VALUES" in _StubHandler.seen[2]
+
+    @pytest.mark.parametrize(
+        "outgoing, incoming",
+        [(2, 1), (1, 0), (2, 2), (0, 0)],
+        ids=["short_of_full", "one_row", "full_both_at_limit", "empty"],
+    )
+    def test_no_refill_unless_a_full_answer_leaves_a_direction_short(self, stub_server, outgoing, incoming):
+        _StubHandler.responses = edges_and_labels(
+            [("r.o", f"m.0t{i}") for i in range(outgoing)], [("r.i", f"m.0h{i}") for i in range(incoming)], []
+        )
+        store = SparqlGraphStore(stub_server, retries=0, limit=2)
+        assert len(store.neighbors("m.0x")) == outgoing + incoming
+        assert len(_StubHandler.seen) == 2
+        assert "UNION" in _StubHandler.seen[0] and "VALUES" in _StubHandler.seen[1]
 
     def test_cache_evicts_oldest_past_its_size(self, stub_server, monkeypatch):
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 2)
@@ -298,20 +383,98 @@ class TestRoundTrips:
         assert isinstance(session, requests.Session) and store._session is session
 
 
+class TestEnvironment:
+    """The store takes proxy, CA-bundle and netrc settings from the environment
+    once, and they are the ones ``requests`` computes for each request."""
+
+    ENDPOINT = "http://sparql.test/sparql"
+
+    @pytest.fixture
+    def sent(self, monkeypatch):
+        """Capture what each request would be sent with; nothing leaves the process."""
+        sent = []
+
+        def send(adapter, request, **kwargs):
+            sent.append({
+                "proxies": kwargs["proxies"],
+                "verify": kwargs["verify"],
+                "cert": kwargs["cert"],
+                "auth": request.headers.get("Authorization"),
+            })
+            resp = requests.Response()
+            resp.status_code = 200
+            resp._content = sparql_json([], ["label"])
+            resp.url, resp.request = request.url, request
+            return resp
+
+        monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
+        return sent
+
+    @pytest.fixture
+    def environment(self, monkeypatch, tmp_path):
+        for name in ["http_proxy", "https_proxy", "all_proxy", "no_proxy", "CURL_CA_BUNDLE"]:
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        bundle = tmp_path / "ca.pem"
+        bundle.write_text("")
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine sparql.test login reader password secret\n")
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy.test:3128")
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+        monkeypatch.setenv("NETRC", str(netrc))
+        return monkeypatch, str(bundle)
+
+    @pytest.mark.parametrize("no_proxy, proxied", [("other.test", True), ("sparql.test", False)])
+    def test_requests_carry_what_requests_computes(self, sent, environment, no_proxy, proxied):
+        monkeypatch, bundle = environment
+        monkeypatch.setenv("NO_PROXY", no_proxy)
+        execute(self.ENDPOINT, "q", retries=0)  # plain requests.post, environment read per request
+        SparqlGraphStore(self.ENDPOINT, retries=0).label("m.0a")
+        expected, got = sent
+        assert got == expected
+        assert (got["proxies"].get("http") == "http://proxy.test:3128") is proxied
+        assert got["verify"] == bundle
+        assert got["auth"].startswith("Basic ")
+
+    def test_environment_resolved_once_per_store(self, sent, environment, monkeypatch):
+        calls = []
+        resolve = requests.sessions.get_environ_proxies
+        monkeypatch.setattr(
+            requests.sessions, "get_environ_proxies", lambda *a, **kw: calls.append(a) or resolve(*a, **kw)
+        )
+        store = SparqlGraphStore(self.ENDPOINT, retries=0)
+        assert store._session is None and sent == [] and calls == []  # construction sends nothing
+        for i in range(5):
+            store.neighbors(f"m.0e{i}")
+            store.label(f"m.0l{i}")
+        assert len(sent) == 15  # per explore one union query and one label batch, plus each label()
+        assert len(calls) == 1
+        assert all(request == sent[0] for request in sent)
+        SparqlGraphStore(self.ENDPOINT, retries=0).label("m.0a")
+        assert len(calls) == 2  # a new store resolves it again
+
+
 class TestMalformedBindings:
     """A row lacking a projected variable is MalformedResults, never KeyError."""
 
     ns = FREEBASE_PREFIX
+    # stores here use limit 2, so a full union answer (four rows) refills
+    # the direction it holds fewer than two rows of by a per-direction query
     CASES = {
-        "edge row lacks tail": [(200, sparql_json([{"relation": f"{ns}r.b"}], ["relation", "tail"]))],
-        "edge row lacks relation": [(200, sparql_json([{"tail": f"{ns}m.0t"}], ["relation", "tail"]))],
-        "edge row lacks head": [
-            (200, sparql_json([], ["relation", "tail"])),
-            (200, sparql_json([{"relation": f"{ns}r.a"}], ["relation", "head"])),
+        "edge row lacks tail": edges_and_labels([], [("r.a", f"m.0h{i}") for i in range(4)], [])[:1]
+        + [(200, sparql_json([{"relation": f"{ns}r.b"}], ["relation", "tail"]))],
+        "edge row lacks relation": [(200, sparql_json([{"tail": f"{ns}m.0t"}], ["relation", "tail", "head"]))],
+        "edge row lacks head": edges_and_labels([("r.b", f"m.0t{i}") for i in range(4)], [], [])[:1]
+        + [(200, sparql_json([{"relation": f"{ns}r.a"}], ["relation", "head"]))],
+        "union row lacks both ends": [(200, sparql_json([{"relation": f"{ns}r.b"}], ["relation", "tail", "head"]))],
+        "union row has both ends": [
+            (200, sparql_json(
+                [{"relation": f"{ns}r.b", "tail": f"{ns}m.0t", "head": f"{ns}m.0h"}], ["relation", "tail", "head"]
+            ))
         ],
-        "label row lacks label": edges_and_labels([], [], [])[:2]
+        "label row lacks label": edges_and_labels([], [], [])[:1]
         + [(200, sparql_json([{"x": f"{ns}m.0x"}], ["x", "label"]))],
-        "label row lacks x": edges_and_labels([], [], [])[:2]
+        "label row lacks x": edges_and_labels([], [], [])[:1]
         + [(200, sparql_json([{"label": "X"}], ["x", "label"]))],
     }
 
@@ -319,7 +482,7 @@ class TestMalformedBindings:
     def test_neighbors_raises_malformed(self, stub_server, case):
         _StubHandler.responses = self.CASES[case]
         with pytest.raises(MalformedResults):
-            SparqlGraphStore(stub_server, retries=0).neighbors("m.0x")
+            SparqlGraphStore(stub_server, retries=0, limit=2).neighbors("m.0x")
 
     def test_single_label_row_lacking_label(self, stub_server):
         _StubHandler.responses = [(200, sparql_json([{"other": "X"}], ["other"]))]
@@ -331,7 +494,7 @@ class TestMalformedBindings:
         _StubHandler.responses = self.CASES[case]
         engine = Engine(
             backend=StageBackend(),
-            kg=SparqlGraphStore(stub_server, retries=0),
+            kg=SparqlGraphStore(stub_server, retries=0, limit=2),
             embedder=HashingEmbedder(),
         )
         result = engine.run("where is it?", ["m.0x"])

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgqa_engine.config import EngineConfig
@@ -179,7 +179,8 @@ class TestTermination:
 class FaultyEmbedder:
     """HashingEmbedder whose output is corrupted on every ``every``-th call."""
 
-    FAULTS = ("zero", "short", "long", "nan", "inf", "-inf", "fewer", "more")
+    FAULTS = ("zero", "short", "long", "nan", "inf", "-inf", "none", "str", "fewer", "more")
+    BAD_COMPONENTS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "str": "1.0"}
 
     def __init__(self, fault, position, every):
         self.fault = fault
@@ -199,8 +200,11 @@ class FaultyEmbedder:
             vecs[i] = vecs[i][:-1]
         elif self.fault == "long":
             vecs[i] = vecs[i] + [1.0]
-        elif self.fault in ("nan", "inf", "-inf"):
-            vecs[i][self.position % len(vecs[i])] = float(self.fault)
+        elif self.fault in self.BAD_COMPONENTS:
+            vecs[i][self.position % len(vecs[i])] = self.BAD_COMPONENTS[self.fault]
+        elif self.fault == "none":  # where the objective is nonzero: elsewhere None reads as 0
+            nonzero = [j for j, a in enumerate(vecs[0]) if a]
+            vecs[i][nonzero[self.position % len(nonzero)]] = None
         elif self.fault == "fewer":
             del vecs[i]
         else:
@@ -217,6 +221,8 @@ class TestEmbedderFaults:
         seed=st.integers(0, 2**16),
         threshold=st.sampled_from([2, 70]),
     )
+    @example(fault="none", position=1, every=1, seed=0, threshold=2)
+    @example(fault="str", position=1, every=1, seed=0, threshold=70)
     def test_run_finishes_without_failed_exploration(self, fault, position, every, seed, threshold):
         rng = random.Random(seed)
         store, entities = random_kg(rng, n_entities=20)
@@ -233,7 +239,7 @@ class TestEmbedderFaults:
         assert not (result.error_note or "").startswith("exploration failed")
         assert_trace_grammar(result.trace)
 
-    @pytest.mark.parametrize("fault", ["zero", "short", "nan"])
+    @pytest.mark.parametrize("fault", ["zero", "short", "nan", "none", "str"])
     def test_bad_vector_abandons_the_attempt(self, fault):
         store, entities = random_kg(random.Random(2))
         engine = Engine(

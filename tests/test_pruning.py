@@ -209,6 +209,30 @@ class TestPrune:
         with pytest.raises(PruningUnavailable):
             prune(make_candidates(4), "the capital", 2, TamperedEmbedder(corrupt))
 
+    @pytest.mark.parametrize("bad", [None, "1.0", [1.0]])
+    def test_non_numeric_where_objective_is_nonzero(self, bad):
+        def corrupt(vecs):
+            nonzero_at = next(i for i, a in enumerate(vecs[0]) if a)
+            vecs = [list(v) for v in vecs]
+            vecs[2][nonzero_at] = bad
+            return vecs
+
+        with pytest.raises(PruningUnavailable):
+            prune(make_candidates(10), "the capital", 3, TamperedEmbedder(corrupt))
+
+    def test_none_where_objective_is_zero_reads_as_zero(self):
+        def put(value):
+            def corrupt(vecs):
+                vecs = [list(v) for v in vecs]
+                vecs[1][vecs[0].index(0.0)] = value
+                return vecs
+
+            return TamperedEmbedder(corrupt)
+
+        with_none = prune(make_candidates(4), "the capital", 2, put(None))
+        with_zero = prune(make_candidates(4), "the capital", 2, put(0.0))
+        assert [(c.key(), c.score) for c in with_none] == [(c.key(), c.score) for c in with_zero]
+
 
 class TamperedEmbedder:
     """HashingEmbedder output passed through ``tamper`` before it is returned."""
