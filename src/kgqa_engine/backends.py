@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 from typing import Protocol
 
 import requests
 
 from .errors import BackendUnavailable, ScriptMismatch
+from .transport import post
 
 log = logging.getLogger(__name__)
 
@@ -32,9 +32,8 @@ class ChatCompletionBackend:
 
     Temperature defaults to 0 for reproducibility; the bearer token comes
     from an environment variable so it never lands in config files.
-    Transport failures, 5xx, 429 and malformed bodies are retried with
-    exponential backoff, each retry logged at INFO; any other 4xx raises
-    BackendUnavailable at once.
+    Requests are retried as ``transport.post`` does, a malformed body
+    included, before giving up with BackendUnavailable.
     """
 
     def __init__(
@@ -46,7 +45,6 @@ class ChatCompletionBackend:
         temperature: float = 0.0,
         timeout: float = 60.0,
         retries: int = 2,
-        backoff: float = 0.5,
     ):
         self.url = url
         self.model = model
@@ -54,7 +52,6 @@ class ChatCompletionBackend:
         self.temperature = temperature
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
 
     def complete(self, prompt: str, stage: str) -> str:
         headers = {"Content-Type": "application/json"}
@@ -66,30 +63,15 @@ class ChatCompletionBackend:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.temperature,
         }
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-            else:
-                if resp.status_code < 400:
-                    try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError, TypeError) as exc:
-                        last_error = BackendUnavailable(f"malformed completion response: {exc}")
-                elif resp.status_code < 500 and resp.status_code != 429:
-                    raise BackendUnavailable(f"chat endpoint rejected the request with HTTP {resp.status_code}")
-                else:
-                    last_error = BackendUnavailable(f"HTTP {resp.status_code}")
-            if attempt < self.retries:
-                delay = self.backoff * (2**attempt)
-                log.info("chat attempt %d of %d failed (%s); retrying in %.3g s",
-                         attempt + 1, self.retries + 1, last_error, delay)
-                time.sleep(delay)
-        raise BackendUnavailable(
-            f"chat endpoint unreachable after {self.retries + 1} attempts: {last_error}"
-        )
+        return post(self.url, _content, BackendUnavailable, log, timeout=self.timeout,
+                    retries=self.retries, json=body, headers=headers)
+
+
+def _content(resp: requests.Response) -> str:
+    try:
+        return resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise BackendUnavailable(f"malformed completion response: {exc}") from exc
 
 
 class ScriptedBackend:

@@ -54,6 +54,7 @@ def build_embedder(config: EngineConfig):
             config.embed_model,
             token=os.environ.get("KGQA_EMBED_TOKEN", ""),
             timeout=config.http_timeout,
+            retries=config.http_retries,
         )
     return HashingEmbedder()
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import logging
 import re
 import threading
-import time
 from collections.abc import Iterable
 from enum import Enum
 from typing import Protocol
@@ -26,6 +25,7 @@ from typing import Protocol
 import requests
 
 from .errors import InvalidEntityId, KgUnavailable, MalformedResults, ParseError
+from .transport import post
 from .triples import Direction
 
 FREEBASE_PREFIX = "http://rdf.freebase.com/ns/"
@@ -49,7 +49,6 @@ class SparqlTemplate(str, Enum):
     OUTGOING_EDGES = "outgoing_edges"
     INCOMING_EDGES = "incoming_edges"
     NEIGHBORS = "neighbors"
-    LABEL = "label"
     LABELS = "labels"
 
 
@@ -92,8 +91,6 @@ def render_sparql(
             f"UNION {{ ?head ?relation ns:{entity} }} }}"
         )
         limit *= 2
-    elif template is SparqlTemplate.LABEL:
-        body = f"SELECT ?label WHERE {{ ns:{entity} ns:{label_property} ?label }}"
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(template)
     return f"{header}{body} LIMIT {limit}"
@@ -105,42 +102,20 @@ def execute(
     *,
     timeout: float = 30.0,
     retries: int = 2,
-    backoff: float = 0.5,
     session: requests.Session | None = None,
 ) -> list[dict[str, str]]:
     """Run a query over the SPARQL 1.1 protocol; return variable->value rows.
 
-    POSTs the query (through ``session`` if given, so connections are
-    pooled) and asks for SPARQL JSON results.  Transport failures, 5xx and
-    429 are retried ``retries`` times with exponential backoff, each retry
-    logged at INFO, before giving up with KgUnavailable; any other 4xx means the
-    endpoint rejected the query and raises KgUnavailable at once.
+    POSTs the query (through ``session`` if given, so connections are pooled)
+    with ``transport.post``'s retries; a non-conforming document raises
+    MalformedResults at once.
     """
-    post = requests.post if session is None else session.post
-    last_error: Exception | None = None
-    for attempt in range(retries + 1):
-        try:
-            resp = post(
-                endpoint,
-                data={"query": query},
-                headers={"Accept": "application/sparql-results+json"},
-                timeout=timeout,
-            )
-        except requests.RequestException as exc:
-            last_error = exc
-        else:
-            if resp.status_code < 400:
-                break
-            if resp.status_code < 500 and resp.status_code != 429:
-                raise KgUnavailable(f"endpoint rejected the query with HTTP {resp.status_code}")
-            last_error = KgUnavailable(f"endpoint returned HTTP {resp.status_code}")
-        if attempt < retries:
-            delay = backoff * (2**attempt)
-            log.info("SPARQL attempt %d of %d failed (%s); retrying in %.3g s",
-                     attempt + 1, retries + 1, last_error, delay)
-            time.sleep(delay)
-    else:
-        raise KgUnavailable(f"SPARQL endpoint unreachable after {retries + 1} attempts: {last_error}")
+    headers = {"Accept": "application/sparql-results+json"}
+    return post(endpoint, _rows, KgUnavailable, log, timeout=timeout, retries=retries,
+                session=session, data={"query": query}, headers=headers)
+
+
+def _rows(resp: requests.Response) -> list[dict[str, str]]:
     try:
         bindings = resp.json()["results"]["bindings"]
     except (ValueError, KeyError, TypeError) as exc:
@@ -196,7 +171,6 @@ class SparqlGraphStore:
         limit: int = 200,
         timeout: float = 30.0,
         retries: int = 2,
-        backoff: float = 0.5,
     ):
         self.endpoint = endpoint
         self.prefix = prefix
@@ -205,7 +179,6 @@ class SparqlGraphStore:
         self.limit = limit
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
         self._labels: dict[str, str | None] = {}
         self._lock = threading.Lock()
         self._session: requests.Session | None = None
@@ -230,7 +203,6 @@ class SparqlGraphStore:
             query,
             timeout=self.timeout,
             retries=self.retries,
-            backoff=self.backoff,
             session=self._session,
         )
 
@@ -259,17 +231,17 @@ class SparqlGraphStore:
             while len(self._labels) > LABEL_CACHE_SIZE:
                 del self._labels[next(iter(self._labels))]
 
-    def _fetch_labels(self, ids: Iterable[str]) -> None:
-        """One batched query for every grammatical, uncached ID."""
-        missing = [
-            i for i in dict.fromkeys(ids) if i not in self._labels and re.fullmatch(self.id_pattern, i)
-        ]
+    def _fetch_labels(self, ids: Iterable[str]) -> dict[str, str | None]:
+        """One batched query for the grammatical ``ids``; caches and returns what it fetched."""
+        missing = [i for i in dict.fromkeys(ids) if re.fullmatch(self.id_pattern, i)]
         if not missing:
-            return
+            return {}
         found: dict[str, str] = {}
         for row in self._execute(self._render(SparqlTemplate.LABELS, missing)):
             found.setdefault(self._localize(_field(row, "x")), _field(row, "label"))
-        self._remember({i: found.get(i) for i in missing})
+        fetched = {i: found.get(i) for i in missing}
+        self._remember(fetched)
+        return fetched
 
     def neighbors(self, entity: str) -> list[Neighbor]:
         """At most ``limit`` edges per direction, from one UNION query.
@@ -293,19 +265,14 @@ class SparqlGraphStore:
                 relation = self._localize(_field(row, "relation"))
                 out.append((relation, self._localize(_field(row, other)), direction))
         neighbors = sorted(set(out), key=lambda n: (n[0], n[1], n[2].value))
-        self._fetch_labels([entity, *(other for _, other, _ in neighbors)])
+        self._fetch_labels(i for i in [entity, *(other for _, other, _ in neighbors)] if i not in self._labels)
         return neighbors
 
     def label(self, entity_or_relation: str) -> str | None:
         cached = self._labels.get(entity_or_relation, _UNCACHED)
         if cached is not _UNCACHED:
             return cached
-        if not re.fullmatch(self.id_pattern, entity_or_relation):
-            return None
-        rows = self._execute(self._render(SparqlTemplate.LABEL, entity_or_relation))
-        text = _field(rows[0], "label") if rows else None
-        self._remember({entity_or_relation: text})
-        return text
+        return self._fetch_labels([entity_or_relation]).get(entity_or_relation)
 
 
 class InMemoryGraphStore:

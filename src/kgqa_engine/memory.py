@@ -86,20 +86,6 @@ class ErrorSignal:
 
 
 @dataclass
-class ActionRecord:
-    """The executor's chosen triple (absent when nothing was choosable)."""
-
-    triple: CandidateTriple | None
-    rationale: str
-
-    def to_dict(self) -> dict:
-        return {
-            "triple": self.triple.to_dict() if self.triple else None,
-            "rationale": self.rationale,
-        }
-
-
-@dataclass
 class Observation:
     frontier_entity: str
     candidates_total: int
@@ -131,22 +117,18 @@ class StrategicMemory:
 
 @dataclass
 class StepCycleMemory:
-    step_index: int = 0
     attempt_counter: int = 0
     prediction: Prediction | None = None
-    action_record: ActionRecord | None = None
     observation: Observation | None = None
     error_signal: ErrorSignal | None = None
     thought: str | None = None
 
-    def clear(self, step_index: int = 0) -> None:
-        self.step_index = step_index
+    def clear(self) -> None:
         self.attempt_counter = 0
         self.reset_attempt()
 
     def reset_attempt(self) -> None:
         self.prediction = None
-        self.action_record = None
         self.observation = None
         self.error_signal = None
         self.thought = None
@@ -193,7 +175,7 @@ class IntegratedMemory:
         self.strategic.plan = steps
         if steps:
             steps[0].transition(StepStatus.IN_PROGRESS)
-        self.step_cycle.clear(step_index=0)
+        self.step_cycle.clear()
 
     def current_step(self) -> PlanStep | None:
         for step in self.strategic.plan:
@@ -209,7 +191,7 @@ class IntegratedMemory:
         for step in self.strategic.plan:
             if step.status is StepStatus.NOT_STARTED:
                 step.transition(StepStatus.IN_PROGRESS)
-                self.step_cycle.clear(step_index=step.index)
+                self.step_cycle.clear()
                 return step
         return None
 
@@ -237,7 +219,7 @@ class IntegratedMemory:
         strategic.prior_plans.append(strategic.plan)
         strategic.plan = []
         strategic.replan_counter += 1
-        self.step_cycle.clear(step_index=0)
+        self.step_cycle.clear()
 
     def mark_failed_path(self, signature: StepSignature, triple: CandidateTriple) -> None:
         self.knowledge.failed_paths.add((signature, triple.key()))
@@ -327,6 +309,8 @@ class IntegratedMemory:
         s = self.strategic
         sc = self.step_cycle
         k = self.knowledge
+        step = self.current_step()
+        obs = sc.observation
         return {
             "question": s.question,
             "topic_entities": list(s.topic_entities),
@@ -335,11 +319,14 @@ class IntegratedMemory:
             "replan_limit": s.replan_limit,
             "prior_plans": [[st.to_dict() for st in plan] for plan in s.prior_plans],
             "step_cycle": {
-                "step_index": sc.step_index,
+                "step_index": step.index if step else 0,
                 "attempt_counter": sc.attempt_counter,
                 "prediction": sc.prediction.to_dict() if sc.prediction else None,
-                "action_record": sc.action_record.to_dict() if sc.action_record else None,
-                "observation": sc.observation.to_dict() if sc.observation else None,
+                "action_record": (
+                    {"triple": obs.chosen.to_dict() if obs.chosen else None, "rationale": obs.rationale}
+                    if obs else None
+                ),
+                "observation": obs.to_dict() if obs else None,
                 "error_signal": sc.error_signal.to_dict() if sc.error_signal else None,
                 "thought": sc.thought,
             },

@@ -17,7 +17,7 @@ from .config import EngineConfig
 from .errors import EngineError, PruningUnavailable
 from .executor import Executor
 from .kg import GraphStore
-from .memory import ActionRecord, IntegratedMemory, Observation, StepStatus
+from .memory import IntegratedMemory, Observation, StepStatus
 from .planner import Decision, DecisionKind, Planner, best_effort_answer
 from .pruning import CachingEmbedder, Embedder
 
@@ -230,7 +230,6 @@ class _Run:
                 )
             except EngineError as exc:
                 return self.degrade(f"exploration failed: {exc}")
-            self.memory.step_cycle.action_record = ActionRecord(observation.chosen, observation.rationale)
             self.memory.step_cycle.observation = observation
             self.emit(Stage.OBSERVE, {"observation": observation.to_dict()})
 

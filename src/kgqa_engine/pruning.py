@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import logging
 import math
 import re
 import threading
@@ -18,6 +19,7 @@ from typing import Iterable, Protocol, Sequence
 import requests
 
 from .errors import DimensionMismatch, PruningUnavailable, ZeroVector
+from .transport import post
 from .triples import CandidateTriple
 
 Vector = Sequence[float]
@@ -26,6 +28,8 @@ Vector = Sequence[float]
 TOKEN_MEMO_SIZE = 8_192
 _TOKEN = re.compile(r"[a-z0-9]+")
 _MEMO_LOCK = threading.Lock()  # taken on memo misses only
+
+log = logging.getLogger(__name__)
 
 
 class Embedder(Protocol):
@@ -143,33 +147,33 @@ class HashingEmbedder:
 
 
 class HttpEmbedder:
-    """Embeddings over an HTTP endpoint taking {model, input:[...]}."""
+    """Embeddings over an HTTP endpoint taking {model, input:[...]}, with
+    ``transport.post``'s retries, a malformed body included."""
 
-    def __init__(self, url: str, model: str, token: str = "", timeout: float = 30.0):
+    def __init__(self, url: str, model: str, token: str = "", timeout: float = 30.0, retries: int = 2):
         self.url = url
         self.model = model
         self.token = token
         self.timeout = timeout
+        self.retries = retries
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         headers = {}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        try:
-            resp = requests.post(
-                self.url,
-                json={"model": self.model, "input": texts},
-                headers=headers,
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            data = resp.json()["data"]
-            vectors = [item["embedding"] for item in data]
-        except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
-            raise PruningUnavailable(f"embeddings endpoint failed: {exc}") from exc
+        body = {"model": self.model, "input": texts}
+        vectors = post(self.url, _embeddings, PruningUnavailable, log, timeout=self.timeout,
+                       retries=self.retries, json=body, headers=headers)
         if len(vectors) != len(texts):
             raise PruningUnavailable("embeddings endpoint returned wrong number of vectors")
         return vectors
+
+
+def _embeddings(resp: requests.Response) -> list[list[float]]:
+    try:
+        return [item["embedding"] for item in resp.json()["data"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PruningUnavailable(f"malformed embeddings response: {exc}") from exc
 
 
 class CachingEmbedder:

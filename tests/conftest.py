@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 from hypothesis import settings
 
+from kgqa_engine import transport
 from kgqa_engine.kg import InMemoryGraphStore
 from kgqa_engine.memory import IntegratedMemory, PlanStep, StepStatus
 
@@ -68,3 +73,51 @@ def store():
         [("e1", "r1", "e2"), ("e1", "r2", "e3"), ("e2", "r3", "e4")],
         labels={"e1": "One", "e2": "Two", "e3": "Three", "e4": "Four", "r1": "rel one"},
     )
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Every HTTP adapter's first retry waits 0.01 s instead of 0.5 s."""
+    monkeypatch.setattr(transport, "BACKOFF_S", 0.01)
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record the retry sleeps of every HTTP adapter instead of sleeping."""
+    slept: list[float] = []
+    monkeypatch.setattr(transport.time, "sleep", slept.append)
+    return slept
+
+
+class JsonStub(BaseHTTPRequestHandler):
+    """Loopback JSON endpoint: records each request, serves a script."""
+
+    responses: list[tuple[int, bytes]] = []  # (status, body); the last one repeats
+    seen: list[dict] = []
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        type(self).seen.append(
+            {"body": json.loads(self.rfile.read(length)), "auth": self.headers.get("Authorization")}
+        )
+        idx = min(len(type(self).seen) - 1, len(type(self).responses) - 1)
+        status, payload = type(self).responses[idx]
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def json_stub():
+    """URL of a fresh JsonStub server; its socket is closed afterwards."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), JsonStub)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
+    JsonStub.responses = []
+    JsonStub.seen = []
+    yield f"http://127.0.0.1:{server.server_port}/v1"
+    server.shutdown()
+    server.server_close()

@@ -239,7 +239,6 @@ _INCOMING_Q = re.compile(r"SELECT \?relation \?head WHERE \{ \?head \?relation n
 _NEIGHBORS_Q = re.compile(
     r"SELECT \?relation \?tail \?head WHERE \{ \{ ns:(\S+) \?relation \?tail \} UNION \{ \?head \?relation ns:\1 \} \}"
 )
-_LABEL_Q = re.compile(r"SELECT \?label WHERE \{ ns:(\S+) ns:(\S+) \?label \}")
 _LABELS_Q = re.compile(r"SELECT \?x \?label WHERE \{ VALUES \?x \{ ([^}]*) \} \?x ns:(\S+) \?label \}")
 
 
@@ -259,10 +258,6 @@ class _SparqlTestHandler(BaseHTTPRequestHandler):
             bindings = self._edges(match.group(1), "tail")
         elif match := _INCOMING_Q.search(query):
             bindings = self._edges(match.group(1), "head")
-        elif match := _LABEL_Q.search(query):
-            entity = match.group(1)
-            if entity in self.labels:
-                bindings.append({"label": {"type": "literal", "value": self.labels[entity]}})
         elif match := _LABELS_Q.search(query):
             for term in match.group(1).split():
                 entity = term.removeprefix("ns:")
@@ -315,7 +310,7 @@ def test_criterion_adapter_equivalence():
             handler.triples = triples
             handler.labels = labels
             memory_store = make_store(triples, labels)
-            # a fresh store answers label() by its single-id query (cache miss)
+            # a fresh store answers label() by a batched query for that id (cache miss)
             fresh_store = SparqlGraphStore(endpoint, retries=0, timeout=5)
             for entity in entities:
                 if memory_store.label(entity) != fresh_store.label(entity):
@@ -329,6 +324,7 @@ def test_criterion_adapter_equivalence():
                     mismatches += 1
     finally:
         server.shutdown()
+        server.server_close()
     report("SPARQL adapter equivalence", mismatches == 0, f"20 files, {mismatches} mismatches")
 
 

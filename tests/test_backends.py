@@ -2,12 +2,10 @@
 
 import json
 import logging
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from kgqa_engine import backends as backends_mod
+from conftest import JsonStub
 from kgqa_engine.backends import ChatCompletionBackend, RecordingBackend, ScriptedBackend
 from kgqa_engine.errors import BackendUnavailable, ScriptMismatch
 
@@ -52,96 +50,67 @@ class TestRecordingBackend:
         assert backend.drain() == []
 
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    responses = []
-    seen = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        type(self).seen.append(
-            {"body": json.loads(self.rfile.read(length)), "auth": self.headers.get("Authorization")}
-        )
-        idx = min(len(type(self).seen) - 1, len(type(self).responses) - 1)
-        status, payload = type(self).responses[idx]
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def chat_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
-    _ChatHandler.responses = []
-    _ChatHandler.seen = []
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
-
-
 def completion(text):
     return json.dumps({"choices": [{"message": {"role": "assistant", "content": text}}]}).encode()
 
 
 class TestChatCompletionBackend:
-    def test_posts_expected_body_and_reads_first_choice(self, chat_server, monkeypatch):
+    def test_posts_expected_body_and_reads_first_choice(self, json_stub, monkeypatch):
         monkeypatch.setenv("KGQA_CHAT_TOKEN", "sk-test")
-        _ChatHandler.responses = [(200, completion("DECISION: Proceed"))]
-        backend = ChatCompletionBackend(chat_server, "test-model")
+        JsonStub.responses = [(200, completion("DECISION: Proceed"))]
+        backend = ChatCompletionBackend(json_stub, "test-model")
         assert backend.complete("hello", "evaluate") == "DECISION: Proceed"
-        request = _ChatHandler.seen[0]
+        request = JsonStub.seen[0]
         assert request["auth"] == "Bearer sk-test"
         assert request["body"]["model"] == "test-model"
         assert request["body"]["temperature"] == 0
         assert request["body"]["messages"] == [{"role": "user", "content": "hello"}]
 
-    def test_retries_then_raises(self, chat_server):
-        _ChatHandler.responses = [(500, b"broken")]
-        backend = ChatCompletionBackend(chat_server, "m", retries=2, backoff=0.01)
+    def test_retries_then_raises(self, json_stub, fast_backoff):
+        JsonStub.responses = [(500, b"broken")]
+        backend = ChatCompletionBackend(json_stub, "m", retries=2)
         with pytest.raises(BackendUnavailable):
             backend.complete("p", "think")
-        assert len(_ChatHandler.seen) == 3
+        assert len(JsonStub.seen) == 3
 
-    def test_recovers_after_transient_failure(self, chat_server):
-        _ChatHandler.responses = [(500, b"broken"), (200, completion("ok"))]
-        backend = ChatCompletionBackend(chat_server, "m", retries=2, backoff=0.01)
+    def test_recovers_after_transient_failure(self, json_stub, fast_backoff):
+        JsonStub.responses = [(500, b"broken"), (200, completion("ok"))]
+        backend = ChatCompletionBackend(json_stub, "m", retries=2)
         assert backend.complete("p", "think") == "ok"
 
-    def test_malformed_body_raises(self, chat_server):
-        _ChatHandler.responses = [(200, b'{"weird": true}')]
-        backend = ChatCompletionBackend(chat_server, "m", retries=0)
+    def test_malformed_body_raises(self, json_stub):
+        JsonStub.responses = [(200, b'{"weird": true}')]
+        backend = ChatCompletionBackend(json_stub, "m", retries=0)
         with pytest.raises(BackendUnavailable):
             backend.complete("p", "think")
 
-    def test_client_error_fails_fast(self, chat_server, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(backends_mod.time, "sleep", sleeps.append)
-        _ChatHandler.responses = [(401, b"no token")]
-        backend = ChatCompletionBackend(chat_server, "m", retries=2, backoff=0.5)
+    def test_malformed_body_is_retried(self, json_stub, sleeps):
+        JsonStub.responses = [(200, b'{"weird": true}'), (200, completion("ok"))]
+        backend = ChatCompletionBackend(json_stub, "m", retries=2)
+        assert backend.complete("p", "think") == "ok"
+        assert len(JsonStub.seen) == 2 and sleeps == [0.5]
+
+    def test_client_error_fails_fast(self, json_stub, sleeps):
+        JsonStub.responses = [(401, b"no token")]
+        backend = ChatCompletionBackend(json_stub, "m", retries=2)
         with pytest.raises(BackendUnavailable, match="HTTP 401"):
             backend.complete("p", "think")
-        assert len(_ChatHandler.seen) == 1
+        assert len(JsonStub.seen) == 1
         assert sleeps == []
 
     @pytest.mark.parametrize("status", [503, 429])
-    def test_server_error_and_throttling_are_retried(self, chat_server, monkeypatch, status):
-        sleeps = []
-        monkeypatch.setattr(backends_mod.time, "sleep", sleeps.append)
-        _ChatHandler.responses = [(status, b"busy")]
-        backend = ChatCompletionBackend(chat_server, "m", retries=2, backoff=0.5)
+    def test_server_error_and_throttling_are_retried(self, json_stub, sleeps, status):
+        JsonStub.responses = [(status, b"busy")]
+        backend = ChatCompletionBackend(json_stub, "m", retries=2)
         with pytest.raises(BackendUnavailable, match=f"HTTP {status}"):
             backend.complete("p", "think")
-        assert len(_ChatHandler.seen) == 3
+        assert len(JsonStub.seen) == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_each_retry_is_logged(self, chat_server, caplog):
+    def test_each_retry_is_logged(self, json_stub, caplog, fast_backoff):
         caplog.set_level(logging.INFO, logger="kgqa_engine.backends")
-        _ChatHandler.responses = [(500, b"broken"), (200, completion("ok"))]
-        backend = ChatCompletionBackend(chat_server, "m", retries=2, backoff=0.01)
+        JsonStub.responses = [(500, b"broken"), (200, completion("ok"))]
+        backend = ChatCompletionBackend(json_stub, "m", retries=2)
         assert backend.complete("p", "think") == "ok"
         assert [(r.name, r.levelno) for r in caplog.records] == [("kgqa_engine.backends", logging.INFO)]
         message = caplog.records[0].getMessage()

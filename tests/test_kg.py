@@ -41,10 +41,6 @@ class TestRenderSparql:
         query = render_sparql(SparqlTemplate.INCOMING_EDGES, "m.0abc")
         assert "?head ?relation ns:m.0abc" in query
 
-    def test_label_query(self):
-        query = render_sparql(SparqlTemplate.LABEL, "m.0abc")
-        assert "ns:m.0abc ns:type.object.name ?label" in query
-
     def test_batched_label_query(self):
         query = render_sparql(SparqlTemplate.LABELS, ["m.0a", "m.0b"])
         assert "SELECT ?x ?label WHERE { VALUES ?x { ns:m.0a ns:m.0b } ?x ns:type.object.name ?label }" in query
@@ -56,7 +52,7 @@ class TestRenderSparql:
 
     def test_single_id_templates_take_one_id(self):
         with pytest.raises(ValueError):
-            render_sparql(SparqlTemplate.LABEL, ["m.0a", "m.0b"])
+            render_sparql(SparqlTemplate.NEIGHBORS, ["m.0a", "m.0b"])
 
     def test_limit_applied(self):
         assert render_sparql(SparqlTemplate.OUTGOING_EDGES, "m.0abc", limit=17).endswith("LIMIT 17")
@@ -79,7 +75,7 @@ class TestRenderSparql:
             render_sparql(SparqlTemplate.OUTGOING_EDGES, bad)
 
     def test_custom_grammar(self):
-        query = render_sparql(SparqlTemplate.LABEL, "E17", id_pattern=r"E\d+")
+        query = render_sparql(SparqlTemplate.LABELS, ["E17"], id_pattern=r"E\d+")
         assert "ns:E17" in query
 
     def test_fuzzed_ids_never_escape_the_template(self):
@@ -151,18 +147,18 @@ class TestExecute:
         rows = execute(stub_server, "SELECT ...", retries=0)
         assert rows == [{"relation": "r1", "tail": "t1"}, {"relation": "r2", "tail": "t2"}]
 
-    def test_500_three_times_raises_unavailable(self, stub_server):
+    def test_500_three_times_raises_unavailable(self, stub_server, fast_backoff):
         _StubHandler.responses = [(500, b"oops")]
         with pytest.raises(KgUnavailable):
-            execute(stub_server, "SELECT ...", retries=2, backoff=0.01)
+            execute(stub_server, "SELECT ...", retries=2)
         assert len(_StubHandler.seen) == 3
 
-    def test_recovers_after_transient_500(self, stub_server):
+    def test_recovers_after_transient_500(self, stub_server, fast_backoff):
         _StubHandler.responses = [
             (500, b"oops"),
             (200, sparql_json([{"label": "x"}], ["label"])),
         ]
-        assert execute(stub_server, "q", retries=2, backoff=0.01) == [{"label": "x"}]
+        assert execute(stub_server, "q", retries=2) == [{"label": "x"}]
 
     def test_truncated_json_is_malformed(self, stub_server):
         _StubHandler.responses = [(200, b'{"head": {"vars": ["x"]}, "resu')]
@@ -174,33 +170,29 @@ class TestExecute:
         with pytest.raises(MalformedResults):
             execute(stub_server, "q", retries=0)
 
-    def test_unreachable_endpoint(self):
+    def test_unreachable_endpoint(self, fast_backoff):
         with pytest.raises(KgUnavailable):
-            execute("http://127.0.0.1:1/sparql", "q", retries=1, backoff=0.01, timeout=0.2)
+            execute("http://127.0.0.1:1/sparql", "q", retries=1, timeout=0.2)
 
-    def test_client_error_fails_fast(self, stub_server, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(kg_mod.time, "sleep", sleeps.append)
+    def test_client_error_fails_fast(self, stub_server, sleeps):
         _StubHandler.responses = [(400, b"bad query")]
         with pytest.raises(KgUnavailable, match="HTTP 400"):
-            execute(stub_server, "q", retries=2, backoff=0.5)
+            execute(stub_server, "q", retries=2)
         assert len(_StubHandler.seen) == 1
         assert sleeps == []
 
     @pytest.mark.parametrize("status", [503, 429])
-    def test_server_error_and_throttling_are_retried(self, stub_server, monkeypatch, status):
-        sleeps = []
-        monkeypatch.setattr(kg_mod.time, "sleep", sleeps.append)
+    def test_server_error_and_throttling_are_retried(self, stub_server, sleeps, status):
         _StubHandler.responses = [(status, b"busy")]
         with pytest.raises(KgUnavailable, match=f"HTTP {status}"):
-            execute(stub_server, "q", retries=2, backoff=0.5)
+            execute(stub_server, "q", retries=2)
         assert len(_StubHandler.seen) == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_each_retry_is_logged(self, stub_server, caplog):
+    def test_each_retry_is_logged(self, stub_server, caplog, fast_backoff):
         caplog.set_level(logging.INFO, logger="kgqa_engine.kg")
         _StubHandler.responses = [(500, b"oops"), (200, sparql_json([], ["label"]))]
-        assert execute(stub_server, "q", retries=2, backoff=0.01) == []
+        assert execute(stub_server, "q", retries=2) == []
         assert [(r.name, r.levelno) for r in caplog.records] == [("kgqa_engine.kg", logging.INFO)]
         message = caplog.records[0].getMessage()
         assert "attempt 1 of 3" in message and "HTTP 500" in message and "retrying in 0.01 s" in message
@@ -228,7 +220,7 @@ class TestSparqlGraphStore:
         assert _StubHandler.seen == []
 
     def test_label_lookup(self, stub_server):
-        _StubHandler.responses = [(200, sparql_json([{"label": "Paris"}], ["label"]))]
+        _StubHandler.responses = [label_batch([("m.0paris", "Paris")])]
         assert SparqlGraphStore(stub_server, retries=0).label("m.0paris") == "Paris"
 
     def test_unavailable_endpoint_raises_through_session(self):
@@ -244,13 +236,15 @@ def union_rows(outgoing, incoming):
     ]
 
 
+def label_batch(labels):
+    """Stub response to a batched label query: one (x, label) row per pair."""
+    ns = FREEBASE_PREFIX
+    return (200, sparql_json([{"x": f"{ns}{x}", "label": text} for x, text in labels], ["x", "label"]))
+
+
 def edges_and_labels(outgoing, incoming, labels):
     """Stub responses for one neighbors() call: one union edge query, one label batch."""
-    ns = FREEBASE_PREFIX
-    return [
-        (200, sparql_json(union_rows(outgoing, incoming), ["relation", "tail", "head"])),
-        (200, sparql_json([{"x": f"{ns}{x}", "label": text} for x, text in labels], ["x", "label"])),
-    ]
+    return [(200, sparql_json(union_rows(outgoing, incoming), ["relation", "tail", "head"])), label_batch(labels)]
 
 
 class TestRoundTrips:
@@ -270,9 +264,9 @@ class TestRoundTrips:
         assert "UNION" in _StubHandler.seen[0]
         assert "VALUES ?x { ns:m.0x ns:m.0h ns:m.0t1 ns:m.0t2 }" in _StubHandler.seen[1]
 
-    @pytest.mark.parametrize("rows, expected", [([{"label": "Paris"}], "Paris"), ([], None)])
+    @pytest.mark.parametrize("rows, expected", [([("m.0paris", "Paris")], "Paris"), ([], None)])
     def test_repeated_label_costs_nothing(self, stub_server, rows, expected):
-        _StubHandler.responses = [(200, sparql_json(rows, ["label"]))]
+        _StubHandler.responses = [label_batch(rows)]
         store = SparqlGraphStore(stub_server, retries=0)
         assert store.label("m.0paris") == expected
         assert store.label("m.0paris") == expected  # "no label" is cached too
@@ -343,7 +337,7 @@ class TestRoundTrips:
 
     def test_cache_evicts_oldest_past_its_size(self, stub_server, monkeypatch):
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 2)
-        _StubHandler.responses = [(200, sparql_json([{"label": "L"}], ["label"]))]
+        _StubHandler.responses = [label_batch([(i, "L") for i in ["m.0a", "m.0b", "m.0c"]])]
         store = SparqlGraphStore(stub_server, retries=0)
         for entity in ["m.0a", "m.0b", "m.0c", "m.0c", "m.0b"]:
             store.label(entity)
@@ -355,7 +349,9 @@ class TestRoundTrips:
         # kgqa bench --concurrency shares one store between threads
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 8)
         store = SparqlGraphStore("http://unused.invalid/sparql")
-        store._execute = lambda query: [{"label": re.search(r"ns:(\S+) ns:", query)[1].upper()}]
+        store._execute = lambda query: [
+            {"x": FREEBASE_PREFIX + i, "label": i.upper()} for i in re.findall(r"VALUES \?x \{ ns:(\S+) \}", query)
+        ]
         ids = [f"m.0{i}" for i in range(40)]
 
         def lookups(worker):
@@ -374,7 +370,7 @@ class TestRoundTrips:
         assert len(store._labels) <= 8
 
     def test_session_opened_lazily_and_reused(self, stub_server):
-        _StubHandler.responses = [(200, sparql_json([{"label": "L"}], ["label"]))]
+        _StubHandler.responses = [label_batch([("m.0a", "L"), ("m.0b", "L")])]
         store = SparqlGraphStore(stub_server, retries=0)
         assert store._session is None
         store.label("m.0a")
@@ -485,7 +481,7 @@ class TestMalformedBindings:
             SparqlGraphStore(stub_server, retries=0, limit=2).neighbors("m.0x")
 
     def test_single_label_row_lacking_label(self, stub_server):
-        _StubHandler.responses = [(200, sparql_json([{"other": "X"}], ["other"]))]
+        _StubHandler.responses = [(200, sparql_json([{"x": f"{self.ns}m.0x"}], ["x", "label"]))]
         with pytest.raises(MalformedResults):
             SparqlGraphStore(stub_server, retries=0).label("m.0x")
 

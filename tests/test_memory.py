@@ -94,7 +94,7 @@ class TestPlanLifecycle:
         memory.step_cycle.attempt_counter = 2
         nxt = memory.advance_step()
         assert nxt.index == 1
-        assert memory.step_cycle.step_index == 1
+        assert memory.to_snapshot()["step_cycle"]["step_index"] == 1
         assert memory.step_cycle.attempt_counter == 0
         assert memory.step_cycle.thought is None
 

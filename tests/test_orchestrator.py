@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa_engine.config import EngineConfig
@@ -213,16 +213,14 @@ class FaultyEmbedder:
 
 
 class TestEmbedderFaults:
+    @pytest.mark.parametrize("fault", FaultyEmbedder.FAULTS)
     @settings(max_examples=60)
     @given(
-        fault=st.sampled_from(FaultyEmbedder.FAULTS),
         position=st.integers(0, 400),
         every=st.integers(1, 3),
         seed=st.integers(0, 2**16),
         threshold=st.sampled_from([2, 70]),
     )
-    @example(fault="none", position=1, every=1, seed=0, threshold=2)
-    @example(fault="str", position=1, every=1, seed=0, threshold=70)
     def test_run_finishes_without_failed_exploration(self, fault, position, every, seed, threshold):
         rng = random.Random(seed)
         store, entities = random_kg(rng, n_entities=20)

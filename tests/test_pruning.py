@@ -1,6 +1,8 @@
 """Cosine similarity and candidate pruning, checked against a sort oracle."""
 
 import hashlib
+import json
+import logging
 import math
 import random
 import re
@@ -12,11 +14,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import JsonStub, StageBackend
 from kgqa_engine import pruning
 from kgqa_engine.errors import DimensionMismatch, PruningUnavailable, ZeroVector
+from kgqa_engine.orchestrator import Engine, Stage
 from kgqa_engine.pruning import (
     CachingEmbedder,
     HashingEmbedder,
+    HttpEmbedder,
     cosine_similarity,
     prune,
 )
@@ -403,3 +408,64 @@ class TestCachingEmbedder:
         cache = CachingEmbedder(HashingEmbedder())
         texts = ["x", "y", "x", "z"]
         assert cache.embed(texts) == inner.embed(texts)
+
+
+def embeddings(*vectors):
+    return json.dumps({"data": [{"embedding": v} for v in vectors]}).encode()
+
+
+class TestHttpEmbedder:
+    def test_posts_model_and_input_with_bearer_token(self, json_stub):
+        JsonStub.responses = [(200, embeddings([1.0, 0.0], [0.0, 1.0]))]
+        embedder = HttpEmbedder(json_stub, "embed-model", token="sk-test")
+        assert embedder.embed(["a", "b"]) == [[1.0, 0.0], [0.0, 1.0]]
+        assert JsonStub.seen == [{"body": {"model": "embed-model", "input": ["a", "b"]}, "auth": "Bearer sk-test"}]
+
+    @pytest.mark.parametrize("status", [400, 401])
+    def test_client_error_fails_fast(self, json_stub, sleeps, status):
+        JsonStub.responses = [(status, b"rejected")]
+        with pytest.raises(PruningUnavailable, match=f"HTTP {status}"):
+            HttpEmbedder(json_stub, "m", retries=2).embed(["a"])
+        assert len(JsonStub.seen) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_server_error_and_throttling_are_retried(self, json_stub, sleeps, status):
+        JsonStub.responses = [(status, b"busy")]
+        with pytest.raises(PruningUnavailable, match=f"HTTP {status}"):
+            HttpEmbedder(json_stub, "m", retries=2).embed(["a"])
+        assert len(JsonStub.seen) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_each_retry_is_logged(self, json_stub, caplog, fast_backoff):
+        caplog.set_level(logging.INFO, logger="kgqa_engine.pruning")
+        JsonStub.responses = [(500, b"broken"), (200, embeddings([1.0]))]
+        assert HttpEmbedder(json_stub, "m", retries=2).embed(["a"]) == [[1.0]]
+        assert [(r.name, r.levelno) for r in caplog.records] == [("kgqa_engine.pruning", logging.INFO)]
+        message = caplog.records[0].getMessage()
+        assert "attempt 1 of 3" in message and "HTTP 500" in message and "retrying in 0.01 s" in message
+
+    @pytest.mark.parametrize(
+        "body, texts",
+        [
+            (b"not json", ["a"]),
+            (b'{"weird": true}', ["a"]),
+            (b'{"data": [{"vector": [1.0]}]}', ["a"]),
+            (embeddings([1.0]), ["a", "b"]),
+            (embeddings([1.0], [2.0]), ["a"]),
+        ],
+        ids=["not_json", "no_data", "no_embedding", "too_few_vectors", "too_many_vectors"],
+    )
+    def test_malformed_body_or_wrong_count_is_unavailable(self, json_stub, body, texts):
+        JsonStub.responses = [(200, body)]
+        with pytest.raises(PruningUnavailable):
+            HttpEmbedder(json_stub, "m", retries=0).embed(texts)
+
+    def test_failing_endpoint_abandons_attempts_not_the_run(self, json_stub, store, sleeps):
+        JsonStub.responses = [(500, b"broken")]
+        engine = Engine(backend=StageBackend(), kg=store, embedder=HttpEmbedder(json_stub, "m"))
+        result = engine.run("q?", ["e1"])
+        assert result.trace[-1].stage is Stage.FINISH
+        observe = [e for e in result.trace if e.stage is Stage.OBSERVE][0]
+        assert "pruning unavailable" in observe.payload["observation"]["rationale"]
+        assert "exploration failed" not in (result.error_note or "")
