@@ -20,8 +20,6 @@ from .transport import post
 
 log = logging.getLogger(__name__)
 
-STAGES = ("decompose", "predict", "classify", "think", "evaluate", "select", "answer", "extract")
-
 
 class ReasoningBackend(Protocol):
     def complete(self, prompt: str, stage: str) -> str: ...

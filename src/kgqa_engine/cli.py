@@ -10,8 +10,8 @@ from pathlib import Path
 from .backends import ChatCompletionBackend, ScriptedBackend
 from .config import EngineConfig
 from .errors import ParseError
-from .harness import FORMATS, QaExample, evaluate_run, load_dataset
-from .kg import InMemoryGraphStore, SparqlGraphStore, load_memory_store
+from .harness import FORMATS, evaluate_run, load_dataset
+from .kg import SparqlGraphStore, load_memory_store
 from .orchestrator import Engine, load_trace_jsonl, trace_to_jsonl
 from .pruning import HashingEmbedder, HttpEmbedder
 
@@ -106,29 +106,13 @@ def cmd_bench(args) -> int:
         return 2
     kg = build_kg(config, args.kg_file)
     embedder = build_embedder(config)
-
-    if args.script:
-        def engine_factory(example: QaExample) -> Engine:
-            return Engine(
-                backend=ScriptedBackend.from_file(args.script),
-                kg=kg,
-                embedder=embedder,
-                config=config,
-            )
-
-        report = evaluate_run(
-            examples,
-            engine_factory=engine_factory,
-            concurrency=config.concurrency,
-            trace_dir=args.out_dir,
-        )
-    else:
-        engine = Engine(
-            backend=build_backend(config, None), kg=kg, embedder=embedder, config=config
-        )
-        report = evaluate_run(
-            examples, engine, concurrency=config.concurrency, trace_dir=args.out_dir
-        )
+    # a fresh backend per example: a scripted one replays from its first record
+    report = evaluate_run(
+        examples,
+        lambda ex: Engine(build_backend(config, args.script), kg, embedder, config),
+        concurrency=config.concurrency,
+        trace_dir=args.out_dir,
+    )
     print(report.table())
     if args.out_dir:
         out = Path(args.out_dir)

@@ -7,6 +7,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import ParseError, ScriptMismatch
 from .orchestrator import Engine, trace_to_jsonl
@@ -20,7 +21,61 @@ class QaExample:
     gold_answers: list[str]
 
 
-FORMATS = ("simple", "grailqa", "cwq", "webqsp")
+def _simple(raw) -> QaExample:
+    return QaExample(
+        id=str(raw["id"]),
+        question=raw["question"],
+        topic_entities=[(e["id"], e.get("label", "")) for e in raw.get("topic_entities", [])],
+        gold_answers=[str(a) for a in raw["answers"]],
+    )
+
+
+def _grailqa(raw) -> QaExample:
+    nodes = raw.get("graph_query", {}).get("nodes", [])
+    return QaExample(
+        id=str(raw["qid"]),
+        question=raw["question"],
+        topic_entities=[
+            (n["id"], n.get("friendly_name", "")) for n in nodes if n.get("node_type") == "entity"
+        ],
+        gold_answers=[a.get("entity_name") or a.get("answer_argument", "") for a in raw["answer"]],
+    )
+
+
+def _cwq(raw) -> QaExample:
+    gold: list[str] = []
+    for ans in raw["answers"]:
+        gold.append(ans["answer"])
+        gold.extend(ans.get("aliases", []))
+    return QaExample(
+        id=str(raw["ID"]),
+        question=raw["question"],
+        topic_entities=sorted((raw.get("topic_entity") or {}).items()),
+        gold_answers=gold,
+    )
+
+
+def _webqsp(raw) -> QaExample:
+    parses = raw.get("Parses", [])
+    return QaExample(
+        id=str(raw["QuestionId"]),
+        question=raw["RawQuestion"],
+        topic_entities=[
+            (p["TopicEntityMid"], p.get("TopicEntityName", ""))
+            for p in parses
+            if p.get("TopicEntityMid")
+        ],
+        gold_answers=[
+            a.get("EntityName") or a.get("AnswerArgument", "")
+            for p in parses
+            for a in p.get("Answers", [])
+        ],
+    )
+
+
+# dataset format -> mapper from one raw record to an example
+_RECORD_MAPPERS = {"simple": _simple, "grailqa": _grailqa, "cwq": _cwq, "webqsp": _webqsp}
+FORMATS = tuple(_RECORD_MAPPERS)
 
 
 def load_dataset(path, format: str = "simple") -> list[QaExample]:
@@ -31,15 +86,20 @@ def load_dataset(path, format: str = "simple") -> list[QaExample]:
             doc = json.load(fh)
         except ValueError as exc:
             raise ParseError(f"dataset is not valid JSON: {exc}") from exc
-    loader = {
-        "simple": _load_simple,
-        "grailqa": _load_grailqa,
-        "cwq": _load_cwq,
-        "webqsp": _load_webqsp,
-    }[format]
-    examples = loader(doc)
+    if format == "webqsp":
+        doc = doc.get("Questions") if isinstance(doc, dict) else None
+        if not isinstance(doc, list):
+            raise ParseError("webqsp dataset must be an object with a Questions list")
+    elif not isinstance(doc, list):
+        raise ParseError(f"{format} dataset must be a JSON list")
+    mapper = _RECORD_MAPPERS[format]
+    examples: list[QaExample] = []
     seen: set[str] = set()
-    for i, ex in enumerate(examples):
+    for i, raw in enumerate(doc):
+        try:
+            ex = mapper(raw)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"example {i}: missing field {exc}") from exc
         if not ex.gold_answers or not all(ex.gold_answers):
             raise ParseError(f"example {i} ({ex.id!r}): gold answers must be non-empty")
         if not ex.question:
@@ -47,105 +107,7 @@ def load_dataset(path, format: str = "simple") -> list[QaExample]:
         if ex.id in seen:
             raise ParseError(f"duplicate example id: {ex.id!r}")
         seen.add(ex.id)
-    return examples
-
-
-def _require_list(doc, what: str) -> list:
-    if not isinstance(doc, list):
-        raise ParseError(f"{what} dataset must be a JSON list")
-    return doc
-
-
-def _load_simple(doc) -> list[QaExample]:
-    examples = []
-    for i, raw in enumerate(_require_list(doc, "simple")):
-        try:
-            examples.append(
-                QaExample(
-                    id=str(raw["id"]),
-                    question=raw["question"],
-                    topic_entities=[(e["id"], e.get("label", "")) for e in raw.get("topic_entities", [])],
-                    gold_answers=[str(a) for a in raw["answers"]],
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"example {i}: missing field {exc}") from exc
-    return examples
-
-
-def _load_grailqa(doc) -> list[QaExample]:
-    examples = []
-    for i, raw in enumerate(_require_list(doc, "grailqa")):
-        try:
-            nodes = raw.get("graph_query", {}).get("nodes", [])
-            topic = [
-                (n["id"], n.get("friendly_name", ""))
-                for n in nodes
-                if n.get("node_type") == "entity"
-            ]
-            gold = [a.get("entity_name") or a.get("answer_argument", "") for a in raw["answer"]]
-            examples.append(
-                QaExample(
-                    id=str(raw["qid"]),
-                    question=raw["question"],
-                    topic_entities=topic,
-                    gold_answers=gold,
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"example {i}: missing field {exc}") from exc
-    return examples
-
-
-def _load_cwq(doc) -> list[QaExample]:
-    examples = []
-    for i, raw in enumerate(_require_list(doc, "cwq")):
-        try:
-            topic = sorted((raw.get("topic_entity") or {}).items())
-            gold: list[str] = []
-            for ans in raw["answers"]:
-                gold.append(ans["answer"])
-                gold.extend(ans.get("aliases", []))
-            examples.append(
-                QaExample(
-                    id=str(raw["ID"]),
-                    question=raw["question"],
-                    topic_entities=topic,
-                    gold_answers=gold,
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"example {i}: missing field {exc}") from exc
-    return examples
-
-
-def _load_webqsp(doc) -> list[QaExample]:
-    if not isinstance(doc, dict) or "Questions" not in doc:
-        raise ParseError("webqsp dataset must be an object with a Questions list")
-    examples = []
-    for i, raw in enumerate(doc["Questions"]):
-        try:
-            parses = raw.get("Parses", [])
-            topic = [
-                (p["TopicEntityMid"], p.get("TopicEntityName", ""))
-                for p in parses
-                if p.get("TopicEntityMid")
-            ]
-            gold = [
-                a.get("EntityName") or a.get("AnswerArgument", "")
-                for p in parses
-                for a in p.get("Answers", [])
-            ]
-            examples.append(
-                QaExample(
-                    id=str(raw["QuestionId"]),
-                    question=raw["RawQuestion"],
-                    topic_entities=topic,
-                    gold_answers=gold,
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"example {i}: missing field {exc}") from exc
+        examples.append(ex)
     return examples
 
 
@@ -216,27 +178,24 @@ class Report:
 
 def evaluate_run(
     examples: list[QaExample],
-    engine: Engine | None = None,
+    engine_factory: Callable[[QaExample], Engine],
     *,
-    engine_factory=None,
     concurrency: int = 1,
     trace_dir: str | None = None,
 ) -> Report:
     """Run every example, never aborting the batch on per-example failure.
 
-    ``engine_factory(example)`` builds a fresh engine per example; use it
-    when the backend holds per-run state (scripted replays). Otherwise a
-    single shared ``engine`` is used for the whole batch.
+    ``engine_factory(example)`` gives the engine for one example: a fresh
+    one when the backend holds per-run state (scripted replays), the same
+    one otherwise.
     """
-    if engine is None and engine_factory is None:
-        raise ValueError("need an engine or an engine_factory")
     if not examples:
         return Report(undefined=True)
 
     def one(example: QaExample) -> ExampleResult:
         try:
-            runner = engine_factory(example) if engine_factory else engine
-            run = runner.run(example.question, [eid for eid, _ in example.topic_entities])
+            engine = engine_factory(example)
+            run = engine.run(example.question, [eid for eid, _ in example.topic_entities])
         except ScriptMismatch:
             raise
         except Exception as exc:  # per-example isolation: record, keep going

@@ -306,9 +306,6 @@ class InMemoryGraphStore:
                 return key
         return None
 
-    def entities(self) -> list[str]:
-        return sorted(set(self._outgoing) | set(self._incoming))
-
 
 def load_memory_store(path) -> InMemoryGraphStore:
     """Load a TSV triple file.

@@ -184,85 +184,70 @@ class _Run:
         if not self.decompose_into_plan():
             return self.degrade("decomposition failed: backend output unparseable")
 
-        while True:
-            step = self.memory.current_step()
-            if step is None:
-                # all steps completed without an explicit Finish
-                return self.finish(self.planner.synthesize_answer(self.memory))
-            if self.cycles >= self.config.max_total_cycles:
-                return self.degrade(f"cycle budget exhausted ({self.config.max_total_cycles})")
+        # A step is always in progress here: a cycle that does not finish
+        # ends in a PathCorrect, a next step or a freshly installed plan.
+        while self.cycles < self.config.max_total_cycles:
             self.cycles += 1
-
-            # Predict
+            step = self.memory.current_step()
+            # ``failure`` names the stage running now, for the degrade note
             try:
+                failure = "predict failed"
                 prediction = self.planner.predict(step, self.memory.render_context("executor"))
-            except EngineError as exc:
-                return self.degrade(f"predict failed: {exc}")
-            self.memory.step_cycle.prediction = prediction
-            self.emit(
-                Stage.PREDICT,
-                {
-                    "cycle": self.cycles,
-                    "step_index": step.index,
-                    "generation": self.memory.strategic.replan_counter,
-                    "attempt": self.memory.step_cycle.attempt_counter,
-                    "prediction": prediction.to_dict(),
-                },
-            )
+                self.memory.step_cycle.prediction = prediction
+                self.emit(
+                    Stage.PREDICT,
+                    {
+                        "cycle": self.cycles,
+                        "step_index": step.index,
+                        "generation": self.memory.strategic.replan_counter,
+                        "attempt": self.memory.step_cycle.attempt_counter,
+                        "prediction": prediction.to_dict(),
+                    },
+                )
 
-            # Act
-            try:
+                failure = "no frontier"
                 frontier = self.executor.resolve_frontier(self.memory)
-            except EngineError as exc:
-                return self.degrade(f"no frontier: {exc}")
-            self.emit(Stage.ACT, {"frontier": frontier, "step_index": step.index})
+                self.emit(Stage.ACT, {"frontier": frontier, "step_index": step.index})
 
-            # Observe
-            try:
-                observation = self.executor.explore(frontier, step, self.memory)
-            except PruningUnavailable as exc:
-                observation = Observation(
-                    frontier_entity=frontier,
-                    candidates_total=0,
-                    candidates_after_pruning=0,
-                    chosen=None,
-                    rationale=f"attempt abandoned, pruning unavailable: {exc}",
-                )
-            except EngineError as exc:
-                return self.degrade(f"exploration failed: {exc}")
-            self.memory.step_cycle.observation = observation
-            self.emit(Stage.OBSERVE, {"observation": observation.to_dict()})
-
-            # Think (error signal first; EmptyResult needs no backend)
-            try:
-                signal = self.planner.compute_error_signal(prediction, observation)
-            except EngineError as exc:
-                return self.degrade(f"error-signal classification failed: {exc}")
-            self.memory.step_cycle.error_signal = signal
-            try:
-                thought = self.planner.think(signal, self.memory.render_context("planner"))
-            except EngineError as exc:
-                return self.degrade(f"think failed: {exc}")
-            self.memory.step_cycle.thought = thought
-            self.emit(Stage.THINK, {"error_signal": signal.to_dict(), "thought": thought})
-
-            # Evaluate
-            if observation.chosen is None:
-                # nothing for the backend to choose between: exhausted
-                # candidates route straight to replan (or a forced finish)
-                decision = self.planner.apply_overrides(
-                    Decision(
-                        kind=DecisionKind.REPLAN,
-                        rationale="no viable candidates for this step",
-                        coerced=True,
-                    ),
-                    self.memory,
-                )
-            else:
+                failure = "exploration failed"
                 try:
+                    observation = self.executor.explore(frontier, step, self.memory)
+                except PruningUnavailable as exc:
+                    observation = Observation(
+                        frontier_entity=frontier,
+                        candidates_total=0,
+                        candidates_after_pruning=0,
+                        chosen=None,
+                        rationale=f"attempt abandoned, pruning unavailable: {exc}",
+                    )
+                self.memory.step_cycle.observation = observation
+                self.emit(Stage.OBSERVE, {"observation": observation.to_dict()})
+
+                # error signal first: an EmptyResult needs no backend call
+                failure = "error-signal classification failed"
+                signal = self.planner.compute_error_signal(prediction, observation)
+                self.memory.step_cycle.error_signal = signal
+                failure = "think failed"
+                thought = self.planner.think(signal, self.memory.render_context("planner"))
+                self.memory.step_cycle.thought = thought
+                self.emit(Stage.THINK, {"error_signal": signal.to_dict(), "thought": thought})
+
+                failure = "evaluate failed"
+                if observation.chosen is None:
+                    # nothing for the backend to choose between: exhausted
+                    # candidates route straight to replan (or a forced finish)
+                    decision = self.planner.apply_overrides(
+                        Decision(
+                            kind=DecisionKind.REPLAN,
+                            rationale="no viable candidates for this step",
+                            coerced=True,
+                        ),
+                        self.memory,
+                    )
+                else:
                     decision = self.planner.evaluate(self.memory)
-                except EngineError as exc:
-                    return self.degrade(f"evaluate failed: {exc}")
+            except EngineError as exc:
+                return self.degrade(f"{failure}: {exc}")
             self.emit(
                 Stage.EVALUATE,
                 {
@@ -278,22 +263,20 @@ class _Run:
             result = self.dispatch(decision, step, observation)
             if result is not None:
                 return result
+        return self.degrade(f"cycle budget exhausted ({self.config.max_total_cycles})")
 
     def dispatch(self, decision: Decision, step, observation) -> RunResult | None:
+        # Proceed and PathCorrect come only from the backend's evaluate,
+        # which runs only when the observation has a chosen triple.
         if decision.kind is DecisionKind.PROCEED:
-            if observation.chosen is not None:
-                self.memory.accept_triple(observation.chosen)
-            next_step = self.memory.advance_step()
-            if next_step is None:
+            self.memory.accept_triple(observation.chosen)
+            if self.memory.advance_step() is None:
                 # proceeded past the final step: the engine forces Finish
                 return self.finish(self.planner.synthesize_answer(self.memory))
             return None
 
         if decision.kind is DecisionKind.PATH_CORRECT:
-            if observation.chosen is not None:
-                self.memory.mark_failed_path(self.memory.step_signature(step), observation.chosen)
-            else:
-                self.memory.step_cycle.attempt_counter += 1
+            self.memory.mark_failed_path(self.memory.step_signature(step), observation.chosen)
             self.memory.step_cycle.reset_attempt()
             return None
 

@@ -54,15 +54,3 @@ class CandidateTriple:
             "score": self.score,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CandidateTriple":
-        return cls(
-            head=d["head"],
-            relation=d["relation"],
-            tail=d["tail"],
-            direction=Direction(d["direction"]),
-            head_label=d.get("head_label", ""),
-            relation_label=d.get("relation_label", ""),
-            tail_label=d.get("tail_label", ""),
-            score=d.get("score"),
-        )

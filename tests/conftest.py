@@ -11,7 +11,7 @@ from hypothesis import settings
 
 from kgqa_engine import transport
 from kgqa_engine.kg import InMemoryGraphStore
-from kgqa_engine.memory import IntegratedMemory, PlanStep, StepStatus
+from kgqa_engine.memory import IntegratedMemory, PlanStep
 
 # Same examples on every run, and no per-example deadline: property tests
 # must neither wander nor flake on a slow or contended machine.

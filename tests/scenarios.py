@@ -9,7 +9,7 @@ from pathlib import Path
 from kgqa_engine.backends import ScriptedBackend
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.kg import load_memory_store
-from kgqa_engine.orchestrator import Engine, trace_to_jsonl
+from kgqa_engine.orchestrator import Engine
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCENARIOS = ("happy_path", "path_fix", "replan")

@@ -23,12 +23,8 @@ import pytest
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.executor import Executor
 from kgqa_engine.harness import evaluate_run, exact_match, load_dataset, normalize_answer
-from kgqa_engine.kg import (
-    FREEBASE_PREFIX,
-    InMemoryGraphStore,
-    SparqlGraphStore,
-)
-from kgqa_engine.memory import IntegratedMemory, PlanStep, StepStatus
+from kgqa_engine.kg import FREEBASE_PREFIX, SparqlGraphStore
+from kgqa_engine.memory import IntegratedMemory, PlanStep
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl
 from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder, prune
 from kgqa_engine.triples import CandidateTriple, Direction
@@ -36,7 +32,6 @@ from kgqa_engine.triples import CandidateTriple, Direction
 from conftest import StageBackend, make_store
 from scenarios import (
     SCENARIOS,
-    events_by_stage,
     golden_trace,
     load_meta,
     run_scenario,

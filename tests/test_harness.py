@@ -1,7 +1,6 @@
 """Dataset loading, exact match, batch evaluation, CLI surface."""
 
 import json
-import re
 
 import pytest
 
@@ -16,8 +15,8 @@ from kgqa_engine.harness import (
 from kgqa_engine.orchestrator import Engine
 from kgqa_engine.pruning import HashingEmbedder
 
-from conftest import StageBackend, make_store
-from scenarios import FIXTURES, build_engine, load_meta
+from conftest import JsonStub, StageBackend, make_store
+from scenarios import FIXTURES, load_meta
 
 
 def write_simple(tmp_path, examples):
@@ -284,12 +283,85 @@ class TestCli:
         code = main(["bench", "--dataset", str(ds), "--kg-file", "unused", "--script", "unused"])
         assert code == 2
 
-    def test_bench_invalid_dataset_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "format, text",
+        [
+            ("simple", "{not json"),
+            ("simple", json.dumps(["abc"])),
+            ("simple", json.dumps([{"question": "q?", "answers": ["a"]}])),
+            ("grailqa", json.dumps(["abc"])),
+            ("grailqa", json.dumps([{"question": "q?", "answer": [{"entity_name": "a"}]}])),
+            (
+                "grailqa",
+                json.dumps(
+                    [
+                        {
+                            "qid": "g1",
+                            "question": "q?",
+                            "answer": [{"entity_name": "a"}],
+                            "graph_query": {"nodes": ["m.0x"]},
+                        }
+                    ]
+                ),
+            ),
+            ("cwq", json.dumps(["abc"])),
+            ("cwq", json.dumps([{"question": "q?", "answers": [{"answer": "a"}]}])),
+            ("webqsp", json.dumps({"Questions": ["abc"]})),
+            ("webqsp", json.dumps({"Questions": [{"RawQuestion": "q?", "Parses": []}]})),
+        ],
+        ids=[
+            "not-json",
+            "simple-not-object",
+            "simple-no-id",
+            "grailqa-not-object",
+            "grailqa-no-qid",
+            "grailqa-string-node",
+            "cwq-not-object",
+            "cwq-no-ID",
+            "webqsp-not-object",
+            "webqsp-no-QuestionId",
+        ],
+    )
+    def test_bench_invalid_dataset_exit_2(self, tmp_path, capsys, format, text):
         from kgqa_engine.cli import main
 
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["bench", "--dataset", str(path), "--kg-file", "x", "--script", "x"]) == 2
+        path.write_text(text)
+        code = main(["bench", "--dataset", str(path), "--format", format, "--kg-file", "x", "--script", "x"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid dataset: ")
+
+    def test_bench_chat_backend(self, tmp_path, capsys, json_stub):
+        from kgqa_engine.cli import main
+
+        fixture = FIXTURES / "path_fix"
+        script = json.loads((fixture / "script.json").read_text())
+        JsonStub.responses = [
+            (200, json.dumps({"choices": [{"message": {"content": r["response"]}}]}).encode())
+            for r in script
+        ]
+        dataset = [
+            {
+                "id": "eiffel",
+                "question": load_meta("path_fix")["question"],
+                "topic_entities": [{"id": "m.0eiffel", "label": "Eiffel Tower"}],
+                "answers": ["Paris"],
+            }
+        ]
+        code = main(
+            [
+                "bench",
+                "--dataset",
+                str(write_simple(tmp_path, dataset)),
+                "--kg-file",
+                str(fixture / "kg.tsv"),
+                "--chat-url",
+                json_stub,
+            ]
+        )
+        assert code == 0
+        assert "Hits@1: 1.0000" in capsys.readouterr().out
+        assert len(JsonStub.seen) == len(script)
 
     def test_replay_command(self, tmp_path, capsys):
         from kgqa_engine.cli import main
@@ -346,6 +418,22 @@ class TestConfig:
         cfg.write_text("nonsense = 1\n")
         with pytest.raises(ValueError):
             EngineConfig.load(str(cfg), env={})
+
+    def test_env_float_and_str(self):
+        config = EngineConfig.load(env={"KGQA_HTTP_TIMEOUT": "2.5", "KGQA_CHAT_MODEL": " Model-7b "})
+        assert config.http_timeout == 2.5 and isinstance(config.http_timeout, float)
+        assert config.chat_model == " Model-7b "
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [("1", True), ("true", True), ("yes", True), ("on", True), ("0", False), ("no", False)],
+    )
+    def test_env_bool(self, raw, expected):
+        assert EngineConfig.load(env={"KGQA_EXPAND_UNLABELED": raw}).expand_unlabeled is expected
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="retry counts"):
+            EngineConfig.load(env={}, overrides={"http_retries": -1})
 
     def test_validation(self):
         with pytest.raises(ValueError):

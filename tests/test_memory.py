@@ -1,6 +1,5 @@
 """Memory layer: plan lifecycle, replan, failed paths, context rendering."""
 
-import copy
 import json
 import random
 from pathlib import Path

@@ -1,20 +1,19 @@
 """Engine state machine: scenarios, trace grammar, termination, budgets."""
 
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa_engine.config import EngineConfig
+from kgqa_engine.errors import BackendUnavailable
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl
 from kgqa_engine.pruning import HashingEmbedder
 
 from conftest import StageBackend, make_store
 from scenarios import (
     SCENARIOS,
-    build_engine,
     events_by_stage,
     load_meta,
     run_scenario,
@@ -252,6 +251,10 @@ class TestEmbedderFaults:
         assert result.error_note is None or "exploration failed" not in result.error_note
 
 
+def _down(prompt):
+    raise BackendUnavailable("down")
+
+
 class TestDegradedPaths:
     def test_malformed_decompose_degrades_to_unknown(self):
         store, entities = random_kg(random.Random(1))
@@ -327,6 +330,46 @@ class TestDegradedPaths:
         result = engine.run("q?", ["e0"])
         assert result.answer == "unknown"
         assert "exploration failed" in result.error_note
+
+    @pytest.mark.parametrize(
+        "stage, note",
+        [
+            ("predict", "predict failed: down"),
+            ("select", "exploration failed: down"),
+            ("classify", "error-signal classification failed: down"),
+            ("think", "think failed: down"),
+            ("evaluate", "evaluate failed: down"),
+        ],
+    )
+    def test_backend_down_at_stage(self, stage, note):
+        engine = Engine(
+            backend=StageBackend({stage: _down}),
+            kg=make_store([("a", "r", "b")]),
+            embedder=HashingEmbedder(),
+            config=EngineConfig(),
+        )
+        result = engine.run("q?", ["a"])
+        assert result.trace[-1].stage is Stage.FINISH
+        assert result.trace[-1].payload["note"] == note
+        assert result.error_note == note
+
+    def test_unparseable_re_decomposition(self):
+        plans = iter([StageBackend.DEFAULTS["decompose"]])
+        engine = Engine(
+            backend=StageBackend(
+                {
+                    "decompose": lambda prompt: next(plans, "not a plan"),
+                    "evaluate": "DECISION: Replan\nRATIONALE: wrong direction",
+                }
+            ),
+            kg=make_store([("a", "r", "b")]),
+            embedder=HashingEmbedder(),
+            config=EngineConfig(),
+        )
+        result = engine.run("q?", ["a"])
+        assert [e.stage.value for e in result.trace][-3:] == ["replan", "decompose", "finish"]
+        assert result.trace[-1].payload["note"] == "re-decomposition failed: backend output unparseable"
+        assert result.error_note == "re-decomposition failed: backend output unparseable"
 
 
 class TestProceedPastFinalStep:

@@ -15,7 +15,7 @@ from kgqa_engine.planner import (
 )
 from kgqa_engine.triples import CandidateTriple, Direction
 
-from conftest import StageBackend, make_memory
+from conftest import make_memory
 
 
 def scripted(*pairs):
