@@ -67,9 +67,13 @@ class ChatCompletionBackend:
 
 def _content(resp: requests.Response) -> str:
     try:
-        return resp.json()["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         raise BackendUnavailable(f"malformed completion response: {exc}") from exc
+    if not isinstance(content, str):
+        # null on refusals and tool calls, or any other non-text value
+        raise BackendUnavailable(f"completion content is {type(content).__name__}, not str")
+    return content
 
 
 class ScriptedBackend:
@@ -81,8 +85,10 @@ class ScriptedBackend:
     """
 
     def __init__(self, records: list[dict]):
+        if not isinstance(records, list):
+            raise ValueError("a script is a list of records")
         for i, rec in enumerate(records):
-            if "expect_stage" not in rec or "response" not in rec:
+            if not isinstance(rec, dict) or "expect_stage" not in rec or "response" not in rec:
                 raise ValueError(f"script record {i} needs expect_stage and response")
         self.records = records
         self.cursor = 0
@@ -90,7 +96,11 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+            try:
+                records = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"script nested too deep: {exc}") from exc
+        return cls(records)
 
     def complete(self, prompt: str, stage: str) -> str:
         if self.cursor >= len(self.records):

@@ -104,12 +104,24 @@ def cmd_bench(args) -> int:
     if not examples:
         print("empty dataset", file=sys.stderr)
         return 2
+    try:
+        backend = build_backend(config, args.script)
+    except (OSError, ValueError) as exc:
+        print(f"invalid script: {exc}", file=sys.stderr)
+        return 2
     kg = build_kg(config, args.kg_file)
     embedder = build_embedder(config)
-    # a fresh backend per example: a scripted one replays from its first record
+
+    def engine_for(example):
+        # a scripted backend replays from its first record, so each example
+        # gets its own, built from the records read once above
+        if isinstance(backend, ScriptedBackend):
+            return Engine(ScriptedBackend(backend.records), kg, embedder, config)
+        return Engine(backend, kg, embedder, config)
+
     report = evaluate_run(
         examples,
-        lambda ex: Engine(build_backend(config, args.script), kg, embedder, config),
+        engine_for,
         concurrency=config.concurrency,
         trace_dir=args.out_dir,
     )

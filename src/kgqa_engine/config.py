@@ -50,6 +50,8 @@ class EngineConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.parse_retries < 0 or self.http_retries < 0:
             raise ValueError("retry counts must be >= 0")
+        if self.context_chain_limit < 0:
+            raise ValueError("context_chain_limit must be >= 0")
         if self.max_total_cycles < 8:
             raise ValueError("max_total_cycles must cover at least one full plan (>= 8)")
 

@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +29,10 @@ _LEGAL_TRANSITIONS = {
     (StepStatus.IN_PROGRESS, StepStatus.COMPLETED),
     (StepStatus.IN_PROGRESS, StepStatus.ABANDONED),
 }
+
+# ``heapq.nsmallest`` loops in Python; below about this many keys per key
+# wanted, sorting the whole set in C is faster (measured on 4-string keys).
+_HEAP_MIN_RATIO = 12
 
 # (plan generation, step index, objective hash): failed paths recorded for a
 # step of one plan must not poison an unrelated step of a later plan.
@@ -277,9 +282,17 @@ class IntegratedMemory:
             lines.append("Accepted knowledge:")
             lines.extend(f"  {c}" for c in chain)
         # accepted chain stays separate from raw exploration knowledge, but
-        # a replanning planner still gets to see everything gathered so far
+        # a replanning planner still gets to see everything gathered so far.
+        # The first ``limit`` unaccepted keys in sorted order lie among the
+        # ``wanted`` smallest; keys are distinct, so heap and sort agree.
         accepted = {t.key() for t in self.knowledge.reasoning_chain}
-        explored = sorted(self.knowledge.explored_triples - accepted)[: self.context_chain_limit]
+        limit = self.context_chain_limit
+        keys, wanted = self.knowledge.explored_triples, limit + len(accepted)
+        if len(keys) > _HEAP_MIN_RATIO * wanted:
+            smallest = heapq.nsmallest(wanted, keys)
+        else:
+            smallest = sorted(keys)[:wanted]
+        explored = [key for key in smallest if key not in accepted][:limit]
         if explored:
             lines.append("Explored so far:")
             lines.extend(f"  {h} —{r}→ {t} ({d})" for h, r, t, d in explored)
@@ -331,7 +344,7 @@ class IntegratedMemory:
                 "thought": sc.thought,
             },
             "knowledge": {
-                "explored_triples": sorted(list(t) for t in k.explored_triples),
+                "explored_triples": [list(t) for t in sorted(k.explored_triples)],
                 "visited_entities": sorted(k.visited_entities),
                 "reasoning_chain": [t.to_dict() for t in k.reasoning_chain],
                 "failed_paths": sorted(

@@ -172,7 +172,7 @@ class HttpEmbedder:
 def _embeddings(resp: requests.Response) -> list[list[float]]:
     try:
         return [item["embedding"] for item in resp.json()["data"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PruningUnavailable(f"malformed embeddings response: {exc}") from exc
 
 

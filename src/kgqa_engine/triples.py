@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -21,7 +21,9 @@ class CandidateTriple:
     """One (head, relation, tail) edge seen from a frontier entity.
 
     Outgoing means the head is the frontier; incoming means the tail is.
-    ``score`` stays None until pruning populates it.
+    ``score`` stays None until pruning populates it.  The key is built once,
+    at construction, so head, relation, tail and direction must not be
+    reassigned afterwards.
     """
 
     head: str
@@ -32,9 +34,13 @@ class CandidateTriple:
     relation_label: str = ""
     tail_label: str = ""
     score: float | None = None
+    _key: TripleKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._key = (self.head, self.relation, self.tail, self.direction.value)
 
     def key(self) -> TripleKey:
-        return (self.head, self.relation, self.tail, self.direction.value)
+        return self._key
 
     def render(self) -> str:
         head = self.head_label or self.head

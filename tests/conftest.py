@@ -90,16 +90,22 @@ def sleeps(monkeypatch):
 
 
 class JsonStub(BaseHTTPRequestHandler):
-    """Loopback JSON endpoint: records each request, serves a script."""
+    """Loopback JSON endpoint: records each request, serves a script.
+
+    A JSON request body is recorded decoded; any other body, such as a
+    form-encoded SPARQL query, as text.
+    """
 
     responses: list[tuple[int, bytes]] = []  # (status, body); the last one repeats
     seen: list[dict] = []
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        type(self).seen.append(
-            {"body": json.loads(self.rfile.read(length)), "auth": self.headers.get("Authorization")}
-        )
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        try:
+            body = json.loads(raw)
+        except ValueError:
+            body = raw.decode()
+        type(self).seen.append({"body": body, "auth": self.headers.get("Authorization")})
         idx = min(len(type(self).seen) - 1, len(type(self).responses) - 1)
         status, payload = type(self).responses[idx]
         self.send_response(status)

@@ -331,6 +331,27 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("invalid dataset: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        [None, "{not json", json.dumps({"expect_stage": "decompose"}), "[" * 100_000 + "]" * 100_000],
+        ids=["missing", "not-json", "not-a-record-list", "too-deep"],
+    )
+    def test_bench_invalid_script_exit_2(self, tmp_path, capsys, text):
+        from kgqa_engine.cli import main
+
+        script = tmp_path / "script.json"
+        if text is not None:
+            script.write_text(text)
+        dataset = write_simple(tmp_path, SIMPLE_TWO[:1])
+        code = main(
+            ["bench", "--dataset", str(dataset), "--kg-file", str(FIXTURES / "path_fix" / "kg.tsv"),
+             "--script", str(script)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("invalid script: ")
+        assert "Hits@1" not in captured.out
+
     def test_bench_chat_backend(self, tmp_path, capsys, json_stub):
         from kgqa_engine.cli import main
 
@@ -434,6 +455,11 @@ class TestConfig:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retry counts"):
             EngineConfig.load(env={}, overrides={"http_retries": -1})
+
+    def test_negative_context_chain_limit_rejected(self):
+        with pytest.raises(ValueError, match="context_chain_limit"):
+            EngineConfig(context_chain_limit=-1).validate()
+        EngineConfig(context_chain_limit=0).validate()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -533,6 +533,34 @@ class TestInMemoryStore:
             ("r2", "b", Direction.OUTGOING),
         ]
 
+    def test_neighbors_see_edges_added_after_a_call(self):
+        store = InMemoryGraphStore()
+        store.add_triple("x", "r2", "b")
+        assert store.neighbors("x") == [("r2", "b", Direction.OUTGOING)]
+        assert store.neighbors("b") == [("r2", "x", Direction.INCOMING)]
+        assert store.neighbors("z") == []
+        store.add_triple("x", "r1", "c")  # x already listed, as a head
+        store.add_triple("a", "r3", "b")  # b already listed, as a tail
+        store.add_triple("z", "r4", "x")
+        assert store.neighbors("x") == [
+            ("r1", "c", Direction.OUTGOING),
+            ("r2", "b", Direction.OUTGOING),
+            ("r4", "z", Direction.INCOMING),
+        ]
+        assert store.neighbors("b") == [("r2", "x", Direction.INCOMING), ("r3", "a", Direction.INCOMING)]
+        assert store.neighbors("z") == [("r4", "x", Direction.OUTGOING)]
+
+    def test_mutating_a_returned_list_changes_no_later_call(self):
+        store = InMemoryGraphStore()
+        store.add_triple("x", "r2", "b")
+        store.add_triple("x", "r1", "c")
+        first = store.neighbors("x")
+        first.reverse()
+        first.append(("r0", "junk", Direction.INCOMING))
+        second = store.neighbors("x")
+        second.clear()
+        assert store.neighbors("x") == [("r1", "c", Direction.OUTGOING), ("r2", "b", Direction.OUTGOING)]
+
     def test_entity_with_label(self):
         store = InMemoryGraphStore()
         store.add_label("m.1", "Paris")

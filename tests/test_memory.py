@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgqa_engine.errors import ReplanBudgetExhausted
 from kgqa_engine.memory import (
@@ -244,6 +246,58 @@ class TestRenderContext:
         text = memory.render_context("planner")
         assert "h04" not in text
         assert "h05" in text and "h24" in text
+
+
+class TestTripleKey:
+    @given(st.text(), st.text(), st.text(), st.sampled_from(Direction))
+    def test_key_is_the_four_fields(self, head, relation, tail, direction):
+        key = triple(head, relation, tail, direction).key()
+        assert key == (head, relation, tail, direction.value)
+        assert type(key[3]) is str  # the plain value: a Direction member would render differently
+
+
+NAMES = st.text(alphabet="ab.", max_size=3)
+KEYS = st.tuples(NAMES, NAMES, NAMES, st.sampled_from(Direction))
+
+
+def random_key(rng):
+    def name():
+        return "".join(rng.choices("ab.", k=rng.randrange(4)))
+
+    return (name(), name(), name(), rng.choice(list(Direction)))
+
+
+class TestExploredContext:
+    """The planner's "Explored so far" block is the full-sort rendering."""
+
+    @given(
+        n_explored=st.integers(0, 150),
+        seed=st.integers(0, 2**16),
+        accepted=st.lists(st.one_of(st.integers(0, 7), KEYS), max_size=6),
+        # small limits against large sets take the heap path, the rest a sort
+        limit=st.one_of(st.integers(0, 3), st.integers(0, 25)),
+    )
+    def test_lines_equal_sorted_prefix(self, n_explored, seed, accepted, limit):
+        rng = random.Random(seed)
+        memory = make_memory(context_chain_limit=limit)
+        triples = [triple(*random_key(rng)) for _ in range(n_explored)]
+        for t in triples:
+            memory.record_explored(t)
+        ranked = sorted(triples, key=CandidateTriple.key)
+        for pick in accepted:  # one of the smallest explored keys, or a fresh one
+            if isinstance(pick, int):
+                if ranked:
+                    memory.accept_triple(ranked[pick % len(ranked)])
+            else:
+                memory.accept_triple(triple(*pick))
+        chain = {t.key() for t in memory.knowledge.reasoning_chain}
+        expected = sorted(memory.knowledge.explored_triples - chain)[:limit]
+        text = memory.render_context("planner")
+        if expected:
+            block = "\n".join(["Explored so far:"] + [f"  {h} —{r}→ {t} ({d})" for h, r, t, d in expected])
+            assert text.endswith("\n" + block)
+        else:
+            assert "Explored so far:" not in text
 
 
 class TestSnapshot:

@@ -1,5 +1,6 @@
 """Engine state machine: scenarios, trace grammar, termination, budgets."""
 
+import itertools
 import random
 
 import pytest
@@ -173,6 +174,61 @@ class TestTermination:
         result = engine.run("q?", [entities[0]])
         assert result.cycles <= 8
         assert result.error_note and "cycle budget" in result.error_note
+
+
+# Junk, and lines one step from what some stage's parser accepts.
+BACKEND_LINE = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["STEP", "DECISION", "CHOICE", "OUTCOME", "LEVEL", "ANSWER", "ENTITY", "step", ""]),
+        st.text(max_size=20),
+    ),
+    st.sampled_from([
+        "STEP: |", "STEP: a", "DECISION: proceed!", "DECISION: Finish", "CHOICE: 0", "CHOICE: -1",
+        "CHOICE: 99999999999999999999", "LEVEL: Mismatch", "ANSWER: x", "OUTCOME:",
+    ]),
+)
+BACKEND_STRING = st.lists(BACKEND_LINE, max_size=4).map("\n".join)
+# Well-formed answers beyond the defaults, so that runs go deep: longer
+# plans, corrections, replans and finishes.
+WELL_FORMED = {
+    "decompose": ["STEP: a | b\nSTEP: c | d\nSTEP: e | f"],
+    "evaluate": ["DECISION: PathCorrect", "DECISION: Replan", "DECISION: Finish\nANSWER: x"],
+    "select": ["CHOICE: 2", "CHOICE: 99"],
+    "classify": ["LEVEL: Mismatch\nDETAIL: off", "LEVEL: Fulfilled"],
+}
+
+
+class TestBackendStrings:
+    @settings(max_examples=100)
+    @given(
+        responses=st.fixed_dictionaries(
+            {
+                stage: st.lists(
+                    st.one_of(st.sampled_from([default, *WELL_FORMED.get(stage, [])]), BACKEND_STRING),
+                    min_size=1,
+                    max_size=4,
+                )
+                for stage, default in StageBackend.DEFAULTS.items()
+            }
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_strings_finish_within_budget(self, responses, seed):
+        rng = random.Random(seed)
+        store, entities = random_kg(rng, n_entities=20)
+        config = EngineConfig()
+        # each stage cycles through its own strings
+        backend = StageBackend(
+            {stage: (lambda prompt, it=itertools.cycle(texts): next(it)) for stage, texts in responses.items()}
+        )
+        result = Engine(backend, store, HashingEmbedder(), config).run("q?", [rng.choice(entities)])
+        assert result.trace[-1].stage is Stage.FINISH
+        assert result.cycles <= config.max_total_cycles
+        assert isinstance(result.answer, str)
+        assert_budgets(result.trace, config)
+        assert_trace_grammar(result.trace)
 
 
 class FaultyEmbedder:
