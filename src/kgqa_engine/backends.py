@@ -20,6 +20,8 @@ from .transport import post
 
 log = logging.getLogger(__name__)
 
+CHAT_TOKEN_ENV = "KGQA_CHAT_TOKEN"  # bearer token, read on each request
+
 
 class ReasoningBackend(Protocol):
     def complete(self, prompt: str, stage: str) -> str: ...
@@ -28,38 +30,27 @@ class ReasoningBackend(Protocol):
 class ChatCompletionBackend:
     """Minimal chat-completions client.
 
-    Temperature defaults to 0 for reproducibility; the bearer token comes
-    from an environment variable so it never lands in config files.
+    Temperature is 0 for reproducibility; the bearer token comes from
+    ``KGQA_CHAT_TOKEN`` so it never lands in config files.
     Requests are retried as ``transport.post`` does, a malformed body
     included, before giving up with BackendUnavailable.
     """
 
-    def __init__(
-        self,
-        url: str,
-        model: str,
-        *,
-        token_env: str = "KGQA_CHAT_TOKEN",
-        temperature: float = 0.0,
-        timeout: float = 60.0,
-        retries: int = 2,
-    ):
+    def __init__(self, url: str, model: str, *, timeout: float = 60.0, retries: int = 2):
         self.url = url
         self.model = model
-        self.token_env = token_env
-        self.temperature = temperature
         self.timeout = timeout
         self.retries = retries
 
     def complete(self, prompt: str, stage: str) -> str:
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env, "")
+        token = os.environ.get(CHAT_TOKEN_ENV, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
+            "temperature": 0.0,
         }
         return post(self.url, _content, BackendUnavailable, log, timeout=self.timeout,
                     retries=self.retries, json=body, headers=headers)
@@ -96,11 +87,7 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
-            try:
-                records = json.load(fh)
-            except RecursionError as exc:
-                raise ValueError(f"script nested too deep: {exc}") from exc
-        return cls(records)
+            return cls(json.load(fh))
 
     def complete(self, prompt: str, stage: str) -> str:
         if self.cursor >= len(self.records):

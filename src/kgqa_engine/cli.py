@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -12,8 +13,20 @@ from .config import EngineConfig
 from .errors import ParseError
 from .harness import FORMATS, evaluate_run, load_dataset
 from .kg import SparqlGraphStore, load_memory_store
-from .orchestrator import Engine, load_trace_jsonl, trace_to_jsonl
+from .orchestrator import Engine, load_trace_jsonl, write_trace
 from .pruning import HashingEmbedder, HttpEmbedder
+
+
+class InvalidInput(Exception):
+    """A file or setting the command cannot use; ``main`` exits 2 with its message."""
+
+
+def _load(what: str, loader, *args):
+    """``loader(*args)``, with a failure to read or parse its input as ``invalid <what>: …``."""
+    try:
+        return loader(*args)
+    except (OSError, ValueError, RecursionError, ParseError) as exc:
+        raise InvalidInput(f"invalid {what}: {exc}") from exc
 
 
 def build_kg(config: EngineConfig, kg_file: str | None):
@@ -29,7 +42,7 @@ def build_kg(config: EngineConfig, kg_file: str | None):
             timeout=config.http_timeout,
             retries=config.http_retries,
         )
-    raise SystemExit("no knowledge graph configured: pass --kg-file or set sparql_url")
+    raise InvalidInput("no knowledge graph configured: pass --kg-file or set sparql_url")
 
 
 def build_backend(config: EngineConfig, script: str | None):
@@ -37,133 +50,95 @@ def build_backend(config: EngineConfig, script: str | None):
         return ScriptedBackend.from_file(script)
     if config.chat_url:
         return ChatCompletionBackend(
-            config.chat_url,
-            config.chat_model,
-            timeout=config.http_timeout,
-            retries=config.http_retries,
+            config.chat_url, config.chat_model, timeout=config.http_timeout, retries=config.http_retries
         )
-    raise SystemExit("no reasoning backend configured: pass --script or set chat_url")
+    raise InvalidInput("no reasoning backend configured: pass --script or set chat_url")
 
 
 def build_embedder(config: EngineConfig):
     if config.embed_url:
-        import os
-
         return HttpEmbedder(
-            config.embed_url,
-            config.embed_model,
-            token=os.environ.get("KGQA_EMBED_TOKEN", ""),
-            timeout=config.http_timeout,
-            retries=config.http_retries,
+            config.embed_url, config.embed_model, timeout=config.http_timeout, retries=config.http_retries
         )
     return HashingEmbedder()
 
 
 def _load_config(args) -> EngineConfig:
-    overrides = {}
-    for name in ("replan_limit", "max_path_corrections", "max_total_cycles",
-                 "prune_threshold", "sparql_url", "chat_url", "concurrency"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    # every config field the command has a flag for; an unset flag is None
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(EngineConfig)}
     return EngineConfig.load(args.config, overrides=overrides)
 
 
-def _write_trace(trace, out_dir: str, name: str) -> str:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.trace.jsonl"
-    path.write_text(trace_to_jsonl(trace), encoding="utf-8")
-    return str(path)
+def _read_trace(path):
+    """The question, topic entities, config, backend script and answer a trace recorded."""
+    events = load_trace_jsonl(path)
+    try:
+        if not events or events[0]["stage"] != "decompose":
+            raise ValueError("trace does not start with a decompose event")
+        header = events[0]["payload"]
+        script = [
+            {"expect_stage": call["stage"], "response": call["response"]}
+            for event in events
+            for call in event["payload"].get("backend_calls", [])
+        ]
+        config = EngineConfig(**header["config"])
+        config.validate()
+        original_answer = events[-1]["payload"].get("answer")
+        return header["question"], header["topic_entities"], config, ScriptedBackend(script), original_answer
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"not a run trace: {exc!r}") from exc
+
+
+def _engine(config: EngineConfig, backend, kg_file: str | None) -> Engine:
+    return Engine(backend, _load("graph", build_kg, config, kg_file), build_embedder(config), config)
+
+
+def _answer(engine: Engine, question: str, topic_entities: list[str], out_dir: str | None, name: str) -> str:
+    """Run one question, print its answer and, given ``out_dir``, write its trace there."""
+    result = engine.run(question, topic_entities)
+    print(result.answer)
+    if out_dir:
+        print(f"trace: {write_trace(result.trace, out_dir, name)}", file=sys.stderr)
+    return result.answer
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args)
-    engine = Engine(
-        backend=build_backend(config, args.script),
-        kg=build_kg(config, args.kg_file),
-        embedder=build_embedder(config),
-        config=config,
-    )
+    config = _load("config", _load_config, args)
+    engine = _engine(config, _load("script", build_backend, config, args.script), args.kg_file)
     topic = [t.split("=", 1)[0] for t in args.topic_entity]
-    result = engine.run(args.question, topic)
-    print(result.answer)
-    if args.out_dir:
-        path = _write_trace(result.trace, args.out_dir, "run")
-        print(f"trace: {path}", file=sys.stderr)
+    _answer(engine, args.question, topic, args.out_dir, "run")
     return 0
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args)
-    try:
-        examples = load_dataset(args.dataset, args.format)
-    except ParseError as exc:
-        print(f"invalid dataset: {exc}", file=sys.stderr)
-        return 2
+    config = _load("config", _load_config, args)
+    examples = _load("dataset", load_dataset, args.dataset, args.format)
     if not examples:
-        print("empty dataset", file=sys.stderr)
-        return 2
-    try:
-        backend = build_backend(config, args.script)
-    except (OSError, ValueError) as exc:
-        print(f"invalid script: {exc}", file=sys.stderr)
-        return 2
-    kg = build_kg(config, args.kg_file)
-    embedder = build_embedder(config)
+        raise InvalidInput("invalid dataset: it holds no examples")
+    engine = _engine(config, _load("script", build_backend, config, args.script), args.kg_file)
 
     def engine_for(example):
         # a scripted backend replays from its first record, so each example
         # gets its own, built from the records read once above
-        if isinstance(backend, ScriptedBackend):
-            return Engine(ScriptedBackend(backend.records), kg, embedder, config)
-        return Engine(backend, kg, embedder, config)
+        if isinstance(engine.backend, ScriptedBackend):
+            return dataclasses.replace(engine, backend=ScriptedBackend(engine.backend.records))
+        return engine
 
-    report = evaluate_run(
-        examples,
-        engine_for,
-        concurrency=config.concurrency,
-        trace_dir=args.out_dir,
-    )
+    report = evaluate_run(examples, engine_for, concurrency=config.concurrency, trace_dir=args.out_dir)
     print(report.table())
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-        )
+        report_json = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        (out / "report.json").write_text(report_json, encoding="utf-8")
     return 0
 
 
 def cmd_replay(args) -> int:
-    events = load_trace_jsonl(args.trace)
-    if not events or events[0]["stage"] != "decompose":
-        print("trace does not start with a decompose event", file=sys.stderr)
-        return 1
-    header = events[0]["payload"]
-    script = [
-        {"expect_stage": call["stage"], "response": call["response"]}
-        for event in events
-        for call in event["payload"].get("backend_calls", [])
-    ]
-    config = EngineConfig(**header["config"])
-    engine = Engine(
-        backend=ScriptedBackend(script),
-        kg=build_kg(config, args.kg_file),
-        embedder=build_embedder(config),
-        config=config,
-    )
-    result = engine.run(header["question"], header["topic_entities"])
-    print(result.answer)
-    if args.out_dir:
-        path = _write_trace(result.trace, args.out_dir, "replay")
-        print(f"trace: {path}", file=sys.stderr)
-    original_answer = events[-1]["payload"].get("answer")
-    if original_answer is not None and original_answer != result.answer:
-        print(
-            f"replay diverged: original answer {original_answer!r}, got {result.answer!r}",
-            file=sys.stderr,
-        )
+    question, topic_entities, config, backend, original_answer = _load("trace", _read_trace, args.trace)
+    answer = _answer(_engine(config, backend, args.kg_file), question, topic_entities, args.out_dir, "replay")
+    if original_answer is not None and original_answer != answer:
+        print(f"replay diverged: original answer {original_answer!r}, got {answer!r}", file=sys.stderr)
         return 1
     return 0
 
@@ -172,20 +147,23 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
+    def command(name: str, func, help: str, *, engine_settings: bool = True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--kg-file", help="TSV triple file for the in-memory store")
-        p.add_argument("--script", help="scripted backend JSON file")
         p.add_argument("--out-dir", help="directory for traces and reports")
-        p.add_argument("--sparql-url", help="SPARQL endpoint URL")
-        p.add_argument("--chat-url", help="chat-completions endpoint URL")
-        p.add_argument("--replan-limit", type=int)
-        p.add_argument("--max-path-corrections", type=int)
-        p.add_argument("--max-total-cycles", type=int)
-        p.add_argument("--prune-threshold", type=int)
+        if engine_settings:  # replay takes these from the trace
+            p.add_argument("--config", help="key=value config file")
+            p.add_argument("--script", help="scripted backend JSON file")
+            p.add_argument("--sparql-url", help="SPARQL endpoint URL")
+            p.add_argument("--chat-url", help="chat-completions endpoint URL")
+            p.add_argument("--replan-limit", type=int)
+            p.add_argument("--max-path-corrections", type=int)
+            p.add_argument("--max-total-cycles", type=int)
+            p.add_argument("--prune-threshold", type=int)
+        p.set_defaults(func=func)
+        return p
 
-    p_run = sub.add_parser("run", help="answer a single question")
-    common(p_run)
+    p_run = command("run", cmd_run, "answer a single question")
     p_run.add_argument("--question", required=True)
     p_run.add_argument(
         "--topic-entity",
@@ -194,19 +172,14 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="ID[=LABEL]",
         help="topic entity anchoring exploration (repeatable)",
     )
-    p_run.set_defaults(func=cmd_run)
 
-    p_bench = sub.add_parser("bench", help="evaluate a dataset")
-    common(p_bench)
+    p_bench = command("bench", cmd_bench, "evaluate a dataset")
     p_bench.add_argument("--dataset", required=True)
     p_bench.add_argument("--format", choices=FORMATS, default="simple")
     p_bench.add_argument("--concurrency", type=int)
-    p_bench.set_defaults(func=cmd_bench)
 
-    p_replay = sub.add_parser("replay", help="re-execute a run from its trace")
-    common(p_replay)
+    p_replay = command("replay", cmd_replay, "re-execute a run from its trace", engine_settings=False)
     p_replay.add_argument("--trace", required=True)
-    p_replay.set_defaults(func=cmd_replay)
 
     return parser
 
@@ -215,10 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except ParseError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+    except InvalidInput as exc:
+        print(exc, file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)

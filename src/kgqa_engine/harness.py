@@ -6,11 +6,10 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from .errors import ParseError, ScriptMismatch
-from .orchestrator import Engine, trace_to_jsonl
+from .orchestrator import Engine, is_plain_name, write_trace
 
 
 @dataclass
@@ -104,6 +103,8 @@ def load_dataset(path, format: str = "simple") -> list[QaExample]:
             raise ParseError(f"example {i} ({ex.id!r}): gold answers must be non-empty")
         if not ex.question:
             raise ParseError(f"example {i} ({ex.id!r}): empty question")
+        if not is_plain_name(ex.id):
+            raise ParseError(f"example {i}: id {ex.id!r} is not a plain file name")
         if ex.id in seen:
             raise ParseError(f"duplicate example id: {ex.id!r}")
         seen.add(ex.id)
@@ -202,18 +203,13 @@ def evaluate_run(
             return ExampleResult(
                 id=example.id, answer="", hit=0, cycles=0, replans=0, error=str(exc)
             )
-        trace_path = None
-        if trace_dir:
-            trace_path = str(Path(trace_dir) / f"{example.id}.trace.jsonl")
-            Path(trace_dir).mkdir(parents=True, exist_ok=True)
-            Path(trace_path).write_text(trace_to_jsonl(run.trace), encoding="utf-8")
         return ExampleResult(
             id=example.id,
             answer=run.answer,
             hit=exact_match(run.answer, example.gold_answers),
             cycles=run.cycles,
             replans=run.replans,
-            trace_path=trace_path,
+            trace_path=write_trace(run.trace, trace_dir, example.id) if trace_dir else None,
             error=run.error_note,
         )
 

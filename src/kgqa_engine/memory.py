@@ -256,11 +256,10 @@ class IntegratedMemory:
             return self._render_executor_context()
         raise ValueError(f"unknown audience: {audience}")
 
-    def _chain_lines(self, limit: int | None = None) -> list[str]:
+    def _chain_lines(self, limit: int) -> list[str]:
+        """The last ``limit`` accepted triples, rendered; none for 0."""
         chain = self.knowledge.reasoning_chain
-        if limit is not None and len(chain) > limit:
-            chain = chain[-limit:]
-        return [t.render() for t in chain]
+        return [t.render() for t in chain[max(len(chain) - limit, 0):]]
 
     def _render_planner_context(self) -> str:
         s = self.strategic

@@ -11,6 +11,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 from .backends import ReasoningBackend, RecordingBackend
 from .config import EngineConfig
@@ -51,6 +52,21 @@ class TraceEvent:
 
 def trace_to_jsonl(trace: list[TraceEvent]) -> str:
     return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in trace)
+
+
+def is_plain_name(name: str) -> bool:
+    """True for one file name: not empty, ``.`` or ``..``, and no separator in it."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
+def write_trace(trace: list[TraceEvent], out_dir, name: str) -> str:
+    """Write ``<out_dir>/<name>.trace.jsonl``, making the directory; return its path."""
+    if not is_plain_name(name):
+        raise ValueError(f"trace name {name!r} is not a plain file name")
+    path = Path(out_dir) / f"{name}.trace.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(trace_to_jsonl(trace), encoding="utf-8")
+    return str(path)
 
 
 def load_trace_jsonl(path) -> list[dict]:

@@ -11,6 +11,7 @@ import hashlib
 import heapq
 import logging
 import math
+import os
 import re
 import threading
 from operator import mul
@@ -28,6 +29,7 @@ Vector = Sequence[float]
 TOKEN_MEMO_SIZE = 8_192
 _TOKEN = re.compile(r"[a-z0-9]+")
 _MEMO_LOCK = threading.Lock()  # taken on memo misses only
+EMBED_TOKEN_ENV = "KGQA_EMBED_TOKEN"  # bearer token, read on each request
 
 log = logging.getLogger(__name__)
 
@@ -148,19 +150,20 @@ class HashingEmbedder:
 
 class HttpEmbedder:
     """Embeddings over an HTTP endpoint taking {model, input:[...]}, with
-    ``transport.post``'s retries, a malformed body included."""
+    ``transport.post``'s retries, a malformed body included.  The bearer
+    token comes from ``KGQA_EMBED_TOKEN``."""
 
-    def __init__(self, url: str, model: str, token: str = "", timeout: float = 30.0, retries: int = 2):
+    def __init__(self, url: str, model: str, timeout: float = 30.0, retries: int = 2):
         self.url = url
         self.model = model
-        self.token = token
         self.timeout = timeout
         self.retries = retries
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         headers = {}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
+        token = os.environ.get(EMBED_TOKEN_ENV, "")
+        if token:
+            headers["Authorization"] = f"Bearer {token}"
         body = {"model": self.model, "input": texts}
         vectors = post(self.url, _embeddings, PruningUnavailable, log, timeout=self.timeout,
                        retries=self.retries, json=body, headers=headers)

@@ -7,6 +7,7 @@ import pytest
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import ParseError
 from kgqa_engine.harness import (
+    QaExample,
     evaluate_run,
     exact_match,
     load_dataset,
@@ -17,6 +18,11 @@ from kgqa_engine.pruning import HashingEmbedder
 
 from conftest import JsonStub, StageBackend, make_store
 from scenarios import FIXTURES, load_meta
+
+HAPPY = FIXTURES / "happy_path"
+# ids that are not one plain file name: a trace named after them would land
+# outside --out-dir, or be no file name at all
+NOT_PLAIN_IDS = ["../escaped", "a/b", "a\\b", ".", "..", ""]
 
 
 def write_simple(tmp_path, examples):
@@ -106,6 +112,12 @@ class TestLoadDataset:
         examples = load_dataset(tmp_path / "w.json", "webqsp")
         assert examples[0].topic_entities == [("m.0t", "Topic")]
         assert examples[0].gold_answers == ["Paris"]
+
+    @pytest.mark.parametrize("bad_id", NOT_PLAIN_IDS)
+    def test_id_must_be_a_plain_file_name(self, tmp_path, bad_id):
+        bad = [dict(SIMPLE_TWO[0], id=bad_id)]
+        with pytest.raises(ParseError, match="not a plain file name"):
+            load_dataset(write_simple(tmp_path, bad), "simple")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -208,6 +220,14 @@ class TestEvaluateRun:
         for r in report.results:
             assert (tmp_path / "traces" / f"{r.id}.trace.jsonl").exists()
 
+    def test_trace_never_written_outside_trace_dir(self, tmp_path):
+        # an example built in code skips load_dataset's id check
+        example = QaExample(id="../escaped", question="q?", topic_entities=[("e", "E")], gold_answers=["g"])
+        factory = self.scripted_engine_factory({"../escaped": "g"})
+        with pytest.raises(ValueError, match="not a plain file name"):
+            evaluate_run([example], engine_factory=factory, trace_dir=str(tmp_path / "traces"))
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+
     def test_concurrent_matches_serial(self, tmp_path):
         examples = self.dataset(tmp_path, 6)
         answers = {f"q{i}": f"gold{i}" for i in range(6)}
@@ -308,6 +328,9 @@ class TestCli:
             ("cwq", json.dumps([{"question": "q?", "answers": [{"answer": "a"}]}])),
             ("webqsp", json.dumps({"Questions": ["abc"]})),
             ("webqsp", json.dumps({"Questions": [{"RawQuestion": "q?", "Parses": []}]})),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], id="../escaped")])),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], id="..")])),
+            ("simple", "[" * 100_000 + "]" * 100_000),
         ],
         ids=[
             "not-json",
@@ -320,6 +343,9 @@ class TestCli:
             "cwq-no-ID",
             "webqsp-not-object",
             "webqsp-no-QuestionId",
+            "simple-id-escapes-out-dir",
+            "simple-id-dotdot",
+            "too-deep",
         ],
     )
     def test_bench_invalid_dataset_exit_2(self, tmp_path, capsys, format, text):
@@ -351,6 +377,83 @@ class TestCli:
         assert code == 2
         assert captured.err.startswith("invalid script: ")
         assert "Hits@1" not in captured.out
+
+    @pytest.mark.parametrize(
+        "flags, files, prefix",
+        [
+            (["--script", "{tmp}/missing.json"], {}, "invalid script: "),
+            (["--script", "{tmp}/s.json"], {"s.json": "{not json"}, "invalid script: "),
+            (["--script", "{tmp}/s.json"], {"s.json": "[" * 100_000 + "]" * 100_000}, "invalid script: "),
+            (["--script", "{tmp}/s.json"], {"s.json": json.dumps({"expect_stage": "decompose"})},
+             "invalid script: "),
+            (["--config", "{tmp}/missing.cfg"], {}, "invalid config: "),
+            (["--config", "{tmp}/c.cfg"], {"c.cfg": "nonsense = 1\n"}, "invalid config: "),
+            (["--max-total-cycles", "3"], {}, "invalid config: "),
+            (["--kg-file", "{tmp}/missing.tsv"], {}, "invalid graph: "),
+            (["--kg-file", "{tmp}/g.tsv"], {"g.tsv": "m.0a\tr\n"}, "invalid graph: "),
+            (["--kg-file", None], {}, "no knowledge graph configured: "),
+            (["--kg-file", None, "--script", None], {}, "no reasoning backend configured: "),
+        ],
+        ids=[
+            "script-missing", "script-not-json", "script-too-deep", "script-not-a-record-list",
+            "config-missing", "config-unknown-key", "config-value-out-of-range",
+            "graph-missing", "graph-malformed", "no-graph", "no-graph-no-backend",
+        ],
+    )
+    def test_run_invalid_input_exit_2(self, tmp_path, capsys, monkeypatch, flags, files, prefix):
+        from kgqa_engine.cli import main
+
+        for name in ("KGQA_SPARQL_URL", "KGQA_CHAT_URL"):
+            monkeypatch.delenv(name, raising=False)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        # a case's flags replace these defaults; a None value drops the flag
+        given = {"--kg-file": str(HAPPY / "kg.tsv"), "--script": str(HAPPY / "script.json")}
+        for flag, value in zip(flags[::2], flags[1::2]):
+            given[flag] = value and value.format(tmp=tmp_path)
+        argv = ["run", "--question", load_meta("happy_path")["question"], "--topic-entity", "m.0nile"]
+        for flag, value in given.items():
+            if value is not None:
+                argv += [flag, value]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(prefix)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [None, "{not json\n", json.dumps({"stage": "act", "payload": {}}) + "\n", "[1]\n", "",
+         "[" * 100_000 + "]" * 100_000 + "\n"],
+        ids=["missing", "not-json", "no-decompose-first", "not-an-event", "empty", "too-deep"],
+    )
+    def test_replay_invalid_trace_exit_2(self, tmp_path, capsys, text):
+        from kgqa_engine.cli import main
+
+        trace = tmp_path / "run.trace.jsonl"
+        if text is not None:
+            trace.write_text(text)
+        code = main(["replay", "--trace", str(trace), "--kg-file", str(HAPPY / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("invalid trace: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--config", "--script", "--sparql-url", "--chat-url", "--replan-limit",
+         "--max-path-corrections", "--max-total-cycles", "--prune-threshold"],
+    )
+    def test_replay_rejects_engine_flags(self, capsys, flag):
+        from kgqa_engine.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--trace", str(HAPPY / "trace.golden.jsonl"), "--kg-file", str(HAPPY / "kg.tsv"),
+                  flag, "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
 
     def test_bench_chat_backend(self, tmp_path, capsys, json_stub):
         from kgqa_engine.cli import main

@@ -247,6 +247,16 @@ class TestRenderContext:
         assert "h04" not in text
         assert "h05" in text and "h24" in text
 
+    def test_chain_limit_zero_shows_no_chain(self):
+        memory = make_memory(context_chain_limit=0)
+        for i in range(3):
+            memory.accept_triple(triple(head=f"h{i}", tail=f"t{i}"))
+        text = memory.render_context("planner")
+        assert "Accepted knowledge:" not in text
+        assert not any(f"h{i}" in text for i in range(3))
+        # the executor's own limit of three is not the planner's
+        assert all(f"h{i}" in memory.render_context("executor") for i in range(3))
+
 
 class TestTripleKey:
     @given(st.text(), st.text(), st.text(), st.sampled_from(Direction))

@@ -415,9 +415,10 @@ def embeddings(*vectors):
 
 
 class TestHttpEmbedder:
-    def test_posts_model_and_input_with_bearer_token(self, json_stub):
+    def test_posts_model_and_input_with_bearer_token(self, json_stub, monkeypatch):
         JsonStub.responses = [(200, embeddings([1.0, 0.0], [0.0, 1.0]))]
-        embedder = HttpEmbedder(json_stub, "embed-model", token="sk-test")
+        embedder = HttpEmbedder(json_stub, "embed-model")
+        monkeypatch.setenv("KGQA_EMBED_TOKEN", "sk-test")  # read at request time
         assert embedder.embed(["a", "b"]) == [[1.0, 0.0], [0.0, 1.0]]
         assert JsonStub.seen == [{"body": {"model": "embed-model", "input": ["a", "b"]}, "auth": "Bearer sk-test"}]
 
