@@ -21,10 +21,10 @@ class InvalidInput(Exception):
     """A file or setting the command cannot use; ``main`` exits 2 with its message."""
 
 
-def _load(what: str, loader, *args):
-    """``loader(*args)``, with a failure to read or parse its input as ``invalid <what>: …``."""
+def _load(what: str, loader, *args, **kwargs):
+    """``loader(*args, **kwargs)``, with a failure to read or parse its input as ``invalid <what>: …``."""
     try:
-        return loader(*args)
+        return loader(*args, **kwargs)
     except (OSError, ValueError, RecursionError, ParseError) as exc:
         raise InvalidInput(f"invalid {what}: {exc}") from exc
 
@@ -89,8 +89,12 @@ def _read_trace(path):
         raise ValueError(f"not a run trace: {exc!r}") from exc
 
 
-def _engine(config: EngineConfig, backend, kg_file: str | None) -> Engine:
-    return Engine(backend, _load("graph", build_kg, config, kg_file), build_embedder(config), config)
+def _engine(config: EngineConfig, backend, args) -> Engine:
+    """The engine for ``args``, with its ``--out-dir`` made before any question runs."""
+    engine = Engine(backend, _load("graph", build_kg, config, args.kg_file), build_embedder(config), config)
+    if args.out_dir:
+        _load("out-dir", Path(args.out_dir).mkdir, parents=True, exist_ok=True)
+    return engine
 
 
 def _answer(engine: Engine, question: str, topic_entities: list[str], out_dir: str | None, name: str) -> str:
@@ -103,8 +107,10 @@ def _answer(engine: Engine, question: str, topic_entities: list[str], out_dir: s
 
 
 def cmd_run(args) -> int:
+    if not args.question:
+        raise InvalidInput("invalid question: it is empty")
     config = _load("config", _load_config, args)
-    engine = _engine(config, _load("script", build_backend, config, args.script), args.kg_file)
+    engine = _engine(config, _load("script", build_backend, config, args.script), args)
     topic = [t.split("=", 1)[0] for t in args.topic_entity]
     _answer(engine, args.question, topic, args.out_dir, "run")
     return 0
@@ -115,7 +121,7 @@ def cmd_bench(args) -> int:
     examples = _load("dataset", load_dataset, args.dataset, args.format)
     if not examples:
         raise InvalidInput("invalid dataset: it holds no examples")
-    engine = _engine(config, _load("script", build_backend, config, args.script), args.kg_file)
+    engine = _engine(config, _load("script", build_backend, config, args.script), args)
 
     def engine_for(example):
         # a scripted backend replays from its first record, so each example
@@ -127,16 +133,14 @@ def cmd_bench(args) -> int:
     report = evaluate_run(examples, engine_for, concurrency=config.concurrency, trace_dir=args.out_dir)
     print(report.table())
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         report_json = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        (out / "report.json").write_text(report_json, encoding="utf-8")
+        (Path(args.out_dir) / "report.json").write_text(report_json, encoding="utf-8")
     return 0
 
 
 def cmd_replay(args) -> int:
     question, topic_entities, config, backend, original_answer = _load("trace", _read_trace, args.trace)
-    answer = _answer(_engine(config, backend, args.kg_file), question, topic_entities, args.out_dir, "replay")
+    answer = _answer(_engine(config, backend, args), question, topic_entities, args.out_dir, "replay")
     if original_answer is not None and original_answer != answer:
         print(f"replay diverged: original answer {original_answer!r}, got {answer!r}", file=sys.stderr)
         return 1

@@ -14,6 +14,18 @@ from .kg import FREEBASE_ID_PATTERN, FREEBASE_LABEL_PROPERTY, FREEBASE_PREFIX
 
 ENV_PREFIX = "KGQA_"
 
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+
+
+def _parse_bool(raw: str) -> bool:
+    text = raw.strip().lower()
+    if text not in _BOOLS:
+        raise ValueError(f"{raw!r} is not a boolean (accepted: {', '.join(_BOOLS)})")
+    return _BOOLS[text]
+
+
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+
 
 @dataclass
 class EngineConfig:
@@ -59,16 +71,16 @@ class EngineConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def _coerce(cls, name: str, raw: str):
+    def _coerce(cls, name: str, raw: str, source: str):
+        """``raw`` as the type of field ``name``; a failure names ``source``."""
         field_types = {f.name: f.type for f in dataclasses.fields(cls)}
-        ftype = field_types[name]
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
-        if ftype == "bool":
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return raw
+        parse = _PARSERS.get(field_types[name])
+        if parse is None:
+            return raw
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from exc
 
     @classmethod
     def load(
@@ -90,12 +102,13 @@ class EngineConfig:
                     key = key.strip()
                     if not sep or key not in names:
                         raise ValueError(f"config file line {lineno}: unknown entry {line!r}")
-                    values[key] = cls._coerce(key, value.strip())
+                    values[key] = cls._coerce(key, value.strip(), f"config file line {lineno}: {key}")
         env = os.environ if env is None else env
         for name in names:
-            env_value = env.get(ENV_PREFIX + name.upper())
+            variable = ENV_PREFIX + name.upper()
+            env_value = env.get(variable)
             if env_value is not None:
-                values[name] = cls._coerce(name, env_value)
+                values[name] = cls._coerce(name, env_value, variable)
         for name, value in (overrides or {}).items():
             if value is not None:
                 values[name] = value

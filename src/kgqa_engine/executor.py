@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from .backends import ReasoningBackend
-from .errors import MalformedBackendOutput, NoFrontier
+from .errors import MalformedBackendOutput, NoFrontier, PruningUnavailable
 from .kg import GraphStore
 from .memory import IntegratedMemory, Observation, PlanStep
 from .planner import load_prompt, parse_fields
@@ -143,12 +143,12 @@ class Executor:
 
         Excluded are triples already failed for this step's signature and
         triples already accepted into the reasoning chain.  All retrieved
-        triples are recorded into the knowledge layer regardless.
+        triples are recorded into the knowledge layer regardless.  Unusable
+        embeddings abandon the attempt with an empty observation.
         """
         memory.knowledge.visited_entities.add(frontier)
         retrieved = self._retrieve_candidates(frontier, memory)
-        signature = memory.step_signature(step)
-        failed = memory.failed_keys_for(signature)
+        failed = memory.failed_keys_for(memory.step_signature(step))
         # chain exclusion ignores traversal direction: the same edge seen
         # from the other side is still a revisit
         chain_edges = {(t.head, t.relation, t.tail) for t in memory.knowledge.reasoning_chain}
@@ -157,16 +157,18 @@ class Executor:
             for c in retrieved
             if c.key() not in failed and (c.head, c.relation, c.tail) not in chain_edges
         ]
-        total = len(candidates)
-        pruned = prune(candidates, step.objective, self.prune_threshold, self.embedder) if candidates else []
+        try:
+            pruned = prune(candidates, step.objective, self.prune_threshold, self.embedder)
+        except PruningUnavailable as exc:
+            rationale = f"attempt abandoned, pruning unavailable: {exc}"
+            return Observation(frontier_entity=frontier, candidates_total=0, chosen=None, rationale=rationale)
         if pruned:
             chosen, rationale = self.select_entity(pruned, step, memory.render_context("executor"))
         else:
             chosen, rationale = None, "no candidates remained after exclusions"
         return Observation(
             frontier_entity=frontier,
-            candidates_total=total,
-            candidates_after_pruning=len(pruned),
+            candidates_total=len(candidates),
             chosen=chosen,
             rationale=rationale,
             candidates=pruned,

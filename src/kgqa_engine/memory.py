@@ -94,7 +94,6 @@ class ErrorSignal:
 class Observation:
     frontier_entity: str
     candidates_total: int
-    candidates_after_pruning: int
     chosen: CandidateTriple | None
     rationale: str = ""
     candidates: list[CandidateTriple] = field(default_factory=list)  # post-pruning
@@ -103,7 +102,7 @@ class Observation:
         return {
             "frontier_entity": self.frontier_entity,
             "candidates_total": self.candidates_total,
-            "candidates_after_pruning": self.candidates_after_pruning,
+            "candidates_after_pruning": len(self.candidates),
             "chosen": self.chosen.to_dict() if self.chosen else None,
             "rationale": self.rationale,
             "candidates": [list(c.key()) for c in self.candidates],
@@ -144,7 +143,7 @@ class KnowledgeMemory:
     explored_triples: set[TripleKey] = field(default_factory=set)
     visited_entities: set[str] = field(default_factory=set)
     reasoning_chain: list[CandidateTriple] = field(default_factory=list)
-    failed_paths: set[tuple[StepSignature, TripleKey]] = field(default_factory=set)
+    failed_paths: dict[StepSignature, set[TripleKey]] = field(default_factory=dict)
 
 
 @dataclass
@@ -227,8 +226,10 @@ class IntegratedMemory:
         self.step_cycle.clear()
 
     def mark_failed_path(self, signature: StepSignature, triple: CandidateTriple) -> None:
-        self.knowledge.failed_paths.add((signature, triple.key()))
+        """Path correction: fail ``triple`` for the step, count the attempt, start the next."""
+        self.knowledge.failed_paths.setdefault(signature, set()).add(triple.key())
         self.step_cycle.attempt_counter += 1
+        self.step_cycle.reset_attempt()
 
     def record_explored(self, triple: CandidateTriple) -> None:
         self.knowledge.explored_triples.add(triple.key())
@@ -240,7 +241,8 @@ class IntegratedMemory:
         self.knowledge.reasoning_chain.append(triple)
 
     def failed_keys_for(self, signature: StepSignature) -> set[TripleKey]:
-        return {key for sig, key in self.knowledge.failed_paths if sig == signature}
+        """The keys failed for ``signature``; the stored set, not a copy."""
+        return self.knowledge.failed_paths.get(signature, set())
 
     # -- context rendering --------------------------------------------------
 
@@ -347,7 +349,7 @@ class IntegratedMemory:
                 "visited_entities": sorted(k.visited_entities),
                 "reasoning_chain": [t.to_dict() for t in k.reasoning_chain],
                 "failed_paths": sorted(
-                    [list(sig), list(key)] for sig, key in k.failed_paths
+                    [list(sig), list(key)] for sig, keys in k.failed_paths.items() for key in keys
                 ),
             },
         }

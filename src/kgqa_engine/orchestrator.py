@@ -15,10 +15,10 @@ from pathlib import Path
 
 from .backends import ReasoningBackend, RecordingBackend
 from .config import EngineConfig
-from .errors import EngineError, PruningUnavailable
+from .errors import EngineError
 from .executor import Executor
 from .kg import GraphStore
-from .memory import IntegratedMemory, Observation, StepStatus
+from .memory import IntegratedMemory, StepStatus
 from .planner import Decision, DecisionKind, Planner, best_effort_answer
 from .pruning import CachingEmbedder, Embedder
 
@@ -119,7 +119,6 @@ class _Run:
             replan_limit=self.config.replan_limit,
             context_chain_limit=self.config.context_chain_limit,
         )
-        self.question = question
         self.trace: list[TraceEvent] = []
         self.cycles = 0
 
@@ -173,26 +172,23 @@ class _Run:
     # -- plan management ----------------------------------------------------------
 
     def decompose_into_plan(self) -> bool:
+        strategic = self.memory.strategic
         context = self.memory.render_context("planner")
-        try:
-            steps = self.planner.decompose(self.question, context)
-        except EngineError as exc:
-            self.emit(Stage.DECOMPOSE, {"context": self._decompose_header(context), "error": str(exc)})
-            return False
-        self.memory.install_plan(steps)
-        payload = self._decompose_header(context)
-        payload["steps"] = [s.to_dict() for s in steps]
-        self.emit(Stage.DECOMPOSE, payload)
-        return True
-
-    def _decompose_header(self, context: str) -> dict:
-        return {
-            "question": self.question,
-            "topic_entities": list(self.memory.strategic.topic_entities),
-            "generation": self.memory.strategic.replan_counter,
+        header = {
+            "question": strategic.question,
+            "topic_entities": list(strategic.topic_entities),
+            "generation": strategic.replan_counter,
             "context": context,
             "config": self.config.snapshot(),
         }
+        try:
+            steps = self.planner.decompose(strategic.question, context)
+        except EngineError as exc:
+            self.emit(Stage.DECOMPOSE, {"context": header, "error": str(exc)})
+            return False
+        self.memory.install_plan(steps)
+        self.emit(Stage.DECOMPOSE, {**header, "steps": [s.to_dict() for s in steps]})
+        return True
 
     # -- the loop ------------------------------------------------------------------
 
@@ -226,16 +222,7 @@ class _Run:
                 self.emit(Stage.ACT, {"frontier": frontier, "step_index": step.index})
 
                 failure = "exploration failed"
-                try:
-                    observation = self.executor.explore(frontier, step, self.memory)
-                except PruningUnavailable as exc:
-                    observation = Observation(
-                        frontier_entity=frontier,
-                        candidates_total=0,
-                        candidates_after_pruning=0,
-                        chosen=None,
-                        rationale=f"attempt abandoned, pruning unavailable: {exc}",
-                    )
+                observation = self.executor.explore(frontier, step, self.memory)
                 self.memory.step_cycle.observation = observation
                 self.emit(Stage.OBSERVE, {"observation": observation.to_dict()})
 
@@ -249,19 +236,7 @@ class _Run:
                 self.emit(Stage.THINK, {"error_signal": signal.to_dict(), "thought": thought})
 
                 failure = "evaluate failed"
-                if observation.chosen is None:
-                    # nothing for the backend to choose between: exhausted
-                    # candidates route straight to replan (or a forced finish)
-                    decision = self.planner.apply_overrides(
-                        Decision(
-                            kind=DecisionKind.REPLAN,
-                            rationale="no viable candidates for this step",
-                            coerced=True,
-                        ),
-                        self.memory,
-                    )
-                else:
-                    decision = self.planner.evaluate(self.memory)
+                decision = self.planner.evaluate(observation, self.memory)
             except EngineError as exc:
                 return self.degrade(f"{failure}: {exc}")
             self.emit(
@@ -283,7 +258,7 @@ class _Run:
 
     def dispatch(self, decision: Decision, step, observation) -> RunResult | None:
         # Proceed and PathCorrect come only from the backend's evaluate,
-        # which runs only when the observation has a chosen triple.
+        # which the planner asks only when the observation has a chosen triple.
         if decision.kind is DecisionKind.PROCEED:
             self.memory.accept_triple(observation.chosen)
             if self.memory.advance_step() is None:
@@ -293,7 +268,6 @@ class _Run:
 
         if decision.kind is DecisionKind.PATH_CORRECT:
             self.memory.mark_failed_path(self.memory.step_signature(step), observation.chosen)
-            self.memory.step_cycle.reset_attempt()
             return None
 
         if decision.kind is DecisionKind.REPLAN:

@@ -134,7 +134,7 @@ class Planner:
         return self._complete_parsed("predict", prompt, parser)
 
     def compute_error_signal(self, prediction: Prediction, observation: Observation) -> ErrorSignal:
-        if observation.candidates_after_pruning == 0 or observation.chosen is None:
+        if observation.chosen is None:
             return ErrorSignal(ErrorLevel.EMPTY_RESULT, "no candidate triples survived exploration")
         prompt = load_prompt("classify").format(
             prediction=prediction.expected_outcome,
@@ -163,13 +163,17 @@ class Planner:
 
         return self._complete_parsed("think", prompt, parser)
 
-    def evaluate(self, memory: IntegratedMemory) -> Decision:
-        """Ask the backend for the next move, then apply engine overrides.
+    def evaluate(self, observation: Observation, memory: IntegratedMemory) -> Decision:
+        """Decide the next move, then apply engine overrides.
 
-        Termination stays under engine control: a PathCorrect past the
-        per-step attempt budget becomes Replan, and a Replan past the
+        With nothing chosen, the backend is not asked: the step becomes a
+        coerced Replan.  Termination stays under engine control: a PathCorrect
+        past the per-step attempt budget becomes Replan, and a Replan past the
         replan budget becomes a best-effort Finish.
         """
+        if observation.chosen is None:
+            decision = Decision(DecisionKind.REPLAN, "no viable candidates for this step", coerced=True)
+            return self._apply_overrides(decision, memory)
         prompt = load_prompt("evaluate").format(
             context=memory.render_context("planner"),
             thought=memory.step_cycle.thought or "",
@@ -194,9 +198,9 @@ class Planner:
                             answer=answer if kind is DecisionKind.FINISH else "")
 
         decision = self._complete_parsed("evaluate", prompt, parser)
-        return self.apply_overrides(decision, memory)
+        return self._apply_overrides(decision, memory)
 
-    def apply_overrides(self, decision: Decision, memory: IntegratedMemory) -> Decision:
+    def _apply_overrides(self, decision: Decision, memory: IntegratedMemory) -> Decision:
         if (
             decision.kind is DecisionKind.PATH_CORRECT
             and memory.step_cycle.attempt_counter >= self.max_path_corrections

@@ -51,7 +51,7 @@ class TestExplore:
         memory = make_memory(topic=("e1",))
         obs = make_executor(store).explore("e1", memory.current_step(), memory)
         assert obs.candidates_total == 2
-        assert obs.candidates_after_pruning == 2
+        assert len(obs.candidates) == 2
         assert obs.chosen is not None
 
     def test_failed_paths_excluded(self, store):
@@ -79,6 +79,22 @@ class TestExplore:
         obs = make_executor(store).explore("zzz", memory.current_step(), memory)
         assert obs.candidates_total == 0
         assert obs.chosen is None
+
+    def test_failing_embedder_abandons_attempt(self, store):
+        class DownEmbedder:
+            def embed(self, texts):
+                raise ConnectionError("embedding service down")
+
+        memory = make_memory(topic=("e1",))
+        executor = Executor(store, DownEmbedder(), StageBackend())
+        obs = executor.explore("e1", memory.current_step(), memory)
+        assert obs.candidates_total == 0
+        assert obs.candidates == []
+        assert obs.chosen is None
+        assert obs.rationale.startswith("attempt abandoned, pruning unavailable: embedder failed: ")
+        assert obs.to_dict()["candidates_after_pruning"] == 0
+        # what was retrieved is still recorded
+        assert ("e1", "r1", "e2", "outgoing") in memory.knowledge.explored_triples
 
     def test_bookkeeping_records_everything_retrieved(self, store):
         memory = make_memory(topic=("e1",))

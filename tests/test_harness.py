@@ -388,16 +388,25 @@ class TestCli:
              "invalid script: "),
             (["--config", "{tmp}/missing.cfg"], {}, "invalid config: "),
             (["--config", "{tmp}/c.cfg"], {"c.cfg": "nonsense = 1\n"}, "invalid config: "),
+            (["--config", "{tmp}/c.cfg"], {"c.cfg": "# limits\nconcurrency = abc\n"},
+             "invalid config: config file line 2: concurrency: "),
+            (["--config", "{tmp}/c.cfg"], {"c.cfg": "expand_unlabeled = ture\n"},
+             "invalid config: config file line 1: expand_unlabeled: 'ture' is not a boolean"),
             (["--max-total-cycles", "3"], {}, "invalid config: "),
             (["--kg-file", "{tmp}/missing.tsv"], {}, "invalid graph: "),
             (["--kg-file", "{tmp}/g.tsv"], {"g.tsv": "m.0a\tr\n"}, "invalid graph: "),
             (["--kg-file", None], {}, "no knowledge graph configured: "),
             (["--kg-file", None, "--script", None], {}, "no reasoning backend configured: "),
+            (["--out-dir", "{tmp}/taken"], {"taken": "a file"}, "invalid out-dir: "),
+            (["--out-dir", "{tmp}/taken/traces"], {"taken": "a file"}, "invalid out-dir: "),
+            (["--question", ""], {}, "invalid question: "),
         ],
         ids=[
             "script-missing", "script-not-json", "script-too-deep", "script-not-a-record-list",
-            "config-missing", "config-unknown-key", "config-value-out-of-range",
+            "config-missing", "config-unknown-key", "config-value-not-int", "config-value-not-bool",
+            "config-value-out-of-range",
             "graph-missing", "graph-malformed", "no-graph", "no-graph-no-backend",
+            "out-dir-is-a-file", "out-dir-under-a-file", "question-empty",
         ],
     )
     def test_run_invalid_input_exit_2(self, tmp_path, capsys, monkeypatch, flags, files, prefix):
@@ -419,6 +428,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(prefix)
+        assert captured.out == ""
+
+    def test_bench_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        from kgqa_engine.cli import main
+
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        dataset = write_simple(tmp_path, SIMPLE_TWO[:1])
+        code = main(
+            ["bench", "--dataset", str(dataset), "--kg-file", str(HAPPY / "kg.tsv"),
+             "--script", str(HAPPY / "script.json"), "--out-dir", str(taken)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("invalid out-dir: ")
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -550,10 +574,28 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "raw, expected",
-        [("1", True), ("true", True), ("yes", True), ("on", True), ("0", False), ("no", False)],
+        [("1", True), ("true", True), ("yes", True), ("on", True), ("0", False), ("no", False),
+         ("false", False), ("off", False), (" TRUE ", True)],
     )
     def test_env_bool(self, raw, expected):
         assert EngineConfig.load(env={"KGQA_EXPAND_UNLABELED": raw}).expand_unlabeled is expected
+
+    @pytest.mark.parametrize("raw", ["ture", "", "2", "y", "enabled"])
+    def test_env_bool_misspelling_rejected(self, raw):
+        with pytest.raises(ValueError, match=f"^KGQA_EXPAND_UNLABELED: {raw!r} is not a boolean"):
+            EngineConfig.load(env={"KGQA_EXPAND_UNLABELED": raw})
+
+    def test_env_value_error_names_variable(self):
+        with pytest.raises(ValueError, match="^KGQA_CONCURRENCY: invalid literal for int"):
+            EngineConfig.load(env={"KGQA_CONCURRENCY": "abc"})
+        with pytest.raises(ValueError, match="^KGQA_HTTP_TIMEOUT: could not convert"):
+            EngineConfig.load(env={"KGQA_HTTP_TIMEOUT": "soon"})
+
+    def test_file_value_error_names_line_and_key(self, tmp_path):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("replan_limit = 4\n\nmax_total_cycles = many\n")
+        with pytest.raises(ValueError, match="^config file line 3: max_total_cycles: invalid literal"):
+            EngineConfig.load(str(cfg), env={})
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retry counts"):

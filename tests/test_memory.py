@@ -12,6 +12,7 @@ from kgqa_engine.errors import ReplanBudgetExhausted
 from kgqa_engine.memory import (
     IntegratedMemory,
     PlanStep,
+    Prediction,
     StepStatus,
 )
 from kgqa_engine.triples import CandidateTriple, Direction
@@ -142,9 +143,14 @@ class TestFailedPaths:
         memory = make_memory()
         sig = memory.step_signature(memory.current_step())
         t = triple()
+        memory.step_cycle.prediction = Prediction("x")
+        memory.step_cycle.thought = "wrong turn"
         memory.mark_failed_path(sig, t)
-        assert (sig, t.key()) in memory.knowledge.failed_paths
+        assert t.key() in memory.failed_keys_for(sig)
         assert memory.step_cycle.attempt_counter == 1
+        # the next attempt starts clean
+        assert memory.step_cycle.prediction is None
+        assert memory.step_cycle.thought is None
 
     def test_idempotent_set_but_counter_increments(self):
         memory = make_memory()
@@ -152,7 +158,7 @@ class TestFailedPaths:
         t = triple()
         memory.mark_failed_path(sig, t)
         memory.mark_failed_path(sig, t)
-        assert len(memory.knowledge.failed_paths) == 1
+        assert memory.failed_keys_for(sig) == {t.key()}
         assert memory.step_cycle.attempt_counter == 2
 
     def test_distinct_triples(self):
@@ -160,7 +166,7 @@ class TestFailedPaths:
         sig = memory.step_signature(memory.current_step())
         memory.mark_failed_path(sig, triple(tail="x"))
         memory.mark_failed_path(sig, triple(tail="y"))
-        assert len(memory.knowledge.failed_paths) == 2
+        assert memory.failed_keys_for(sig) == {triple(tail="x").key(), triple(tail="y").key()}
 
     def test_signature_distinguishes_generations(self):
         memory = make_memory(plan_objectives=("same objective",))

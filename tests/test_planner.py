@@ -32,6 +32,10 @@ def chosen_triple(**kw):
     return CandidateTriple(**defaults)
 
 
+CHOSEN = Observation("e", 1, chosen_triple(), "")
+NOTHING_CHOSEN = Observation("e", 0, None, "no candidates remained after exclusions")
+
+
 class TestParseFields:
     def test_basic(self):
         assert parse_fields("A: 1\nB: two words") == {"A": "1", "B": "two words"}
@@ -94,25 +98,25 @@ class TestPredict:
 
 class TestErrorSignal:
     def test_zero_candidates_is_empty_result_without_backend(self):
-        obs = Observation("e", 0, 0, None, "")
+        obs = Observation("e", 0, None, "")
         backend = scripted()  # any call would raise ScriptMismatch
         signal = Planner(backend).compute_error_signal(Prediction("x"), obs)
         assert signal.level is ErrorLevel.EMPTY_RESULT
 
     def test_scripted_fulfilled(self):
-        obs = Observation("e", 3, 3, chosen_triple(), "")
+        obs = Observation("e", 3, chosen_triple(), "")
         backend = scripted(("classify", "LEVEL: Fulfilled\nDETAIL: as expected"))
         signal = Planner(backend).compute_error_signal(Prediction("capital city"), obs)
         assert signal.level is ErrorLevel.FULFILLED
 
     def test_scripted_mismatch(self):
-        obs = Observation("e", 3, 3, chosen_triple(tail_label="1889-01-01"), "")
+        obs = Observation("e", 3, chosen_triple(tail_label="1889-01-01"), "")
         backend = scripted(("classify", "LEVEL: Mismatch\nDETAIL: expected a person, got a date"))
         signal = Planner(backend).compute_error_signal(Prediction("a person"), obs)
         assert signal.level is ErrorLevel.MISMATCH
 
     def test_unknown_level_malformed(self):
-        obs = Observation("e", 1, 1, chosen_triple(), "")
+        obs = Observation("e", 1, chosen_triple(), "")
         backend = scripted(*[("classify", "LEVEL: Sideways")] * 3)
         with pytest.raises(MalformedBackendOutput):
             Planner(backend, parse_retries=2).compute_error_signal(Prediction("x"), obs)
@@ -146,7 +150,7 @@ class TestEvaluate:
         memory.strategic.replan_counter = 2
         memory.accept_triple(chosen_triple())
         backend = scripted(("evaluate", "DECISION: Replan\nRATIONALE: start over"))
-        decision = Planner(backend).evaluate(memory)
+        decision = Planner(backend).evaluate(CHOSEN, memory)
         assert decision.kind is DecisionKind.FINISH
         assert decision.coerced
         assert decision.answer == "Paris"  # best-effort: chain tail label
@@ -155,7 +159,7 @@ class TestEvaluate:
         memory = self._memory()
         memory.step_cycle.attempt_counter = 3
         backend = scripted(("evaluate", "DECISION: PathCorrect\nRATIONALE: retry"))
-        decision = Planner(backend, max_path_corrections=3).evaluate(memory)
+        decision = Planner(backend, max_path_corrections=3).evaluate(CHOSEN, memory)
         assert decision.kind is DecisionKind.REPLAN
         assert decision.coerced
 
@@ -164,26 +168,43 @@ class TestEvaluate:
         memory.step_cycle.attempt_counter = 3
         memory.strategic.replan_counter = 2
         backend = scripted(("evaluate", "DECISION: PathCorrect"))
-        decision = Planner(backend, max_path_corrections=3).evaluate(memory)
+        decision = Planner(backend, max_path_corrections=3).evaluate(CHOSEN, memory)
         assert decision.kind is DecisionKind.FINISH
         assert decision.answer == "unknown"
 
     def test_proceed_passes_through(self):
         backend = scripted(("evaluate", "DECISION: Proceed\nRATIONALE: done"))
-        decision = Planner(backend).evaluate(self._memory())
+        decision = Planner(backend).evaluate(CHOSEN, self._memory())
         assert decision.kind is DecisionKind.PROCEED
         assert not decision.coerced
 
     def test_finish_requires_answer(self):
         backend = scripted(*[("evaluate", "DECISION: Finish")] * 3)
         with pytest.raises(MalformedBackendOutput):
-            Planner(backend, parse_retries=2).evaluate(self._memory())
+            Planner(backend, parse_retries=2).evaluate(CHOSEN, self._memory())
 
     def test_finish_with_answer(self):
         backend = scripted(("evaluate", "DECISION: Finish\nANSWER: Paris"))
-        decision = Planner(backend).evaluate(self._memory())
+        decision = Planner(backend).evaluate(CHOSEN, self._memory())
         assert decision.kind is DecisionKind.FINISH
         assert decision.answer == "Paris"
+
+    def test_nothing_chosen_is_coerced_replan_without_backend(self):
+        backend = scripted()  # any call would raise ScriptMismatch
+        decision = Planner(backend).evaluate(NOTHING_CHOSEN, self._memory())
+        assert decision.kind is DecisionKind.REPLAN
+        assert decision.coerced
+        assert decision.rationale == "no viable candidates for this step"
+        assert backend.cursor == 0
+
+    def test_nothing_chosen_at_replan_limit_is_best_effort_finish(self):
+        memory = self._memory(replan_limit=2)
+        memory.strategic.replan_counter = 2
+        memory.accept_triple(chosen_triple())
+        decision = Planner(scripted()).evaluate(NOTHING_CHOSEN, memory)
+        assert decision.kind is DecisionKind.FINISH
+        assert decision.coerced
+        assert decision.answer == best_effort_answer(memory) == "Paris"
 
 
 class TestSynthesizeAnswer:
