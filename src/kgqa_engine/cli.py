@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from .config import EngineConfig
 from .errors import ParseError
 from .harness import FORMATS, evaluate_run, load_dataset
 from .kg import SparqlGraphStore, load_memory_store
-from .orchestrator import Engine, load_trace_jsonl, write_trace
+from .orchestrator import Engine, RunResult, load_trace_jsonl, write_trace
 from .pruning import HashingEmbedder, HttpEmbedder
 
 
@@ -70,7 +71,7 @@ def _load_config(args) -> EngineConfig:
 
 
 def _read_trace(path):
-    """The question, topic entities, config, backend script and answer a trace recorded."""
+    """The question, topic entities, config and backend script a trace recorded, and its events."""
     events = load_trace_jsonl(path)
     try:
         if not events or events[0]["stage"] != "decompose":
@@ -83,8 +84,7 @@ def _read_trace(path):
         ]
         config = EngineConfig(**header["config"])
         config.validate()
-        original_answer = events[-1]["payload"].get("answer")
-        return header["question"], header["topic_entities"], config, ScriptedBackend(script), original_answer
+        return header["question"], header["topic_entities"], config, ScriptedBackend(script), events
     except (LookupError, TypeError, AttributeError) as exc:
         raise ValueError(f"not a run trace: {exc!r}") from exc
 
@@ -97,13 +97,13 @@ def _engine(config: EngineConfig, backend, args) -> Engine:
     return engine
 
 
-def _answer(engine: Engine, question: str, topic_entities: list[str], out_dir: str | None, name: str) -> str:
+def _answer(engine: Engine, question: str, topic_entities: list[str], out_dir: str | None, name: str) -> RunResult:
     """Run one question, print its answer and, given ``out_dir``, write its trace there."""
     result = engine.run(question, topic_entities)
     print(result.answer)
     if out_dir:
         print(f"trace: {write_trace(result.trace, out_dir, name)}", file=sys.stderr)
-    return result.answer
+    return result
 
 
 def cmd_run(args) -> int:
@@ -138,12 +138,22 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _untimed(event: dict) -> str:
+    """``event`` as canonical JSON without its timestamp, the one field a replay may change."""
+    return json.dumps({k: v for k, v in event.items() if k != "timestamp"}, sort_keys=True)
+
+
 def cmd_replay(args) -> int:
-    question, topic_entities, config, backend, original_answer = _load("trace", _read_trace, args.trace)
-    answer = _answer(_engine(config, backend, args), question, topic_entities, args.out_dir, "replay")
-    if original_answer is not None and original_answer != answer:
-        print(f"replay diverged: original answer {original_answer!r}, got {answer!r}", file=sys.stderr)
-        return 1
+    question, topic_entities, config, backend, recorded = _load("trace", _read_trace, args.trace)
+    result = _answer(_engine(config, backend, args), question, topic_entities, args.out_dir, "replay")
+    original_answer = recorded[-1]["payload"].get("answer")
+    if original_answer is not None and original_answer != result.answer:
+        print(f"replay diverged: original answer {original_answer!r}, got {result.answer!r}", file=sys.stderr)
+    replayed = [e.to_dict() for e in result.trace]
+    for sequence, (old, new) in enumerate(itertools.zip_longest(recorded, replayed, fillvalue={})):
+        if _untimed(old) != _untimed(new):
+            print(f"replay diverged: event {sequence} ({(old or new).get('stage')}) differs", file=sys.stderr)
+            return 1
     return 0
 
 

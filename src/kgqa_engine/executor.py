@@ -146,7 +146,6 @@ class Executor:
         triples are recorded into the knowledge layer regardless.  Unusable
         embeddings abandon the attempt with an empty observation.
         """
-        memory.knowledge.visited_entities.add(frontier)
         retrieved = self._retrieve_candidates(frontier, memory)
         failed = memory.failed_keys_for(memory.step_signature(step))
         # chain exclusion ignores traversal direction: the same edge seen

@@ -1,7 +1,9 @@
 """Three-layer agent memory mediating planner/executor interaction.
 
 * Strategic layer: the question, the plan, and the replan budget.
-* Step-cycle layer: transient state for the current attempt.
+* Step-cycle layer: the attempt count and the last thought for the
+  current step; the trace, not memory, records each cycle's prediction,
+  observation and error signal.
 * Knowledge layer: everything learned from the graph; it only grows,
   including across replans.
 """
@@ -122,26 +124,16 @@ class StrategicMemory:
 @dataclass
 class StepCycleMemory:
     attempt_counter: int = 0
-    prediction: Prediction | None = None
-    observation: Observation | None = None
-    error_signal: ErrorSignal | None = None
     thought: str | None = None
 
     def clear(self) -> None:
         self.attempt_counter = 0
-        self.reset_attempt()
-
-    def reset_attempt(self) -> None:
-        self.prediction = None
-        self.observation = None
-        self.error_signal = None
         self.thought = None
 
 
 @dataclass
 class KnowledgeMemory:
     explored_triples: set[TripleKey] = field(default_factory=set)
-    visited_entities: set[str] = field(default_factory=set)
     reasoning_chain: list[CandidateTriple] = field(default_factory=list)
     failed_paths: dict[StepSignature, set[TripleKey]] = field(default_factory=dict)
 
@@ -229,12 +221,10 @@ class IntegratedMemory:
         """Path correction: fail ``triple`` for the step, count the attempt, start the next."""
         self.knowledge.failed_paths.setdefault(signature, set()).add(triple.key())
         self.step_cycle.attempt_counter += 1
-        self.step_cycle.reset_attempt()
+        self.step_cycle.thought = None
 
     def record_explored(self, triple: CandidateTriple) -> None:
         self.knowledge.explored_triples.add(triple.key())
-        self.knowledge.visited_entities.add(triple.head)
-        self.knowledge.visited_entities.add(triple.tail)
 
     def accept_triple(self, triple: CandidateTriple) -> None:
         self.knowledge.explored_triples.add(triple.key())
@@ -315,41 +305,3 @@ class IntegratedMemory:
             lines.append("Chain so far:")
             lines.extend(f"  {c}" for c in chain)
         return "\n".join(lines)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        """JSON-serializable snapshot; field names are a test contract."""
-        s = self.strategic
-        sc = self.step_cycle
-        k = self.knowledge
-        step = self.current_step()
-        obs = sc.observation
-        return {
-            "question": s.question,
-            "topic_entities": list(s.topic_entities),
-            "plan": [st.to_dict() for st in s.plan],
-            "replan_counter": s.replan_counter,
-            "replan_limit": s.replan_limit,
-            "prior_plans": [[st.to_dict() for st in plan] for plan in s.prior_plans],
-            "step_cycle": {
-                "step_index": step.index if step else 0,
-                "attempt_counter": sc.attempt_counter,
-                "prediction": sc.prediction.to_dict() if sc.prediction else None,
-                "action_record": (
-                    {"triple": obs.chosen.to_dict() if obs.chosen else None, "rationale": obs.rationale}
-                    if obs else None
-                ),
-                "observation": obs.to_dict() if obs else None,
-                "error_signal": sc.error_signal.to_dict() if sc.error_signal else None,
-                "thought": sc.thought,
-            },
-            "knowledge": {
-                "explored_triples": [list(t) for t in sorted(k.explored_triples)],
-                "visited_entities": sorted(k.visited_entities),
-                "reasoning_chain": [t.to_dict() for t in k.reasoning_chain],
-                "failed_paths": sorted(
-                    [list(sig), list(key)] for sig, keys in k.failed_paths.items() for key in keys
-                ),
-            },
-        }

@@ -184,7 +184,7 @@ class _Run:
         try:
             steps = self.planner.decompose(strategic.question, context)
         except EngineError as exc:
-            self.emit(Stage.DECOMPOSE, {"context": header, "error": str(exc)})
+            self.emit(Stage.DECOMPOSE, {**header, "error": str(exc)})
             return False
         self.memory.install_plan(steps)
         self.emit(Stage.DECOMPOSE, {**header, "steps": [s.to_dict() for s in steps]})
@@ -205,7 +205,6 @@ class _Run:
             try:
                 failure = "predict failed"
                 prediction = self.planner.predict(step, self.memory.render_context("executor"))
-                self.memory.step_cycle.prediction = prediction
                 self.emit(
                     Stage.PREDICT,
                     {
@@ -223,13 +222,11 @@ class _Run:
 
                 failure = "exploration failed"
                 observation = self.executor.explore(frontier, step, self.memory)
-                self.memory.step_cycle.observation = observation
                 self.emit(Stage.OBSERVE, {"observation": observation.to_dict()})
 
                 # error signal first: an EmptyResult needs no backend call
                 failure = "error-signal classification failed"
                 signal = self.planner.compute_error_signal(prediction, observation)
-                self.memory.step_cycle.error_signal = signal
                 failure = "think failed"
                 thought = self.planner.think(signal, self.memory.render_context("planner"))
                 self.memory.step_cycle.thought = thought

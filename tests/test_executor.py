@@ -102,7 +102,6 @@ class TestExplore:
         keys = memory.knowledge.explored_triples
         assert ("e1", "r1", "e2", "outgoing") in keys
         assert ("e1", "r2", "e3", "outgoing") in keys
-        assert {"e1", "e2", "e3"} <= memory.knowledge.visited_entities
 
     def test_labels_resolved_eagerly(self, store):
         memory = make_memory(topic=("e1",))

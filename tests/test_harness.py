@@ -17,7 +17,7 @@ from kgqa_engine.orchestrator import Engine
 from kgqa_engine.pruning import HashingEmbedder
 
 from conftest import JsonStub, StageBackend, make_store
-from scenarios import FIXTURES, load_meta
+from scenarios import FIXTURES, SCENARIOS, load_meta
 
 HAPPY = FIXTURES / "happy_path"
 # ids that are not one plain file name: a trace named after them would land
@@ -546,6 +546,43 @@ class TestCli:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1] == "Romania"
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_replay_golden_reproduces_every_event(self, capsys, name):
+        from kgqa_engine.cli import main
+
+        fixture = FIXTURES / name
+        code = main(["replay", "--trace", str(fixture / "trace.golden.jsonl"), "--kg-file", str(fixture / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.strip() == load_meta(name)["gold"]
+
+    def test_replay_names_first_differing_event(self, tmp_path, capsys):
+        from kgqa_engine.cli import main
+
+        events = [json.loads(line) for line in (HAPPY / "trace.golden.jsonl").read_text().splitlines()]
+        observe = next(e for e in events if e["stage"] == "observe")
+        observe["payload"]["observation"]["candidates_total"] += 1
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+        code = main(["replay", "--trace", str(trace), "--kg-file", str(HAPPY / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == f"replay diverged: event {observe['sequence']} (observe) differs"
+
+    def test_failed_decompose_trace_replays(self, tmp_path, capsys):
+        from kgqa_engine.cli import main
+
+        script = tmp_path / "junk.json"
+        script.write_text(json.dumps([{"expect_stage": "decompose", "response": "junk"}] * 3))
+        code = main(["run", "--question", "q?", "--topic-entity", "m.0nile", "--kg-file", str(HAPPY / "kg.tsv"),
+                     "--script", str(script), "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "unknown"
+        code = main(["replay", "--trace", str(tmp_path / "run.trace.jsonl"), "--kg-file", str(HAPPY / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.strip() == "unknown"
 
 
 class TestConfig:

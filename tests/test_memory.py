@@ -1,8 +1,6 @@
 """Memory layer: plan lifecycle, replan, failed paths, context rendering."""
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,7 +10,6 @@ from kgqa_engine.errors import ReplanBudgetExhausted
 from kgqa_engine.memory import (
     IntegratedMemory,
     PlanStep,
-    Prediction,
     StepStatus,
 )
 from kgqa_engine.triples import CandidateTriple, Direction
@@ -96,7 +93,7 @@ class TestPlanLifecycle:
         memory.step_cycle.attempt_counter = 2
         nxt = memory.advance_step()
         assert nxt.index == 1
-        assert memory.to_snapshot()["step_cycle"]["step_index"] == 1
+        assert memory.current_step().index == 1
         assert memory.step_cycle.attempt_counter == 0
         assert memory.step_cycle.thought is None
 
@@ -143,13 +140,11 @@ class TestFailedPaths:
         memory = make_memory()
         sig = memory.step_signature(memory.current_step())
         t = triple()
-        memory.step_cycle.prediction = Prediction("x")
         memory.step_cycle.thought = "wrong turn"
         memory.mark_failed_path(sig, t)
         assert t.key() in memory.failed_keys_for(sig)
         assert memory.step_cycle.attempt_counter == 1
         # the next attempt starts clean
-        assert memory.step_cycle.prediction is None
         assert memory.step_cycle.thought is None
 
     def test_idempotent_set_but_counter_increments(self):
@@ -314,33 +309,3 @@ class TestExploredContext:
             assert text.endswith("\n" + block)
         else:
             assert "Explored so far:" not in text
-
-
-class TestSnapshot:
-    def test_snapshot_round_trips_through_json(self):
-        memory = make_memory(plan_objectives=("a", "b"))
-        memory.accept_triple(triple())
-        snap = memory.to_snapshot()
-        assert json.loads(json.dumps(snap)) == snap
-
-    def test_snapshot_matches_golden_schema(self):
-        memory = make_memory(
-            question="what is the capital of France?",
-            topic=("m.0france",),
-            plan_objectives=("find the capital",),
-        )
-        sig = memory.step_signature(memory.current_step())
-        memory.record_explored(
-            triple(
-                head="m.0france",
-                relation="location.country.capital",
-                tail="m.0paris",
-                head_label="France",
-                relation_label="capital",
-                tail_label="Paris",
-            )
-        )
-        memory.mark_failed_path(sig, triple(head="m.0france", relation="r.bad", tail="m.0nope"))
-        golden = Path(__file__).parent / "fixtures" / "memory_snapshot.golden.json"
-        expected = json.loads(golden.read_text())
-        assert memory.to_snapshot() == expected

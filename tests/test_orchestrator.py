@@ -2,14 +2,16 @@
 
 import itertools
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa_engine.cli import _read_trace
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import BackendUnavailable
-from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl
+from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl, write_trace
 from kgqa_engine.pruning import HashingEmbedder
 
 from conftest import StageBackend, make_store
@@ -200,35 +202,54 @@ WELL_FORMED = {
 }
 
 
+# For each stage, a few strings the backend answers with in turn.
+STAGE_RESPONSES = st.fixed_dictionaries(
+    {
+        stage: st.lists(
+            st.one_of(st.sampled_from([default, *WELL_FORMED.get(stage, [])]), BACKEND_STRING),
+            min_size=1,
+            max_size=4,
+        )
+        for stage, default in StageBackend.DEFAULTS.items()
+    }
+)
+
+
+def cycling_backend(responses: dict[str, list[str]]) -> StageBackend:
+    """A backend whose every stage cycles through its own strings."""
+    return StageBackend(
+        {stage: (lambda prompt, it=itertools.cycle(texts): next(it)) for stage, texts in responses.items()}
+    )
+
+
 class TestBackendStrings:
     @settings(max_examples=100)
-    @given(
-        responses=st.fixed_dictionaries(
-            {
-                stage: st.lists(
-                    st.one_of(st.sampled_from([default, *WELL_FORMED.get(stage, [])]), BACKEND_STRING),
-                    min_size=1,
-                    max_size=4,
-                )
-                for stage, default in StageBackend.DEFAULTS.items()
-            }
-        ),
-        seed=st.integers(0, 2**16),
-    )
+    @given(responses=STAGE_RESPONSES, seed=st.integers(0, 2**16))
     def test_any_strings_finish_within_budget(self, responses, seed):
         rng = random.Random(seed)
         store, entities = random_kg(rng, n_entities=20)
         config = EngineConfig()
-        # each stage cycles through its own strings
-        backend = StageBackend(
-            {stage: (lambda prompt, it=itertools.cycle(texts): next(it)) for stage, texts in responses.items()}
-        )
-        result = Engine(backend, store, HashingEmbedder(), config).run("q?", [rng.choice(entities)])
+        result = Engine(cycling_backend(responses), store, HashingEmbedder(), config).run("q?", [rng.choice(entities)])
         assert result.trace[-1].stage is Stage.FINISH
         assert result.cycles <= config.max_total_cycles
         assert isinstance(result.answer, str)
         assert_budgets(result.trace, config)
         assert_trace_grammar(result.trace)
+
+
+class TestTraceRoundTrip:
+    @settings(max_examples=100)
+    @given(responses=STAGE_RESPONSES, seed=st.integers(0, 2**16))
+    def test_written_trace_replays_to_itself(self, responses, seed):
+        rng = random.Random(seed)
+        store, entities = random_kg(rng, n_entities=20)
+        result = Engine(cycling_backend(responses), store, HashingEmbedder(), EngineConfig()).run(
+            "q?", [rng.choice(entities)]
+        )
+        with tempfile.TemporaryDirectory() as out_dir:
+            question, topic_entities, config, backend, _ = _read_trace(write_trace(result.trace, out_dir, "run"))
+        replayed = Engine(backend, store, HashingEmbedder(), config).run(question, topic_entities)
+        assert strip_timestamps(trace_to_jsonl(replayed.trace)) == strip_timestamps(trace_to_jsonl(result.trace))
 
 
 class FaultyEmbedder:
