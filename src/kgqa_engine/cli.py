@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .backends import ChatCompletionBackend, ScriptedBackend
 from .config import EngineConfig
-from .errors import ParseError
+from .errors import ParseError, ScriptMismatch
 from .harness import FORMATS, evaluate_run, load_dataset
 from .kg import SparqlGraphStore, load_memory_store
 from .orchestrator import Engine, RunResult, load_trace_jsonl, write_trace
@@ -145,7 +145,11 @@ def _untimed(event: dict) -> str:
 
 def cmd_replay(args) -> int:
     question, topic_entities, config, backend, recorded = _load("trace", _read_trace, args.trace)
-    result = _answer(_engine(config, backend, args), question, topic_entities, args.out_dir, "replay")
+    try:
+        result = _answer(_engine(config, backend, args), question, topic_entities, args.out_dir, "replay")
+    except ScriptMismatch as exc:  # the run asked for a call the trace does not hold
+        print(f"replay diverged: {exc}", file=sys.stderr)
+        return 1
     original_answer = recorded[-1]["payload"].get("answer")
     if original_answer is not None and original_answer != result.answer:
         print(f"replay diverged: original answer {original_answer!r}, got {result.answer!r}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 
 from .backends import ReasoningBackend
+from .config import EngineConfig
 from .errors import MalformedBackendOutput, NoFrontier, PruningUnavailable
 from .kg import GraphStore
 from .memory import IntegratedMemory, Observation, PlanStep
@@ -25,8 +26,8 @@ class Executor:
         embedder: Embedder,
         backend: ReasoningBackend,
         *,
-        prune_threshold: int = 70,
-        expand_unlabeled: bool = False,
+        prune_threshold: int = EngineConfig.prune_threshold,
+        expand_unlabeled: bool = EngineConfig.expand_unlabeled,
     ):
         self.kg = kg
         self.embedder = embedder
@@ -141,13 +142,13 @@ class Executor:
     def explore(self, frontier: str, step: PlanStep, memory: IntegratedMemory) -> Observation:
         """One Act+Observe: retrieve, exclude known-bad, prune, select.
 
-        Excluded are triples already failed for this step's signature and
+        Excluded are triples already failed on the step in progress and
         triples already accepted into the reasoning chain.  All retrieved
         triples are recorded into the knowledge layer regardless.  Unusable
         embeddings abandon the attempt with an empty observation.
         """
         retrieved = self._retrieve_candidates(frontier, memory)
-        failed = memory.failed_keys_for(memory.step_signature(step))
+        failed = memory.step_cycle.failed
         # chain exclusion ignores traversal direction: the same edge seen
         # from the other side is still a revisit
         chain_edges = {(t.head, t.relation, t.tail) for t in memory.knowledge.reasoning_chain}

@@ -1,20 +1,21 @@
 """Three-layer agent memory mediating planner/executor interaction.
 
-* Strategic layer: the question, the plan, and the replan budget.
-* Step-cycle layer: the attempt count and the last thought for the
-  current step; the trace, not memory, records each cycle's prediction,
-  observation and error signal.
+* Strategic layer: the question, the plan and its cursor, the abandoned
+  plans, and the replan budget.
+* Step-cycle layer: the attempt count, the last thought and the failed
+  paths of the step in progress; the trace, not memory, records each
+  cycle's prediction, observation and error signal.
 * Knowledge layer: everything learned from the graph; it only grows,
   including across replans.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .config import EngineConfig
 from .errors import ReplanBudgetExhausted
 from .triples import CandidateTriple, TripleKey
 
@@ -26,19 +27,9 @@ class StepStatus(str, Enum):
     ABANDONED = "abandoned"
 
 
-_LEGAL_TRANSITIONS = {
-    (StepStatus.NOT_STARTED, StepStatus.IN_PROGRESS),
-    (StepStatus.IN_PROGRESS, StepStatus.COMPLETED),
-    (StepStatus.IN_PROGRESS, StepStatus.ABANDONED),
-}
-
 # ``heapq.nsmallest`` loops in Python; below about this many keys per key
 # wanted, sorting the whole set in C is faster (measured on 4-string keys).
 _HEAP_MIN_RATIO = 12
-
-# (plan generation, step index, objective hash): failed paths recorded for a
-# step of one plan must not poison an unrelated step of a later plan.
-StepSignature = tuple[int, int, str]
 
 
 @dataclass
@@ -46,19 +37,19 @@ class PlanStep:
     index: int
     objective: str
     description: str
-    status: StepStatus = StepStatus.NOT_STARTED
 
-    def transition(self, new_status: StepStatus) -> None:
-        if (self.status, new_status) not in _LEGAL_TRANSITIONS:
-            raise ValueError(f"illegal status transition {self.status.value} -> {new_status.value}")
-        self.status = new_status
+    def status(self, cursor: int, at_cursor: StepStatus = StepStatus.IN_PROGRESS) -> StepStatus:
+        """The step's status in a plan whose ``cursor`` step is ``at_cursor``."""
+        if self.index < cursor:
+            return StepStatus.COMPLETED
+        return at_cursor if self.index == cursor else StepStatus.NOT_STARTED
 
-    def to_dict(self) -> dict:
+    def to_dict(self, cursor: int) -> dict:
         return {
             "index": self.index,
             "objective": self.objective,
             "description": self.description,
-            "status": self.status.value,
+            "status": self.status(cursor).value,
         }
 
 
@@ -116,26 +107,30 @@ class StrategicMemory:
     question: str
     topic_entities: list[str]
     plan: list[PlanStep] = field(default_factory=list)
+    # the index of the step in progress; past the last step once all are done
+    cursor: int = 0
     replan_counter: int = 0
-    replan_limit: int = 2
-    prior_plans: list[list[PlanStep]] = field(default_factory=list)
+    replan_limit: int = EngineConfig.replan_limit
+    # each abandoned plan with the cursor it was abandoned at
+    prior_plans: list[tuple[list[PlanStep], int]] = field(default_factory=list)
 
 
 @dataclass
 class StepCycleMemory:
     attempt_counter: int = 0
     thought: str | None = None
+    failed: set[TripleKey] = field(default_factory=set)  # path-corrected away on this step
 
     def clear(self) -> None:
         self.attempt_counter = 0
         self.thought = None
+        self.failed = set()
 
 
 @dataclass
 class KnowledgeMemory:
     explored_triples: set[TripleKey] = field(default_factory=set)
     reasoning_chain: list[CandidateTriple] = field(default_factory=list)
-    failed_paths: dict[StepSignature, set[TripleKey]] = field(default_factory=dict)
 
 
 @dataclass
@@ -143,7 +138,7 @@ class IntegratedMemory:
     strategic: StrategicMemory
     step_cycle: StepCycleMemory = field(default_factory=StepCycleMemory)
     knowledge: KnowledgeMemory = field(default_factory=KnowledgeMemory)
-    context_chain_limit: int = 20
+    context_chain_limit: int = EngineConfig.context_chain_limit
 
     @classmethod
     def new(
@@ -151,8 +146,8 @@ class IntegratedMemory:
         question: str,
         topic_entities: list[str],
         *,
-        replan_limit: int = 2,
-        context_chain_limit: int = 20,
+        replan_limit: int = EngineConfig.replan_limit,
+        context_chain_limit: int = EngineConfig.context_chain_limit,
     ) -> "IntegratedMemory":
         return cls(
             strategic=StrategicMemory(
@@ -169,31 +164,20 @@ class IntegratedMemory:
         if [s.index for s in steps] != list(range(len(steps))):
             raise ValueError("plan step indices must be contiguous from 0")
         self.strategic.plan = steps
-        if steps:
-            steps[0].transition(StepStatus.IN_PROGRESS)
+        self.strategic.cursor = 0
         self.step_cycle.clear()
 
     def current_step(self) -> PlanStep | None:
-        for step in self.strategic.plan:
-            if step.status is StepStatus.IN_PROGRESS:
-                return step
-        return None
+        plan, cursor = self.strategic.plan, self.strategic.cursor
+        return plan[cursor] if cursor < len(plan) else None
 
     def advance_step(self) -> PlanStep | None:
         """Complete the in-progress step and start the next one, if any."""
-        current = self.current_step()
-        if current is not None:
-            current.transition(StepStatus.COMPLETED)
-        for step in self.strategic.plan:
-            if step.status is StepStatus.NOT_STARTED:
-                step.transition(StepStatus.IN_PROGRESS)
-                self.step_cycle.clear()
-                return step
-        return None
-
-    def step_signature(self, step: PlanStep) -> StepSignature:
-        digest = hashlib.sha256(step.objective.encode("utf-8")).hexdigest()[:12]
-        return (self.strategic.replan_counter, step.index, digest)
+        self.strategic.cursor += 1
+        step = self.current_step()
+        if step is not None:
+            self.step_cycle.clear()
+        return step
 
     # -- operations -------------------------------------------------------
 
@@ -201,25 +185,22 @@ class IntegratedMemory:
         """Archive the current plan and free the slot for a new one.
 
         Knowledge persists untouched: the new plan is built from everything
-        gathered so far.  The in-progress step is abandoned; steps never
-        started keep their status in the archived snapshot.
+        gathered so far.  The plan is archived with its cursor, so the step
+        in progress renders as abandoned.
         """
         strategic = self.strategic
         if strategic.replan_counter >= strategic.replan_limit:
             raise ReplanBudgetExhausted(
                 f"replan counter already at limit {strategic.replan_limit}"
             )
-        current = self.current_step()
-        if current is not None:
-            current.transition(StepStatus.ABANDONED)
-        strategic.prior_plans.append(strategic.plan)
+        strategic.prior_plans.append((strategic.plan, strategic.cursor))
         strategic.plan = []
         strategic.replan_counter += 1
         self.step_cycle.clear()
 
-    def mark_failed_path(self, signature: StepSignature, triple: CandidateTriple) -> None:
+    def mark_failed_path(self, triple: CandidateTriple) -> None:
         """Path correction: fail ``triple`` for the step, count the attempt, start the next."""
-        self.knowledge.failed_paths.setdefault(signature, set()).add(triple.key())
+        self.step_cycle.failed.add(triple.key())
         self.step_cycle.attempt_counter += 1
         self.step_cycle.thought = None
 
@@ -229,10 +210,6 @@ class IntegratedMemory:
     def accept_triple(self, triple: CandidateTriple) -> None:
         self.knowledge.explored_triples.add(triple.key())
         self.knowledge.reasoning_chain.append(triple)
-
-    def failed_keys_for(self, signature: StepSignature) -> set[TripleKey]:
-        """The keys failed for ``signature``; the stored set, not a copy."""
-        return self.knowledge.failed_paths.get(signature, set())
 
     # -- context rendering --------------------------------------------------
 
@@ -261,13 +238,14 @@ class IntegratedMemory:
         lines.append(f"Replans used: {s.replan_counter}/{s.replan_limit}")
         if s.prior_plans:
             lines.append("Abandoned plans:")
-            for gen, plan in enumerate(s.prior_plans):
+            for gen, (plan, cursor) in enumerate(s.prior_plans):
                 for step in plan:
-                    lines.append(f"  (plan {gen}) Step {step.index} [{step.status.value}]: {step.objective}")
+                    status = step.status(cursor, StepStatus.ABANDONED).value
+                    lines.append(f"  (plan {gen}) Step {step.index} [{status}]: {step.objective}")
         if s.plan:
             lines.append("Current plan:")
             for step in s.plan:
-                lines.append(f"Step {step.index} [{step.status.value}]: {step.objective}")
+                lines.append(f"Step {step.index} [{step.status(s.cursor).value}]: {step.objective}")
         chain = self._chain_lines(self.context_chain_limit)
         if chain:
             lines.append("Accepted knowledge:")
@@ -296,7 +274,7 @@ class IntegratedMemory:
         step = self.current_step()
         if step is not None:
             lines.append(f"Current objective: {step.objective}")
-            failed = sorted(self.failed_keys_for(self.step_signature(step)))
+            failed = sorted(self.step_cycle.failed)
             if failed:
                 lines.append("Already failed on this step (avoid):")
                 lines.extend(f"  {h} —{r}→ {t} ({d})" for h, r, t, d in failed)

@@ -18,7 +18,7 @@ from .config import EngineConfig
 from .errors import EngineError
 from .executor import Executor
 from .kg import GraphStore
-from .memory import IntegratedMemory, StepStatus
+from .memory import IntegratedMemory
 from .planner import Decision, DecisionKind, Planner, best_effort_answer
 from .pruning import CachingEmbedder, Embedder
 
@@ -142,11 +142,6 @@ class _Run:
     # -- terminal states --------------------------------------------------------
 
     def finish(self, answer: str, note: str | None = None) -> RunResult:
-        current = self.memory.current_step()
-        if current is not None:
-            current.transition(
-                StepStatus.ABANDONED if note else StepStatus.COMPLETED
-            )
         self.emit(
             Stage.FINISH,
             {
@@ -187,7 +182,7 @@ class _Run:
             self.emit(Stage.DECOMPOSE, {**header, "error": str(exc)})
             return False
         self.memory.install_plan(steps)
-        self.emit(Stage.DECOMPOSE, {**header, "steps": [s.to_dict() for s in steps]})
+        self.emit(Stage.DECOMPOSE, {**header, "steps": [s.to_dict(strategic.cursor) for s in steps]})
         return True
 
     # -- the loop ------------------------------------------------------------------
@@ -248,12 +243,12 @@ class _Run:
                 },
             )
 
-            result = self.dispatch(decision, step, observation)
+            result = self.dispatch(decision, observation)
             if result is not None:
                 return result
         return self.degrade(f"cycle budget exhausted ({self.config.max_total_cycles})")
 
-    def dispatch(self, decision: Decision, step, observation) -> RunResult | None:
+    def dispatch(self, decision: Decision, observation) -> RunResult | None:
         # Proceed and PathCorrect come only from the backend's evaluate,
         # which the planner asks only when the observation has a chosen triple.
         if decision.kind is DecisionKind.PROCEED:
@@ -264,7 +259,7 @@ class _Run:
             return None
 
         if decision.kind is DecisionKind.PATH_CORRECT:
-            self.memory.mark_failed_path(self.memory.step_signature(step), observation.chosen)
+            self.memory.mark_failed_path(observation.chosen)
             return None
 
         if decision.kind is DecisionKind.REPLAN:

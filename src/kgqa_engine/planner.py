@@ -15,6 +15,7 @@ from importlib import resources
 from typing import Callable, TypeVar
 
 from .backends import ReasoningBackend
+from .config import EngineConfig
 from .errors import EngineError, MalformedBackendOutput
 from .memory import (
     ErrorLevel,
@@ -91,8 +92,8 @@ def best_effort_answer(memory: IntegratedMemory) -> str:
 
 
 class Planner:
-    def __init__(self, backend: ReasoningBackend, *, parse_retries: int = 2,
-                 max_path_corrections: int = 3):
+    def __init__(self, backend: ReasoningBackend, *, parse_retries: int = EngineConfig.parse_retries,
+                 max_path_corrections: int = EngineConfig.max_path_corrections):
         self.backend = backend
         self.parse_retries = parse_retries
         self.max_path_corrections = max_path_corrections

@@ -195,7 +195,7 @@ def test_criterion_failed_path_avoidance():
         first = executor.explore(frontier, step, memory)
         if first.chosen is None:
             continue
-        memory.mark_failed_path(memory.step_signature(step), first.chosen)
+        memory.mark_failed_path(first.chosen)
         second = executor.explore(frontier, step, memory)
         if first.chosen.key() in {c.key() for c in second.candidates}:
             violations += 1

@@ -59,7 +59,7 @@ class TestExplore:
         step = memory.current_step()
         executor = make_executor(store)
         first = executor.explore("e1", step, memory)
-        memory.mark_failed_path(memory.step_signature(step), first.chosen)
+        memory.mark_failed_path(first.chosen)
         second = executor.explore("e1", step, memory)
         assert second.candidates_total == 1
         assert second.chosen.key() != first.chosen.key()

@@ -1,11 +1,12 @@
 """Dataset loading, exact match, batch evaluation, CLI surface."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from kgqa_engine.config import EngineConfig
-from kgqa_engine.errors import ParseError
+from kgqa_engine.errors import BackendUnavailable, ParseError
 from kgqa_engine.harness import (
     QaExample,
     evaluate_run,
@@ -13,11 +14,11 @@ from kgqa_engine.harness import (
     load_dataset,
     normalize_answer,
 )
-from kgqa_engine.orchestrator import Engine
+from kgqa_engine.orchestrator import Engine, write_trace
 from kgqa_engine.pruning import HashingEmbedder
 
 from conftest import JsonStub, StageBackend, make_store
-from scenarios import FIXTURES, SCENARIOS, load_meta
+from scenarios import FIXTURES, SCENARIOS, build_engine, load_meta
 
 HAPPY = FIXTURES / "happy_path"
 # ids that are not one plain file name: a trace named after them would land
@@ -583,6 +584,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert captured.out.strip() == "unknown"
+
+    def test_replay_of_a_raised_backend_call_diverges(self, tmp_path, capsys):
+        from kgqa_engine.cli import main
+
+        engine, meta = build_engine("happy_path"), load_meta("happy_path")
+        scripted = engine.backend
+
+        def complete(prompt, stage):
+            if stage == "evaluate":
+                raise BackendUnavailable("connection refused")
+            return scripted.complete(prompt, stage)
+
+        engine.backend = SimpleNamespace(complete=complete)
+        result = engine.run(meta["question"], meta["topic_entities"])
+        assert result.error_note.startswith("evaluate failed")
+        # the raised call left nothing in the trace, so the replay's script runs out
+        trace = write_trace(result.trace, tmp_path, "run")
+        code = main(["replay", "--trace", trace, "--kg-file", str(HAPPY / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("replay diverged:")
+        assert "internal error" not in captured.err
 
 
 class TestConfig:

@@ -1,6 +1,9 @@
 """Memory layer: plan lifecycle, replan, failed paths, context rendering."""
 
+import itertools
 import random
+import re
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -21,14 +24,61 @@ def triple(head="a", relation="r", tail="b", direction=Direction.OUTGOING, **kw)
     return CandidateTriple(head=head, relation=relation, tail=tail, direction=direction, **kw)
 
 
+STEP_LINE = re.compile(r"^ *(?:\(plan (\d+)\) )?Step (\d+) \[(\w+)\]", re.MULTILINE)
+
+
+def rendered_steps(memory) -> dict[tuple[int, int], str]:
+    """(plan generation, step index) -> the status the planner context renders."""
+    current = memory.strategic.replan_counter
+    return {
+        (int(gen) if gen else current, int(index)): status
+        for gen, index, status in STEP_LINE.findall(memory.render_context("planner"))
+    }
+
+
+def apply(memory, op: str) -> None:
+    """One step-cycle outcome: Proceed, PathCorrect, or Replan followed by a new plan."""
+    if op == "advance":
+        memory.advance_step()
+    elif op == "path_correct":
+        memory.mark_failed_path(triple())
+    else:
+        memory.reset_for_replan()
+        memory.install_plan([PlanStep(i, f"o{i}", "") for i in range(3)])
+
+
+@cache
+def status_histories(length: int = 5) -> frozenset[tuple[str, ...]]:
+    """Every step's rendered statuses, in order, over all operation sequences up to ``length``.
+
+    A sequence stops once no step is in progress: the run finishes there.
+    """
+    histories = set()
+    for n in range(length + 1):
+        for ops in itertools.product(("advance", "path_correct", "replan"), repeat=n):
+            memory = make_memory(plan_objectives=("a", "b", "c"), replan_limit=length)
+            seen: dict[tuple[int, int], list[str]] = {}
+            for op in (None, *ops):
+                if op is not None:
+                    if memory.current_step() is None:
+                        break
+                    apply(memory, op)
+                for key, status in rendered_steps(memory).items():
+                    if seen.setdefault(key, [status])[-1] != status:
+                        seen[key].append(status)
+            histories.update(tuple(h) for h in seen.values())
+    return frozenset(histories)
+
+
 class TestStepStatusMachine:
+    """Statuses derive from the plan cursor; they still follow the step lifecycle."""
+
     def test_legal_sequences(self):
-        # the only reachable sequences are N, N->I, N->I->C, N->I->A
-        for terminal in (StepStatus.COMPLETED, StepStatus.ABANDONED):
-            step = PlanStep(0, "o", "d")
-            step.transition(StepStatus.IN_PROGRESS)
-            step.transition(terminal)
-            assert step.status is terminal
+        memory = make_memory(plan_objectives=("a", "b", "c"))
+        memory.advance_step()
+        assert rendered_steps(memory) == {(0, 0): "completed", (0, 1): "in_progress", (0, 2): "not_started"}
+        memory.reset_for_replan()
+        assert rendered_steps(memory) == {(0, 0): "completed", (0, 1): "abandoned", (0, 2): "not_started"}
 
     @pytest.mark.parametrize(
         "start,target",
@@ -42,29 +92,13 @@ class TestStepStatusMachine:
         ],
     )
     def test_illegal_transitions_rejected(self, start, target):
-        step = PlanStep(0, "o", "d", status=start)
-        with pytest.raises(ValueError):
-            step.transition(target)
+        pair = (start.value, target.value)
+        assert not any(pair in zip(h, h[1:]) for h in status_histories())
 
     def test_exhaustive_reachable_sequences(self):
-        # brute-force enumeration over the transition relation
-        legal = {
-            (StepStatus.NOT_STARTED, StepStatus.IN_PROGRESS),
-            (StepStatus.IN_PROGRESS, StepStatus.COMPLETED),
-            (StepStatus.IN_PROGRESS, StepStatus.ABANDONED),
-        }
-        sequences = set()
-        frontier = [(StepStatus.NOT_STARTED,)]
-        while frontier:
-            seq = frontier.pop()
-            sequences.add(seq)
-            for a, b in legal:
-                if seq[-1] is a:
-                    frontier.append(seq + (b,))
-        short = {
-            tuple(s.value[0].upper() if s.value != "not_started" else "N" for s in seq)
-            for seq in sequences
-        }
+        # install_plan starts step 0 at once, so its not_started never renders
+        full = {h if h[0] == "not_started" else ("not_started", *h) for h in status_histories()}
+        short = {tuple(s[0].upper() for s in h) for h in full}
         assert short == {("N",), ("N", "I"), ("N", "I", "C"), ("N", "I", "A")}
 
 
@@ -72,8 +106,9 @@ class TestPlanLifecycle:
     def test_install_plan_starts_first_step(self):
         memory = make_memory(plan_objectives=("a", "b"))
         assert memory.current_step().index == 0
-        assert memory.strategic.plan[0].status is StepStatus.IN_PROGRESS
-        assert memory.strategic.plan[1].status is StepStatus.NOT_STARTED
+        text = memory.render_context("planner")
+        assert "Step 0 [in_progress]: a" in text
+        assert "Step 1 [not_started]: b" in text
 
     def test_non_contiguous_indices_rejected(self):
         memory = IntegratedMemory.new("q", [])
@@ -83,8 +118,7 @@ class TestPlanLifecycle:
     def test_at_most_one_in_progress(self):
         memory = make_memory(plan_objectives=("a", "b", "c"))
         for _ in range(3):
-            in_progress = [s for s in memory.strategic.plan if s.status is StepStatus.IN_PROGRESS]
-            assert len(in_progress) <= 1
+            assert memory.render_context("planner").count("[in_progress]") <= 1
             memory.advance_step()
 
     def test_advance_clears_step_cycle(self):
@@ -105,8 +139,9 @@ class TestResetForReplan:
         assert memory.strategic.replan_counter == 1
         assert len(memory.strategic.prior_plans) == 1
         assert memory.strategic.plan == []
-        assert memory.strategic.prior_plans[0][0].status is StepStatus.ABANDONED
-        assert memory.strategic.prior_plans[0][1].status is StepStatus.NOT_STARTED
+        text = memory.render_context("planner")
+        assert "(plan 0) Step 0 [abandoned]: a" in text
+        assert "(plan 0) Step 1 [not_started]: b" in text
 
     def test_budget_enforced(self):
         memory = make_memory(replan_limit=2)
@@ -138,38 +173,71 @@ class TestResetForReplan:
 class TestFailedPaths:
     def test_mark_failed_path(self):
         memory = make_memory()
-        sig = memory.step_signature(memory.current_step())
         t = triple()
         memory.step_cycle.thought = "wrong turn"
-        memory.mark_failed_path(sig, t)
-        assert t.key() in memory.failed_keys_for(sig)
+        memory.mark_failed_path(t)
+        assert t.key() in memory.step_cycle.failed
         assert memory.step_cycle.attempt_counter == 1
         # the next attempt starts clean
         assert memory.step_cycle.thought is None
 
     def test_idempotent_set_but_counter_increments(self):
         memory = make_memory()
-        sig = memory.step_signature(memory.current_step())
         t = triple()
-        memory.mark_failed_path(sig, t)
-        memory.mark_failed_path(sig, t)
-        assert memory.failed_keys_for(sig) == {t.key()}
+        memory.mark_failed_path(t)
+        memory.mark_failed_path(t)
+        assert memory.step_cycle.failed == {t.key()}
         assert memory.step_cycle.attempt_counter == 2
 
     def test_distinct_triples(self):
         memory = make_memory()
-        sig = memory.step_signature(memory.current_step())
-        memory.mark_failed_path(sig, triple(tail="x"))
-        memory.mark_failed_path(sig, triple(tail="y"))
-        assert memory.failed_keys_for(sig) == {triple(tail="x").key(), triple(tail="y").key()}
+        memory.mark_failed_path(triple(tail="x"))
+        memory.mark_failed_path(triple(tail="y"))
+        assert memory.step_cycle.failed == {triple(tail="x").key(), triple(tail="y").key()}
 
-    def test_signature_distinguishes_generations(self):
-        memory = make_memory(plan_objectives=("same objective",))
-        sig0 = memory.step_signature(memory.current_step())
-        memory.reset_for_replan()
-        memory.install_plan([PlanStep(0, "same objective", "")])
-        sig1 = memory.step_signature(memory.current_step())
-        assert sig0 != sig1  # generation differs even with identical objective
+
+STEP_OPS = st.lists(
+    st.one_of(
+        st.sampled_from(["advance", "replan"]),
+        st.tuples(st.sampled_from(["explore", "accept", "path_correct"]), st.sampled_from("xyz")),
+    ),
+    max_size=30,
+)
+
+
+class TestStepState:
+    """The cursor and the step's failed set, after any sequence of cycle outcomes."""
+
+    @given(STEP_OPS)
+    def test_random_operation_sequences(self, ops):
+        memory = make_memory(plan_objectives=("a", "b", "c"), replan_limit=len(ops))
+        marked: set = set()  # keys marked failed since the last advance or replan
+        for op in ops:
+            if memory.current_step() is None:
+                break  # proceeded past the final step: the run finishes
+            if op in ("advance", "replan"):
+                apply(memory, op)
+                marked = set()
+            else:
+                op, tail = op
+                if op == "explore":
+                    memory.record_explored(triple(tail=tail))
+                elif op == "accept":
+                    memory.accept_triple(triple(tail=tail))
+                else:
+                    memory.mark_failed_path(triple(tail=tail))
+                    marked.add(triple(tail=tail).key())
+            statuses = rendered_steps(memory)
+            assert list(statuses.values()).count("in_progress") <= 1
+            for gen in range(memory.strategic.replan_counter):
+                plan = [status for (g, _), status in statuses.items() if g == gen]
+                assert plan.count("abandoned") == 1
+            executor = memory.render_context("executor").split("\n")
+            failed = []
+            if "Already failed on this step (avoid):" in executor:
+                start = executor.index("Already failed on this step (avoid):") + 1
+                failed = list(itertools.takewhile(lambda line: line.startswith("  "), executor[start:]))
+            assert failed == [f"  {h} —{r}→ {t} ({d})" for h, r, t, d in sorted(marked)]
 
 
 class TestKnowledgeMonotonicity:
@@ -186,7 +254,7 @@ class TestKnowledgeMonotonicity:
             elif op == "fail":
                 step = memory.current_step()
                 if step:
-                    memory.mark_failed_path(memory.step_signature(step), triple())
+                    memory.mark_failed_path(triple())
             elif op == "replan" and memory.strategic.replan_counter < 5:
                 memory.reset_for_replan()
                 memory.install_plan([PlanStep(0, "o", "")])
@@ -234,8 +302,7 @@ class TestRenderContext:
 
     def test_executor_context_lists_failed_paths(self):
         memory = make_memory(plan_objectives=("obj",))
-        sig = memory.step_signature(memory.current_step())
-        memory.mark_failed_path(sig, triple(head="bad", tail="worse"))
+        memory.mark_failed_path(triple(head="bad", tail="worse"))
         text = memory.render_context("executor")
         assert "Current objective: obj" in text
         assert "bad" in text and "avoid" in text
