@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 from dataclasses import dataclass
 
 from .kg import FREEBASE_ID_PATTERN, FREEBASE_LABEL_PROPERTY, FREEBASE_PREFIX
 
 ENV_PREFIX = "KGQA_"
+MAX_PLAN_STEPS = 8  # the longest plan a decomposition may propose
 
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
@@ -64,8 +66,14 @@ class EngineConfig:
             raise ValueError("retry counts must be >= 0")
         if self.context_chain_limit < 0:
             raise ValueError("context_chain_limit must be >= 0")
-        if self.max_total_cycles < 8:
-            raise ValueError("max_total_cycles must cover at least one full plan (>= 8)")
+        if self.max_total_cycles < MAX_PLAN_STEPS:
+            raise ValueError(f"max_total_cycles must cover at least one full plan (>= {MAX_PLAN_STEPS})")
+        if not 0 < self.http_timeout < float("inf"):  # nan fails both comparisons
+            raise ValueError("http_timeout must be a positive finite number of seconds")
+        try:
+            re.compile(self.entity_id_pattern)
+        except re.error as exc:
+            raise ValueError(f"entity_id_pattern is not a regular expression: {exc}") from None
 
     def snapshot(self) -> dict:
         return dataclasses.asdict(self)

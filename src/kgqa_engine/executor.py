@@ -21,19 +21,12 @@ from .triples import CandidateTriple, Direction
 
 class Executor:
     def __init__(
-        self,
-        kg: GraphStore,
-        embedder: Embedder,
-        backend: ReasoningBackend,
-        *,
-        prune_threshold: int = EngineConfig.prune_threshold,
-        expand_unlabeled: bool = EngineConfig.expand_unlabeled,
+        self, kg: GraphStore, embedder: Embedder, backend: ReasoningBackend, config: EngineConfig | None = None
     ):
         self.kg = kg
         self.embedder = embedder
         self.backend = backend
-        self.prune_threshold = prune_threshold
-        self.expand_unlabeled = expand_unlabeled
+        self.config = config or EngineConfig()
 
     # -- frontier -----------------------------------------------------------
 
@@ -95,7 +88,7 @@ class Executor:
             cand = self._make_candidate(frontier, relation, other, direction, labels)
             memory.record_explored(cand)
             if (
-                self.expand_unlabeled
+                self.config.expand_unlabeled
                 and direction is Direction.OUTGOING
                 and not cand.tail_label
             ):
@@ -158,7 +151,7 @@ class Executor:
             if c.key() not in failed and (c.head, c.relation, c.tail) not in chain_edges
         ]
         try:
-            pruned = prune(candidates, step.objective, self.prune_threshold, self.embedder)
+            pruned = prune(candidates, step.objective, self.config.prune_threshold, self.embedder)
         except PruningUnavailable as exc:
             rationale = f"attempt abandoned, pruning unavailable: {exc}"
             return Observation(frontier_entity=frontier, candidates_total=0, chosen=None, rationale=rationale)
@@ -201,4 +194,7 @@ class Executor:
     @staticmethod
     def _parse_index(text: str) -> int | None:
         match = re.search(r"\d+", text)
-        return int(match.group()) if match else None
+        try:
+            return int(match.group()) if match else None
+        except ValueError:  # too many digits for int(): no usable index
+            return None

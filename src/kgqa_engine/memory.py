@@ -1,7 +1,8 @@
 """Three-layer agent memory mediating planner/executor interaction.
 
 * Strategic layer: the question, the plan and its cursor, the abandoned
-  plans, and the replan budget.
+  plans, and the replan count; the replan and context limits come from
+  the run's ``EngineConfig``.
 * Step-cycle layer: the attempt count, the last thought and the failed
   paths of the step in progress; the trace, not memory, records each
   cycle's prediction, observation and error signal.
@@ -110,7 +111,6 @@ class StrategicMemory:
     # the index of the step in progress; past the last step once all are done
     cursor: int = 0
     replan_counter: int = 0
-    replan_limit: int = EngineConfig.replan_limit
     # each abandoned plan with the cursor it was abandoned at
     prior_plans: list[tuple[list[PlanStep], int]] = field(default_factory=list)
 
@@ -138,24 +138,15 @@ class IntegratedMemory:
     strategic: StrategicMemory
     step_cycle: StepCycleMemory = field(default_factory=StepCycleMemory)
     knowledge: KnowledgeMemory = field(default_factory=KnowledgeMemory)
-    context_chain_limit: int = EngineConfig.context_chain_limit
+    config: EngineConfig = field(default_factory=EngineConfig)
 
     @classmethod
     def new(
-        cls,
-        question: str,
-        topic_entities: list[str],
-        *,
-        replan_limit: int = EngineConfig.replan_limit,
-        context_chain_limit: int = EngineConfig.context_chain_limit,
+        cls, question: str, topic_entities: list[str], config: EngineConfig | None = None
     ) -> "IntegratedMemory":
         return cls(
-            strategic=StrategicMemory(
-                question=question,
-                topic_entities=list(topic_entities),
-                replan_limit=replan_limit,
-            ),
-            context_chain_limit=context_chain_limit,
+            strategic=StrategicMemory(question=question, topic_entities=list(topic_entities)),
+            config=config or EngineConfig(),
         )
 
     # -- plan lifecycle ---------------------------------------------------
@@ -189,9 +180,9 @@ class IntegratedMemory:
         in progress renders as abandoned.
         """
         strategic = self.strategic
-        if strategic.replan_counter >= strategic.replan_limit:
+        if strategic.replan_counter >= self.config.replan_limit:
             raise ReplanBudgetExhausted(
-                f"replan counter already at limit {strategic.replan_limit}"
+                f"replan counter already at limit {self.config.replan_limit}"
             )
         strategic.prior_plans.append((strategic.plan, strategic.cursor))
         strategic.plan = []
@@ -235,7 +226,7 @@ class IntegratedMemory:
         lines = [f"Question: {s.question}"]
         if s.topic_entities:
             lines.append("Topic entities: " + ", ".join(s.topic_entities))
-        lines.append(f"Replans used: {s.replan_counter}/{s.replan_limit}")
+        lines.append(f"Replans used: {s.replan_counter}/{self.config.replan_limit}")
         if s.prior_plans:
             lines.append("Abandoned plans:")
             for gen, (plan, cursor) in enumerate(s.prior_plans):
@@ -246,7 +237,8 @@ class IntegratedMemory:
             lines.append("Current plan:")
             for step in s.plan:
                 lines.append(f"Step {step.index} [{step.status(s.cursor).value}]: {step.objective}")
-        chain = self._chain_lines(self.context_chain_limit)
+        limit = self.config.context_chain_limit
+        chain = self._chain_lines(limit)
         if chain:
             lines.append("Accepted knowledge:")
             lines.extend(f"  {c}" for c in chain)
@@ -255,7 +247,6 @@ class IntegratedMemory:
         # The first ``limit`` unaccepted keys in sorted order lie among the
         # ``wanted`` smallest; keys are distinct, so heap and sort agree.
         accepted = {t.key() for t in self.knowledge.reasoning_chain}
-        limit = self.context_chain_limit
         keys, wanted = self.knowledge.explored_triples, limit + len(accepted)
         if len(keys) > _HEAP_MIN_RATIO * wanted:
             smallest = heapq.nsmallest(wanted, keys)

@@ -101,24 +101,9 @@ class _Run:
     def __init__(self, engine: Engine, question: str, topic_entities: list[str]):
         self.config = engine.config
         self.backend = RecordingBackend(engine.backend)
-        self.planner = Planner(
-            self.backend,
-            parse_retries=self.config.parse_retries,
-            max_path_corrections=self.config.max_path_corrections,
-        )
-        self.executor = Executor(
-            engine.kg,
-            CachingEmbedder(engine.embedder),
-            self.backend,
-            prune_threshold=self.config.prune_threshold,
-            expand_unlabeled=self.config.expand_unlabeled,
-        )
-        self.memory = IntegratedMemory.new(
-            question,
-            topic_entities,
-            replan_limit=self.config.replan_limit,
-            context_chain_limit=self.config.context_chain_limit,
-        )
+        self.planner = Planner(self.backend, self.config)
+        self.executor = Executor(engine.kg, CachingEmbedder(engine.embedder), self.backend, self.config)
+        self.memory = IntegratedMemory.new(question, topic_entities, self.config)
         self.trace: list[TraceEvent] = []
         self.cycles = 0
 

@@ -2,8 +2,8 @@
 
 The planner is stateless between calls; everything it knows comes in as
 rendered context from the memory module.  Backend responses use a small
-delimited key-value format, re-requested up to ``parse_retries`` times
-before giving up with MalformedBackendOutput.
+delimited key-value format, re-requested up to the config's
+``parse_retries`` times before giving up with MalformedBackendOutput.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Callable, TypeVar
 
 from .backends import ReasoningBackend
-from .config import EngineConfig
+from .config import MAX_PLAN_STEPS, EngineConfig
 from .errors import EngineError, MalformedBackendOutput
 from .memory import (
     ErrorLevel,
@@ -25,8 +25,6 @@ from .memory import (
     PlanStep,
     Prediction,
 )
-
-MAX_PLAN_STEPS = 8
 
 T = TypeVar("T")
 
@@ -92,22 +90,20 @@ def best_effort_answer(memory: IntegratedMemory) -> str:
 
 
 class Planner:
-    def __init__(self, backend: ReasoningBackend, *, parse_retries: int = EngineConfig.parse_retries,
-                 max_path_corrections: int = EngineConfig.max_path_corrections):
+    def __init__(self, backend: ReasoningBackend, config: EngineConfig | None = None):
         self.backend = backend
-        self.parse_retries = parse_retries
-        self.max_path_corrections = max_path_corrections
+        self.config = config or EngineConfig()
 
     def _complete_parsed(self, stage: str, prompt: str, parser: Callable[[str], T]) -> T:
         last_error: Exception | None = None
-        for _ in range(self.parse_retries + 1):
+        for _ in range(self.config.parse_retries + 1):
             raw = self.backend.complete(prompt, stage)
             try:
                 return parser(raw)
             except MalformedBackendOutput as exc:
                 last_error = exc
         raise MalformedBackendOutput(
-            f"stage {stage!r} unparseable after {self.parse_retries + 1} attempts: {last_error}"
+            f"stage {stage!r} unparseable after {self.config.parse_retries + 1} attempts: {last_error}"
         )
 
     # -- operations ---------------------------------------------------------
@@ -204,16 +200,16 @@ class Planner:
     def _apply_overrides(self, decision: Decision, memory: IntegratedMemory) -> Decision:
         if (
             decision.kind is DecisionKind.PATH_CORRECT
-            and memory.step_cycle.attempt_counter >= self.max_path_corrections
+            and memory.step_cycle.attempt_counter >= self.config.max_path_corrections
         ):
             decision = Decision(
                 kind=DecisionKind.REPLAN,
-                rationale=f"path-correction budget spent ({self.max_path_corrections}); replanning",
+                rationale=f"path-correction budget spent ({self.config.max_path_corrections}); replanning",
                 coerced=True,
             )
         if (
             decision.kind is DecisionKind.REPLAN
-            and memory.strategic.replan_counter >= memory.strategic.replan_limit
+            and memory.strategic.replan_counter >= self.config.replan_limit
         ):
             decision = Decision(
                 kind=DecisionKind.FINISH,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 from kgqa_engine import transport
+from kgqa_engine.config import EngineConfig
 from kgqa_engine.kg import InMemoryGraphStore
 from kgqa_engine.memory import IntegratedMemory, PlanStep
 
@@ -58,7 +59,7 @@ def make_store(triples, labels=None) -> InMemoryGraphStore:
 
 
 def make_memory(question="q?", topic=("e1",), plan_objectives=("find it",), **kwargs) -> IntegratedMemory:
-    memory = IntegratedMemory.new(question, list(topic), **kwargs)
+    memory = IntegratedMemory.new(question, list(topic), EngineConfig(**kwargs))
     steps = [
         PlanStep(index=i, objective=obj, description=f"step {i}")
         for i, obj in enumerate(plan_objectives)

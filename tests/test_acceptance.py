@@ -191,7 +191,7 @@ def test_criterion_failed_path_avoidance():
         memory = IntegratedMemory.new("q?", [frontier])
         step = PlanStep(index=0, objective="pick any edge", description="")
         memory.install_plan([step])
-        executor = Executor(store, HashingEmbedder(), StageBackend(), prune_threshold=5)
+        executor = Executor(store, HashingEmbedder(), StageBackend(), EngineConfig(prune_threshold=5))
         first = executor.explore(frontier, step, memory)
         if first.chosen is None:
             continue

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import NoFrontier
 from kgqa_engine.executor import Executor
 from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder
@@ -14,7 +15,7 @@ from conftest import StageBackend, make_memory, make_store
 
 
 def make_executor(store, backend=None, **kw):
-    return Executor(store, CachingEmbedder(HashingEmbedder()), backend or StageBackend(), **kw)
+    return Executor(store, CachingEmbedder(HashingEmbedder()), backend or StageBackend(), EngineConfig(**kw))
 
 
 def accepted(head="a", relation="r", tail="b"):
@@ -226,12 +227,14 @@ class TestSelectEntity:
         assert rationale == "second looks right"
 
     def test_out_of_range_falls_back_to_highest_score(self, store):
-        backend = StageBackend({"select": "CHOICE: 17"})
-        chosen, rationale = make_executor(store, backend).select_entity(
-            self.candidates(), make_memory().current_step(), ""
-        )
-        assert chosen.relation == "r2"  # highest score
-        assert "fallback" in rationale
+        # the second index has more digits than int() converts
+        for choice in ("17", "7" * 4301):
+            backend = StageBackend({"select": f"CHOICE: {choice}"})
+            chosen, rationale = make_executor(store, backend).select_entity(
+                self.candidates(), make_memory().current_step(), ""
+            )
+            assert chosen.relation == "r2"  # highest score
+            assert "fallback" in rationale
 
     def test_tie_break_lexicographic_rendering(self, store):
         cands = self.candidates()

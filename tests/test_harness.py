@@ -394,6 +394,10 @@ class TestCli:
             (["--config", "{tmp}/c.cfg"], {"c.cfg": "expand_unlabeled = ture\n"},
              "invalid config: config file line 1: expand_unlabeled: 'ture' is not a boolean"),
             (["--max-total-cycles", "3"], {}, "invalid config: "),
+            (["--config", "{tmp}/c.cfg"], {"c.cfg": "http_timeout = 0\n"}, "invalid config: http_timeout "),
+            (["--config", "{tmp}/c.cfg"], {"c.cfg": "http_timeout = nan\n"}, "invalid config: http_timeout "),
+            (["--config", "{tmp}/c.cfg"], {"c.cfg": "entity_id_pattern = [\n"},
+             "invalid config: entity_id_pattern "),
             (["--kg-file", "{tmp}/missing.tsv"], {}, "invalid graph: "),
             (["--kg-file", "{tmp}/g.tsv"], {"g.tsv": "m.0a\tr\n"}, "invalid graph: "),
             (["--kg-file", None], {}, "no knowledge graph configured: "),
@@ -405,7 +409,7 @@ class TestCli:
         ids=[
             "script-missing", "script-not-json", "script-too-deep", "script-not-a-record-list",
             "config-missing", "config-unknown-key", "config-value-not-int", "config-value-not-bool",
-            "config-value-out-of-range",
+            "config-value-out-of-range", "http-timeout-zero", "http-timeout-nan", "id-pattern-not-a-regex",
             "graph-missing", "graph-malformed", "no-graph", "no-graph-no-backend",
             "out-dir-is-a-file", "out-dir-under-a-file", "question-empty",
         ],
@@ -671,3 +675,8 @@ class TestConfig:
             EngineConfig(replan_limit=0).validate()
         with pytest.raises(ValueError):
             EngineConfig(max_total_cycles=3).validate()
+        for timeout in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^http_timeout "):
+                EngineConfig(http_timeout=timeout).validate()
+        with pytest.raises(ValueError, match="^entity_id_pattern "):
+            EngineConfig(entity_id_pattern="[").validate()

@@ -1,6 +1,7 @@
 """Engine state machine: scenarios, trace grammar, termination, budgets."""
 
 import itertools
+import json
 import random
 import tempfile
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa_engine.backends import ScriptedBackend
 from kgqa_engine.cli import _read_trace
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import BackendUnavailable
@@ -16,7 +18,9 @@ from kgqa_engine.pruning import HashingEmbedder
 
 from conftest import StageBackend, make_store
 from scenarios import (
+    FIXTURES,
     SCENARIOS,
+    build_engine,
     events_by_stage,
     load_meta,
     run_scenario,
@@ -447,6 +451,65 @@ class TestDegradedPaths:
         assert [e.stage.value for e in result.trace][-3:] == ["replan", "decompose", "finish"]
         assert result.trace[-1].payload["note"] == "re-decomposition failed: backend output unparseable"
         assert result.error_note == "re-decomposition failed: backend output unparseable"
+
+    def test_select_index_too_long_for_int_falls_back(self):
+        engine = build_engine("happy_path")
+        records = json.loads((FIXTURES / "happy_path" / "script.json").read_text())
+        first_select = next(r for r in records if r["expect_stage"] == "select")
+        first_select["response"] = "CHOICE: " + "7" * 4301
+        engine.backend = ScriptedBackend(records)
+        meta = load_meta("happy_path")
+        result = engine.run(meta["question"], meta["topic_entities"])
+        assert result.trace[-1].stage is Stage.FINISH
+        assert result.error_note is None
+        assert "fallback" in events_by_stage(result.trace, "observe")[0].payload["observation"]["rationale"]
+
+
+def _observed(trace, field):
+    return [e.payload["observation"][field] for e in events_by_stage(trace, "observe")]
+
+
+# field -> (non-default value, backend responses, what only that value makes true)
+BUDGET_EFFECTS = {
+    "parse_retries": (0, {"decompose": "not a plan"}, lambda trace, calls: len(calls) == 1),
+    "context_chain_limit": (
+        0,
+        {"decompose": "STEP: a | b\nSTEP: c | d"},
+        lambda trace, calls: not any("Accepted knowledge:" in prompt for _, prompt in calls),
+    ),
+    "expand_unlabeled": (
+        True, {}, lambda trace, calls: ["a", "r1/r2", "b", "outgoing"] in _observed(trace, "candidates")[0]
+    ),
+    "prune_threshold": (1, {}, lambda trace, calls: _observed(trace, "candidates_after_pruning")[0] == 1),
+    "max_path_corrections": (
+        1,
+        {"evaluate": "DECISION: PathCorrect"},
+        lambda trace, calls: "path-correction budget spent (1); replanning"
+        in [e.payload["rationale"] for e in events_by_stage(trace, "evaluate")],
+    ),
+    "replan_limit": (
+        1, {"evaluate": "DECISION: Replan"}, lambda trace, calls: len(events_by_stage(trace, "replan")) == 1
+    ),
+}
+
+
+class TestConfigReachesRun:
+    @pytest.mark.parametrize("field", BUDGET_EFFECTS)
+    def test_budget_set_on_engine_config_changes_the_run(self, field):
+        value, responses, effect = BUDGET_EFFECTS[field]
+        # m is an unlabeled mediator between a and b
+        store = make_store(
+            [("a", "r1", "m"), ("m", "r2", "b"), ("a", "r3", "c"), ("b", "r4", "d")],
+            labels={"a": "Alpha", "b": "Bravo", "c": "Charlie", "d": "Delta"},
+        )
+
+        def effect_seen(config):
+            backend = StageBackend(responses)
+            engine = Engine(backend=backend, kg=store, embedder=HashingEmbedder(), config=config)
+            return effect(engine.run("q?", ["a"]).trace, backend.calls)
+
+        assert effect_seen(EngineConfig(**{field: value}))
+        assert not effect_seen(EngineConfig())
 
 
 class TestProceedPastFinalStep:

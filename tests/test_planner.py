@@ -3,6 +3,7 @@
 import pytest
 
 from kgqa_engine.backends import ScriptedBackend
+from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import MalformedBackendOutput
 from kgqa_engine.memory import ErrorLevel, ErrorSignal, Observation, Prediction
 from kgqa_engine.planner import (
@@ -58,12 +59,12 @@ class TestDecompose:
     def test_retry_bound(self):
         backend = scripted(*[("decompose", "no steps here")] * 3)
         with pytest.raises(MalformedBackendOutput):
-            Planner(backend, parse_retries=2).decompose("q?", "")
+            Planner(backend, EngineConfig(parse_retries=2)).decompose("q?", "")
         assert backend.cursor == 3
 
     def test_recovers_within_retries(self):
         backend = scripted(("decompose", "garbage"), ("decompose", "STEP: a | b"))
-        steps = Planner(backend, parse_retries=2).decompose("q?", "")
+        steps = Planner(backend, EngineConfig(parse_retries=2)).decompose("q?", "")
         assert len(steps) == 1
 
     def test_too_many_steps_is_malformed(self):
@@ -92,7 +93,7 @@ class TestPredict:
     def test_empty_responses_malformed(self):
         backend = scripted(*[("predict", "")] * 3)
         with pytest.raises(MalformedBackendOutput):
-            Planner(backend, parse_retries=2).predict(make_memory().current_step(), "")
+            Planner(backend, EngineConfig(parse_retries=2)).predict(make_memory().current_step(), "")
 
 
 class TestErrorSignal:
@@ -118,7 +119,7 @@ class TestErrorSignal:
         obs = Observation("e", 1, chosen_triple(), "")
         backend = scripted(*[("classify", "LEVEL: Sideways")] * 3)
         with pytest.raises(MalformedBackendOutput):
-            Planner(backend, parse_retries=2).compute_error_signal(Prediction("x"), obs)
+            Planner(backend, EngineConfig(parse_retries=2)).compute_error_signal(Prediction("x"), obs)
 
 
 class TestThink:
@@ -158,7 +159,7 @@ class TestEvaluate:
         memory = self._memory()
         memory.step_cycle.attempt_counter = 3
         backend = scripted(("evaluate", "DECISION: PathCorrect\nRATIONALE: retry"))
-        decision = Planner(backend, max_path_corrections=3).evaluate(CHOSEN, memory)
+        decision = Planner(backend, EngineConfig(max_path_corrections=3)).evaluate(CHOSEN, memory)
         assert decision.kind is DecisionKind.REPLAN
         assert decision.coerced
 
@@ -167,7 +168,7 @@ class TestEvaluate:
         memory.step_cycle.attempt_counter = 3
         memory.strategic.replan_counter = 2
         backend = scripted(("evaluate", "DECISION: PathCorrect"))
-        decision = Planner(backend, max_path_corrections=3).evaluate(CHOSEN, memory)
+        decision = Planner(backend, EngineConfig(max_path_corrections=3)).evaluate(CHOSEN, memory)
         assert decision.kind is DecisionKind.FINISH
         assert decision.answer == "unknown"
 
@@ -180,7 +181,7 @@ class TestEvaluate:
     def test_finish_requires_answer(self):
         backend = scripted(*[("evaluate", "DECISION: Finish")] * 3)
         with pytest.raises(MalformedBackendOutput):
-            Planner(backend, parse_retries=2).evaluate(CHOSEN, self._memory())
+            Planner(backend, EngineConfig(parse_retries=2)).evaluate(CHOSEN, self._memory())
 
     def test_finish_with_answer(self):
         backend = scripted(("evaluate", "DECISION: Finish\nANSWER: Paris"))
@@ -216,13 +217,13 @@ class TestSynthesizeAnswer:
     def test_fallback_to_unknown(self):
         memory = make_memory()
         backend = scripted(*[("answer", "gibberish")] * 3)
-        assert Planner(backend, parse_retries=2).synthesize_answer(memory) == "unknown"
+        assert Planner(backend, EngineConfig(parse_retries=2)).synthesize_answer(memory) == "unknown"
 
     def test_fallback_to_chain_tail(self):
         memory = make_memory()
         memory.accept_triple(chosen_triple())
         backend = scripted(*[("answer", "")] * 3)
-        assert Planner(backend, parse_retries=2).synthesize_answer(memory) == "Paris"
+        assert Planner(backend, EngineConfig(parse_retries=2)).synthesize_answer(memory) == "Paris"
 
 
 class TestBestEffortAnswer:
