@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from typing import Protocol
 
 import requests
 
+from .config import EngineConfig
 from .errors import BackendUnavailable, ScriptMismatch
 from .transport import post
 
@@ -30,30 +30,27 @@ class ReasoningBackend(Protocol):
 class ChatCompletionBackend:
     """Minimal chat-completions client.
 
-    Temperature is 0 for reproducibility; the bearer token comes from
-    ``KGQA_CHAT_TOKEN`` so it never lands in config files.
+    Endpoint, model, timeout and retries are read from ``config``
+    (``chat_url``, ``chat_model``, ``http_timeout``, ``http_retries``) on
+    each call.  Temperature is 0 for reproducibility; the bearer token
+    comes from ``KGQA_CHAT_TOKEN`` so it never lands in config files.
     Requests are retried as ``transport.post`` does, a malformed body
     included, before giving up with BackendUnavailable.
     """
 
-    def __init__(self, url: str, model: str, *, timeout: float = 60.0, retries: int = 2):
-        self.url = url
-        self.model = model
-        self.timeout = timeout
-        self.retries = retries
+    def __init__(self, config: EngineConfig):
+        self.config = config
 
     def complete(self, prompt: str, stage: str) -> str:
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(CHAT_TOKEN_ENV, "")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
+        config = self.config
         body = {
-            "model": self.model,
+            "model": config.chat_model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0.0,
         }
-        return post(self.url, _content, BackendUnavailable, log, timeout=self.timeout,
-                    retries=self.retries, json=body, headers=headers)
+        return post(config.chat_url, _content, BackendUnavailable, log, timeout=config.http_timeout,
+                    retries=config.http_retries, token_env=CHAT_TOKEN_ENV, json=body,
+                    headers={"Content-Type": "application/json"})
 
 
 def _content(resp: requests.Response) -> str:

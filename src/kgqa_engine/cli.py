@@ -34,15 +34,7 @@ def build_kg(config: EngineConfig, kg_file: str | None):
     if kg_file:
         return load_memory_store(kg_file)
     if config.sparql_url:
-        return SparqlGraphStore(
-            config.sparql_url,
-            prefix=config.kg_prefix,
-            id_pattern=config.entity_id_pattern,
-            label_property=config.label_property,
-            limit=config.kg_result_limit,
-            timeout=config.http_timeout,
-            retries=config.http_retries,
-        )
+        return SparqlGraphStore(config)
     raise InvalidInput("no knowledge graph configured: pass --kg-file or set sparql_url")
 
 
@@ -50,18 +42,12 @@ def build_backend(config: EngineConfig, script: str | None):
     if script:
         return ScriptedBackend.from_file(script)
     if config.chat_url:
-        return ChatCompletionBackend(
-            config.chat_url, config.chat_model, timeout=config.http_timeout, retries=config.http_retries
-        )
+        return ChatCompletionBackend(config)
     raise InvalidInput("no reasoning backend configured: pass --script or set chat_url")
 
 
 def build_embedder(config: EngineConfig):
-    if config.embed_url:
-        return HttpEmbedder(
-            config.embed_url, config.embed_model, timeout=config.http_timeout, retries=config.http_retries
-        )
-    return HashingEmbedder()
+    return HttpEmbedder(config) if config.embed_url else HashingEmbedder()
 
 
 def _load_config(args) -> EngineConfig:

@@ -11,8 +11,9 @@ import os
 import re
 from dataclasses import dataclass
 
-from .kg import FREEBASE_ID_PATTERN, FREEBASE_LABEL_PROPERTY, FREEBASE_PREFIX
-
+FREEBASE_PREFIX = "http://rdf.freebase.com/ns/"
+FREEBASE_ID_PATTERN = r"[a-z]\.[0-9a-z_]+"
+FREEBASE_LABEL_PROPERTY = "type.object.name"
 ENV_PREFIX = "KGQA_"
 MAX_PLAN_STEPS = 8  # the longest plan a decomposition may propose
 

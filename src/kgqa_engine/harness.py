@@ -20,32 +20,47 @@ class QaExample:
     gold_answers: list[str]
 
 
+def _list(value, field: str) -> list:
+    """``value``, which must be a JSON list: no string or object is iterated as one."""
+    if not isinstance(value, list):
+        raise ParseError(f"{field} is {type(value).__name__}, not a list")
+    return value
+
+
+def _number_as_text(value):
+    """A JSON number as its ``str``; any other value as it is."""
+    return str(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else value
+
+
 def _simple(raw) -> QaExample:
+    topics = _list(raw.get("topic_entities", []), "topic_entities")
     return QaExample(
         id=str(raw["id"]),
         question=raw["question"],
-        topic_entities=[(e["id"], e.get("label", "")) for e in raw.get("topic_entities", [])],
-        gold_answers=[str(a) for a in raw["answers"]],
+        topic_entities=[(e["id"], e.get("label", "")) for e in topics],
+        gold_answers=[_number_as_text(a) for a in _list(raw["answers"], "answers")],
     )
 
 
 def _grailqa(raw) -> QaExample:
-    nodes = raw.get("graph_query", {}).get("nodes", [])
+    nodes = _list(raw.get("graph_query", {}).get("nodes", []), "graph_query.nodes")
     return QaExample(
         id=str(raw["qid"]),
         question=raw["question"],
         topic_entities=[
             (n["id"], n.get("friendly_name", "")) for n in nodes if n.get("node_type") == "entity"
         ],
-        gold_answers=[a.get("entity_name") or a.get("answer_argument", "") for a in raw["answer"]],
+        gold_answers=[
+            a.get("entity_name") or a.get("answer_argument", "") for a in _list(raw["answer"], "answer")
+        ],
     )
 
 
 def _cwq(raw) -> QaExample:
     gold: list[str] = []
-    for ans in raw["answers"]:
+    for ans in _list(raw["answers"], "answers"):
         gold.append(ans["answer"])
-        gold.extend(ans.get("aliases", []))
+        gold.extend(_list(ans.get("aliases", []), "aliases"))
     return QaExample(
         id=str(raw["ID"]),
         question=raw["question"],
@@ -55,7 +70,7 @@ def _cwq(raw) -> QaExample:
 
 
 def _webqsp(raw) -> QaExample:
-    parses = raw.get("Parses", [])
+    parses = _list(raw.get("Parses", []), "Parses")
     return QaExample(
         id=str(raw["QuestionId"]),
         question=raw["RawQuestion"],
@@ -67,7 +82,7 @@ def _webqsp(raw) -> QaExample:
         gold_answers=[
             a.get("EntityName") or a.get("AnswerArgument", "")
             for p in parses
-            for a in p.get("Answers", [])
+            for a in _list(p.get("Answers", []), "Answers")
         ],
     )
 
@@ -97,8 +112,15 @@ def load_dataset(path, format: str = "simple") -> list[QaExample]:
     for i, raw in enumerate(doc):
         try:
             ex = mapper(raw)
+        except ParseError as exc:
+            raise ParseError(f"example {i}: {exc}") from None
         except (KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"example {i}: missing field {exc}") from exc
+        fields = [("question", ex.question), *(("topic entity id", e) for e, _ in ex.topic_entities),
+                  *(("gold answer", a) for a in ex.gold_answers)]
+        for field_name, value in fields:
+            if not isinstance(value, str):
+                raise ParseError(f"example {i} ({ex.id!r}): {field_name} {value!r} is not a string")
         if not ex.gold_answers or not all(ex.gold_answers):
             raise ParseError(f"example {i} ({ex.id!r}): gold answers must be non-empty")
         if not ex.question:

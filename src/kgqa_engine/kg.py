@@ -9,8 +9,11 @@ The SPARQL adapter answers one ``neighbors`` call with at most two
 round-trips: one edge query (the UNION of both directions) and one batched
 label query for the frontier and every neighbour not yet labelled.  Labels
 are cached per adapter, so the executor's ``label`` calls that follow cost
-nothing.  Only an entity with ``limit`` or more edges in one direction can
-cost a third round-trip, to refill the other direction.
+nothing.  Only an entity with ``kg_result_limit`` or more edges in one
+direction can cost a third round-trip, to refill the other direction.
+
+The SPARQL adapter reads every setting, the endpoint included, from the
+run's ``EngineConfig`` where it is used; it keeps no copy of any.
 """
 
 from __future__ import annotations
@@ -24,13 +27,11 @@ from typing import Protocol
 
 import requests
 
+from .config import EngineConfig
 from .errors import InvalidEntityId, KgUnavailable, MalformedResults, ParseError
 from .transport import post
 from .triples import Direction
 
-FREEBASE_PREFIX = "http://rdf.freebase.com/ns/"
-FREEBASE_ID_PATTERN = r"[a-z]\.[0-9a-z_]+"
-FREEBASE_LABEL_PROPERTY = "type.object.name"
 # Labels one SparqlGraphStore keeps; past this the oldest are evicted first.
 LABEL_CACHE_SIZE = 50_000
 
@@ -61,32 +62,35 @@ class SparqlTemplate(str, Enum):
 def render_sparql(
     template: SparqlTemplate,
     entity: str | Iterable[str],
-    *,
-    prefix: str = FREEBASE_PREFIX,
-    id_pattern: str = FREEBASE_ID_PATTERN,
-    label_property: str = FREEBASE_LABEL_PROPERTY,
-    limit: int = 200,
+    config: EngineConfig | None = None,
 ) -> str:
     """Substitute entity IDs into a fixed query template.
 
-    ``LABELS`` takes any number of IDs and has no LIMIT, since a truncated
-    answer would read as "no label" for the IDs cut off; the other
-    templates take exactly one.  ``NEIGHBORS`` asks for both edge
-    directions at once, so its LIMIT is twice ``limit``.  IDs are validated
-    against the configured grammar before substitution; anything outside it
-    is rejected, which doubles as injection protection.
+    Prefix, id grammar, label property and LIMIT come from ``config``
+    (``EngineConfig()`` when omitted).  ``LABELS`` takes any number of IDs
+    and has no LIMIT, since a truncated answer would read as "no label" for
+    the IDs cut off; the other templates take exactly one.  ``NEIGHBORS``
+    asks for both edge directions at once, so its LIMIT is twice
+    ``kg_result_limit``.  IDs are validated against the configured grammar
+    before substitution; anything outside it is rejected, which doubles as
+    injection protection.
     """
+    if config is None:
+        config = EngineConfig()
     ids = [entity] if isinstance(entity, str) else list(entity)
+    pattern = config.entity_id_pattern
     for one in ids:
-        if not re.fullmatch(id_pattern, one):
-            raise InvalidEntityId(f"entity id does not match grammar {id_pattern!r}: {one!r}")
-    header = f"PREFIX ns: <{prefix}>\n"
+        if not re.fullmatch(pattern, one):
+            raise InvalidEntityId(f"entity id does not match grammar {pattern!r}: {one!r}")
+    header = f"PREFIX ns: <{config.kg_prefix}>\n"
     if template is SparqlTemplate.LABELS:
         values = " ".join(f"ns:{one}" for one in ids)
-        return f"{header}SELECT ?x ?label WHERE {{ VALUES ?x {{ {values} }} ?x ns:{label_property} ?label }}"
+        label = f"ns:{config.label_property}"
+        return f"{header}SELECT ?x ?label WHERE {{ VALUES ?x {{ {values} }} ?x {label} ?label }}"
     if len(ids) != 1:
         raise ValueError(f"{template.value} takes one entity id, got {len(ids)}")
     entity = ids[0]
+    limit = config.kg_result_limit
     if template is SparqlTemplate.OUTGOING_EDGES:
         body = f"SELECT ?relation ?tail WHERE {{ ns:{entity} ?relation ?tail }}"
     elif template is SparqlTemplate.INCOMING_EDGES:
@@ -106,8 +110,8 @@ def execute(
     endpoint: str,
     query: str,
     *,
-    timeout: float = 30.0,
-    retries: int = 2,
+    timeout: float = EngineConfig.http_timeout,
+    retries: int = EngineConfig.http_retries,
     session: requests.Session | None = None,
 ) -> list[dict[str, str]]:
     """Run a query over the SPARQL 1.1 protocol; return variable->value rows.
@@ -166,76 +170,47 @@ _ENDS = {
 class SparqlGraphStore:
     """GraphStore over a remote SPARQL 1.1 endpoint.
 
-    Labels, ``None`` included, are cached for the adapter's lifetime, which
-    assumes the graph does not change under it.  Requests go through one
-    pooled ``requests.Session``, opened on the first query, which resolves
-    the environment's proxy, CA-bundle and netrc settings for the endpoint
-    once: changes to them after that query are not seen.
+    Every setting is read from ``config`` where it is used, ``sparql_url``
+    as the endpoint.  Labels, ``None`` included, are cached for the
+    adapter's lifetime, which assumes the graph does not change under it.
+    Requests go through one pooled ``requests.Session``, opened on the
+    first query, which resolves the environment's proxy, CA-bundle and
+    netrc settings for the endpoint once: changes to them after that query
+    are not seen.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        prefix: str = FREEBASE_PREFIX,
-        id_pattern: str = FREEBASE_ID_PATTERN,
-        label_property: str = FREEBASE_LABEL_PROPERTY,
-        limit: int = 200,
-        timeout: float = 30.0,
-        retries: int = 2,
-    ):
-        self.endpoint = endpoint
-        self.prefix = prefix
-        self.id_pattern = id_pattern
-        self.label_property = label_property
-        self.limit = limit
-        self.timeout = timeout
-        self.retries = retries
+    def __init__(self, config: EngineConfig):
+        self.config = config
         self._labels: dict[str, str | None] = {}
         self._lock = threading.Lock()
         self._session: requests.Session | None = None
 
-    def _render(self, template: SparqlTemplate, entity: str | list[str]) -> str:
-        return render_sparql(
-            template,
-            entity,
-            prefix=self.prefix,
-            id_pattern=self.id_pattern,
-            label_property=self.label_property,
-            limit=self.limit,
-        )
-
     def _execute(self, query: str) -> list[dict[str, str]]:
+        config = self.config
         if self._session is None:
             with self._lock:
                 if self._session is None:
                     self._session = self._open_session()
-        return execute(
-            self.endpoint,
-            query,
-            timeout=self.timeout,
-            retries=self.retries,
-            session=self._session,
-        )
+        return execute(config.sparql_url, query, timeout=config.http_timeout,
+                       retries=config.http_retries, session=self._session)
 
     def _open_session(self) -> requests.Session:
         """A session with what ``requests`` takes from the environment for
         this endpoint (proxies after ``NO_PROXY``, CA bundle, netrc auth)
         fixed on it, so no request reads ``os.environ`` or ``~/.netrc`` again.
         """
+        endpoint = self.config.sparql_url
         session = requests.Session()
-        settings = session.merge_environment_settings(self.endpoint, {}, None, None, None)
+        settings = session.merge_environment_settings(endpoint, {}, None, None, None)
         session.proxies = settings["proxies"]
         session.verify = settings["verify"]
         session.cert = settings["cert"]
-        session.auth = requests.utils.get_netrc_auth(self.endpoint)
+        session.auth = requests.utils.get_netrc_auth(endpoint)
         session.trust_env = False
         return session
 
     def _localize(self, value: str) -> str:
-        if value.startswith(self.prefix):
-            return value[len(self.prefix):]
-        return value
+        return value.removeprefix(self.config.kg_prefix)
 
     def _remember(self, labels: dict[str, str | None]) -> None:
         with self._lock:
@@ -245,23 +220,25 @@ class SparqlGraphStore:
 
     def _fetch_labels(self, ids: Iterable[str]) -> dict[str, str | None]:
         """One batched query for the grammatical ``ids``; caches and returns what it fetched."""
-        missing = [i for i in dict.fromkeys(ids) if re.fullmatch(self.id_pattern, i)]
+        pattern = self.config.entity_id_pattern
+        missing = [i for i in dict.fromkeys(ids) if re.fullmatch(pattern, i)]
         if not missing:
             return {}
         found: dict[str, str] = {}
-        for row in self._execute(self._render(SparqlTemplate.LABELS, missing)):
+        for row in self._execute(render_sparql(SparqlTemplate.LABELS, missing, self.config)):
             found.setdefault(self._localize(_field(row, "x")), _field(row, "label"))
         fetched = {i: found.get(i) for i in missing}
         self._remember(fetched)
         return fetched
 
     def neighbors(self, entity: str) -> list[Neighbor]:
-        """At most ``limit`` edges per direction, from one UNION query.
+        """At most ``kg_result_limit`` edges per direction, from one UNION query.
 
-        A full answer (``2 * limit`` rows) may have cut one direction short;
-        only then is that direction asked for again on its own.
+        A full answer (``2 * kg_result_limit`` rows) may have cut one
+        direction short; only then is that direction asked for again on its own.
         """
-        rows = self._execute(self._render(SparqlTemplate.NEIGHBORS, entity))
+        limit = self.config.kg_result_limit
+        rows = self._execute(render_sparql(SparqlTemplate.NEIGHBORS, entity, self.config))
         by_end: dict[str, list[dict[str, str]]] = {other: [] for other in _ENDS}
         for row in rows:
             ends = [other for other in _ENDS if other in row]
@@ -271,9 +248,9 @@ class SparqlGraphStore:
         out: list[Neighbor] = []
         for other, (direction, template) in _ENDS.items():
             found = by_end[other]
-            if len(rows) >= 2 * self.limit and len(found) < self.limit:
-                found = self._execute(self._render(template, entity))
-            for row in found[: self.limit]:
+            if len(rows) >= 2 * limit and len(found) < limit:
+                found = self._execute(render_sparql(template, entity, self.config))
+            for row in found[:limit]:
                 relation = self._localize(_field(row, "relation"))
                 out.append((relation, self._localize(_field(row, other)), direction))
         neighbors = sorted(set(out), key=_neighbor_order)
@@ -329,12 +306,10 @@ class InMemoryGraphStore:
         return self._labels.get(entity_or_relation)
 
     def entity_with_label(self, text: str) -> str | None:
-        """Reverse label lookup, used for backend-extracted topic entities."""
+        """Reverse label lookup, used for backend-extracted topic entities:
+        the smallest id whose label matches ``text``, case and outer space aside."""
         wanted = text.strip().lower()
-        for key, lab in sorted(self._labels.items()):
-            if lab.strip().lower() == wanted:
-                return key
-        return None
+        return min((key for key, lab in self._labels.items() if lab.strip().lower() == wanted), default=None)
 
 
 def load_memory_store(path) -> InMemoryGraphStore:

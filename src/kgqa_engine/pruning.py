@@ -11,7 +11,6 @@ import hashlib
 import heapq
 import logging
 import math
-import os
 import re
 import threading
 from operator import mul
@@ -19,6 +18,7 @@ from typing import Iterable, Protocol, Sequence
 
 import requests
 
+from .config import EngineConfig
 from .errors import DimensionMismatch, PruningUnavailable, ZeroVector
 from .transport import post
 from .triples import CandidateTriple
@@ -150,23 +150,19 @@ class HashingEmbedder:
 
 class HttpEmbedder:
     """Embeddings over an HTTP endpoint taking {model, input:[...]}, with
-    ``transport.post``'s retries, a malformed body included.  The bearer
-    token comes from ``KGQA_EMBED_TOKEN``."""
+    ``transport.post``'s retries, a malformed body included.  Endpoint,
+    model, timeout and retries are read from ``config`` (``embed_url``,
+    ``embed_model``, ``http_timeout``, ``http_retries``) on each call.  The
+    bearer token comes from ``KGQA_EMBED_TOKEN``."""
 
-    def __init__(self, url: str, model: str, timeout: float = 30.0, retries: int = 2):
-        self.url = url
-        self.model = model
-        self.timeout = timeout
-        self.retries = retries
+    def __init__(self, config: EngineConfig):
+        self.config = config
 
     def embed(self, texts: list[str]) -> list[list[float]]:
-        headers = {}
-        token = os.environ.get(EMBED_TOKEN_ENV, "")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        body = {"model": self.model, "input": texts}
-        vectors = post(self.url, _embeddings, PruningUnavailable, log, timeout=self.timeout,
-                       retries=self.retries, json=body, headers=headers)
+        config = self.config
+        body = {"model": config.embed_model, "input": texts}
+        vectors = post(config.embed_url, _embeddings, PruningUnavailable, log, timeout=config.http_timeout,
+                       retries=config.http_retries, token_env=EMBED_TOKEN_ENV, json=body)
         if len(vectors) != len(texts):
             raise PruningUnavailable("embeddings endpoint returned wrong number of vectors")
         return vectors

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import os
 import time
 from typing import Any, Callable
 
@@ -20,9 +21,13 @@ def post(
     timeout: float,
     retries: int,
     session: requests.Session | None = None,
+    token_env: str | None = None,
     **request,
 ) -> Any:
     """POST ``request`` (``data``, ``json``, ``headers``) and return ``parse(response)``.
+
+    Given ``token_env``, that environment variable is read once per call
+    and, when set and non-empty, sent as an ``Authorization: Bearer`` header.
 
     Transport errors, HTTP 5xx and 429, and a ``parse`` that raises
     ``error`` are retried ``retries`` times, sleeping ``BACKOFF_S * 2**attempt``
@@ -31,6 +36,9 @@ def post(
     ``parse`` propagates.
     """
     send = requests.post if session is None else session.post
+    token = os.environ.get(token_env, "") if token_env else ""
+    if token:
+        request["headers"] = {**request.get("headers", {}), "Authorization": f"Bearer {token}"}
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         try:

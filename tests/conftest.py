@@ -10,9 +10,11 @@ import pytest
 from hypothesis import settings
 
 from kgqa_engine import transport
+from kgqa_engine.backends import ChatCompletionBackend
 from kgqa_engine.config import EngineConfig
-from kgqa_engine.kg import InMemoryGraphStore
+from kgqa_engine.kg import InMemoryGraphStore, SparqlGraphStore
 from kgqa_engine.memory import IntegratedMemory, PlanStep
+from kgqa_engine.pruning import HttpEmbedder
 
 # Same examples on every run, and no per-example deadline: property tests
 # must neither wander nor flake on a slow or contended machine.
@@ -66,6 +68,19 @@ def make_memory(question="q?", topic=("e1",), plan_objectives=("find it",), **kw
     ]
     memory.install_plan(steps)
     return memory
+
+
+def make_sparql_store(url: str, **settings) -> SparqlGraphStore:
+    """A SPARQL store on ``url``; ``settings`` are further ``EngineConfig`` fields."""
+    return SparqlGraphStore(EngineConfig(sparql_url=url, **settings))
+
+
+def make_chat_backend(url: str, model: str, **settings) -> ChatCompletionBackend:
+    return ChatCompletionBackend(EngineConfig(chat_url=url, chat_model=model, **settings))
+
+
+def make_http_embedder(url: str, model: str, **settings) -> HttpEmbedder:
+    return HttpEmbedder(EngineConfig(embed_url=url, embed_model=model, **settings))
 
 
 @pytest.fixture

@@ -20,16 +20,15 @@ from urllib.parse import parse_qs
 
 import pytest
 
-from kgqa_engine.config import EngineConfig
+from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
 from kgqa_engine.executor import Executor
 from kgqa_engine.harness import evaluate_run, exact_match, load_dataset, normalize_answer
-from kgqa_engine.kg import FREEBASE_PREFIX, SparqlGraphStore
 from kgqa_engine.memory import IntegratedMemory, PlanStep
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl
 from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder, prune
 from kgqa_engine.triples import CandidateTriple, Direction
 
-from conftest import StageBackend, make_store
+from conftest import StageBackend, make_sparql_store, make_store
 from scenarios import (
     SCENARIOS,
     golden_trace,
@@ -306,12 +305,12 @@ def test_criterion_adapter_equivalence():
             handler.labels = labels
             memory_store = make_store(triples, labels)
             # a fresh store answers label() by a batched query for that id (cache miss)
-            fresh_store = SparqlGraphStore(endpoint, retries=0, timeout=5)
+            fresh_store = make_sparql_store(endpoint, http_retries=0, http_timeout=5)
             for entity in entities:
                 if memory_store.label(entity) != fresh_store.label(entity):
                     mismatches += 1
             # this one answers label() from what neighbors() batched (cache hit)
-            sparql_store = SparqlGraphStore(endpoint, retries=0, timeout=5)
+            sparql_store = make_sparql_store(endpoint, http_retries=0, http_timeout=5)
             for entity in entities:
                 if set(memory_store.neighbors(entity)) != set(sparql_store.neighbors(entity)):
                     mismatches += 1

@@ -15,14 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa_engine import backends, kg, pruning
-from kgqa_engine.backends import ChatCompletionBackend
-from kgqa_engine.config import EngineConfig
+from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
 from kgqa_engine.errors import BackendUnavailable, MalformedResults, PruningUnavailable
-from kgqa_engine.kg import FREEBASE_PREFIX, SparqlGraphStore
 from kgqa_engine.orchestrator import Engine, Stage
-from kgqa_engine.pruning import HashingEmbedder, HttpEmbedder
+from kgqa_engine.pruning import HashingEmbedder
 
-from conftest import JsonStub, StageBackend, make_store
+from conftest import (
+    JsonStub,
+    StageBackend,
+    make_chat_backend,
+    make_http_embedder,
+    make_sparql_store,
+    make_store,
+)
 
 DEEP = b"[" * 100_000 + b"]" * 100_000  # past the JSON decoder's recursion limit
 NON_TEXT = [None, 7, 1.5, True, ["x"], {"value": "x"}]
@@ -56,13 +61,13 @@ class TestChatContent:
     def test_non_text_content_is_unavailable(self, json_stub, content):
         JsonStub.responses = [(200, completion(content))]
         with pytest.raises(BackendUnavailable, match="not str"):
-            ChatCompletionBackend(json_stub, "m", retries=0).complete("p", "think")
+            make_chat_backend(json_stub, "m", http_retries=0).complete("p", "think")
 
     @pytest.mark.parametrize("content", NON_TEXT, ids=NON_TEXT_IDS)
     def test_run_finishes_when_content_turns_non_text(self, json_stub, content):
         # a plan is made, then every later call gets non-text content
         JsonStub.responses = [(200, completion("STEP: find it | walk")), (200, completion(content))]
-        result = run_to_finish(backend=ChatCompletionBackend(json_stub, "m", retries=0))
+        result = run_to_finish(backend=make_chat_backend(json_stub, "m", http_retries=0))
         assert result.error_note.startswith("predict failed")
 
 
@@ -73,19 +78,19 @@ class TestSparqlValues:
     def test_non_text_edge_value_is_malformed(self, json_stub, value):
         JsonStub.responses = [(200, bindings([{"relation": value, "tail": f"{self.ns}m.0t"}]))]
         with pytest.raises(MalformedResults, match="not str"):
-            SparqlGraphStore(json_stub, retries=0).neighbors("m.0x")
+            make_sparql_store(json_stub, http_retries=0).neighbors("m.0x")
 
     @pytest.mark.parametrize("value", NON_TEXT, ids=NON_TEXT_IDS)
     def test_non_text_label_is_malformed(self, json_stub, value):
         JsonStub.responses = [(200, bindings([{"x": f"{self.ns}m.0x", "label": value}]))]
         with pytest.raises(MalformedResults, match="not str"):
-            SparqlGraphStore(json_stub, retries=0).label("m.0x")
+            make_sparql_store(json_stub, http_retries=0).label("m.0x")
 
     @pytest.mark.parametrize("rows", [None, 7, "rows", {"x": {}}], ids=["null", "int", "str", "dict"])
     def test_bindings_that_are_not_an_array_are_malformed(self, json_stub, rows):
         JsonStub.responses = [(200, json.dumps({"results": {"bindings": rows}}).encode())]
         with pytest.raises(MalformedResults):
-            SparqlGraphStore(json_stub, retries=0).neighbors("m.0x")
+            make_sparql_store(json_stub, http_retries=0).neighbors("m.0x")
 
     @pytest.mark.parametrize("value", NON_TEXT, ids=NON_TEXT_IDS)
     def test_non_text_label_never_becomes_the_answer(self, json_stub, value):
@@ -95,7 +100,7 @@ class TestSparqlValues:
             (200, bindings([{"relation": f"{self.ns}r.a", "tail": f"{self.ns}m.0t"}])),
             (200, bindings([{"x": f"{self.ns}m.0t", "label": value}])),
         ]
-        result = run_to_finish(kg=SparqlGraphStore(json_stub, retries=0))
+        result = run_to_finish(kg=make_sparql_store(json_stub, http_retries=0))
         assert result.error_note.startswith("exploration failed")
 
 
@@ -103,23 +108,23 @@ class TestDeepJson:
     def test_sparql(self, json_stub):
         JsonStub.responses = [(200, DEEP)]
         with pytest.raises(MalformedResults):
-            SparqlGraphStore(json_stub, retries=0).neighbors("m.0x")
-        result = run_to_finish(kg=SparqlGraphStore(json_stub, retries=0))
+            make_sparql_store(json_stub, http_retries=0).neighbors("m.0x")
+        result = run_to_finish(kg=make_sparql_store(json_stub, http_retries=0))
         assert result.error_note.startswith("exploration failed")
 
     def test_chat(self, json_stub):
         JsonStub.responses = [(200, DEEP)]
         with pytest.raises(BackendUnavailable):
-            ChatCompletionBackend(json_stub, "m", retries=0).complete("p", "think")
-        result = run_to_finish(backend=ChatCompletionBackend(json_stub, "m", retries=0))
+            make_chat_backend(json_stub, "m", http_retries=0).complete("p", "think")
+        result = run_to_finish(backend=make_chat_backend(json_stub, "m", http_retries=0))
         assert result.error_note.startswith("decomposition failed")
 
     def test_embeddings(self, json_stub):
         JsonStub.responses = [(200, DEEP)]
         with pytest.raises(PruningUnavailable):
-            HttpEmbedder(json_stub, "m", retries=0).embed(["a"])
+            make_http_embedder(json_stub, "m", http_retries=0).embed(["a"])
         result = run_to_finish(
-            backend=StageBackend(), embedder=HttpEmbedder(json_stub, "m", retries=0)
+            backend=StageBackend(), embedder=make_http_embedder(json_stub, "m", http_retries=0)
         )
         assert "pruning unavailable" in result.trace[3].payload["observation"]["rationale"]
 
@@ -200,7 +205,7 @@ class TestWholeDocuments:
     @settings(max_examples=60)
     @given(DOCUMENT)
     def test_runs_finish_whatever_the_graph_answers(self, document):
-        store = SparqlGraphStore("http://127.0.0.1:9/sparql", retries=0)
+        store = make_sparql_store("http://127.0.0.1:9/sparql", http_retries=0)
         store._session = FakeSession(document)
         run_to_finish(kg=store)
 
@@ -208,13 +213,14 @@ class TestWholeDocuments:
     @given(DOCUMENT)
     def test_runs_finish_whatever_the_chat_endpoint_answers(self, document):
         with mock.patch.object(requests, "post", FakeSession(document).post):
-            run_to_finish(backend=ChatCompletionBackend("http://127.0.0.1:9/chat", "m", retries=0))
+            run_to_finish(backend=make_chat_backend("http://127.0.0.1:9/chat", "m", http_retries=0))
 
     @settings(max_examples=60)
     @given(DOCUMENT)
     def test_runs_finish_whatever_the_embedder_answers(self, document):
         with mock.patch.object(requests, "post", FakeSession(document).post):
             result = run_to_finish(
-                backend=StageBackend(), embedder=HttpEmbedder("http://127.0.0.1:9/embed", "m", retries=0)
+                backend=StageBackend(),
+                embedder=make_http_embedder("http://127.0.0.1:9/embed", "m", http_retries=0),
             )
         assert not (result.error_note or "").startswith("exploration failed")

@@ -5,8 +5,8 @@ import logging
 
 import pytest
 
-from conftest import JsonStub
-from kgqa_engine.backends import ChatCompletionBackend, RecordingBackend, ScriptedBackend
+from conftest import JsonStub, make_chat_backend
+from kgqa_engine.backends import RecordingBackend, ScriptedBackend
 from kgqa_engine.errors import BackendUnavailable, ScriptMismatch
 
 
@@ -58,7 +58,7 @@ class TestChatCompletionBackend:
     def test_posts_expected_body_and_reads_first_choice(self, json_stub, monkeypatch):
         monkeypatch.setenv("KGQA_CHAT_TOKEN", "sk-test")
         JsonStub.responses = [(200, completion("DECISION: Proceed"))]
-        backend = ChatCompletionBackend(json_stub, "test-model")
+        backend = make_chat_backend(json_stub, "test-model")
         assert backend.complete("hello", "evaluate") == "DECISION: Proceed"
         request = JsonStub.seen[0]
         assert request["auth"] == "Bearer sk-test"
@@ -66,33 +66,43 @@ class TestChatCompletionBackend:
         assert request["body"]["temperature"] == 0
         assert request["body"]["messages"] == [{"role": "user", "content": "hello"}]
 
+    @pytest.mark.parametrize("token", [None, ""], ids=["unset", "empty"])
+    def test_no_authorization_header_without_token(self, json_stub, monkeypatch, token):
+        JsonStub.responses = [(200, completion("ok"))]
+        if token is None:
+            monkeypatch.delenv("KGQA_CHAT_TOKEN", raising=False)
+        else:
+            monkeypatch.setenv("KGQA_CHAT_TOKEN", token)
+        assert make_chat_backend(json_stub, "m").complete("p", "think") == "ok"
+        assert JsonStub.seen[0]["auth"] is None
+
     def test_retries_then_raises(self, json_stub, fast_backoff):
         JsonStub.responses = [(500, b"broken")]
-        backend = ChatCompletionBackend(json_stub, "m", retries=2)
+        backend = make_chat_backend(json_stub, "m", http_retries=2)
         with pytest.raises(BackendUnavailable):
             backend.complete("p", "think")
         assert len(JsonStub.seen) == 3
 
     def test_recovers_after_transient_failure(self, json_stub, fast_backoff):
         JsonStub.responses = [(500, b"broken"), (200, completion("ok"))]
-        backend = ChatCompletionBackend(json_stub, "m", retries=2)
+        backend = make_chat_backend(json_stub, "m", http_retries=2)
         assert backend.complete("p", "think") == "ok"
 
     def test_malformed_body_raises(self, json_stub):
         JsonStub.responses = [(200, b'{"weird": true}')]
-        backend = ChatCompletionBackend(json_stub, "m", retries=0)
+        backend = make_chat_backend(json_stub, "m", http_retries=0)
         with pytest.raises(BackendUnavailable):
             backend.complete("p", "think")
 
     def test_malformed_body_is_retried(self, json_stub, sleeps):
         JsonStub.responses = [(200, b'{"weird": true}'), (200, completion("ok"))]
-        backend = ChatCompletionBackend(json_stub, "m", retries=2)
+        backend = make_chat_backend(json_stub, "m", http_retries=2)
         assert backend.complete("p", "think") == "ok"
         assert len(JsonStub.seen) == 2 and sleeps == [0.5]
 
     def test_client_error_fails_fast(self, json_stub, sleeps):
         JsonStub.responses = [(401, b"no token")]
-        backend = ChatCompletionBackend(json_stub, "m", retries=2)
+        backend = make_chat_backend(json_stub, "m", http_retries=2)
         with pytest.raises(BackendUnavailable, match="HTTP 401"):
             backend.complete("p", "think")
         assert len(JsonStub.seen) == 1
@@ -101,7 +111,7 @@ class TestChatCompletionBackend:
     @pytest.mark.parametrize("status", [503, 429])
     def test_server_error_and_throttling_are_retried(self, json_stub, sleeps, status):
         JsonStub.responses = [(status, b"busy")]
-        backend = ChatCompletionBackend(json_stub, "m", retries=2)
+        backend = make_chat_backend(json_stub, "m", http_retries=2)
         with pytest.raises(BackendUnavailable, match=f"HTTP {status}"):
             backend.complete("p", "think")
         assert len(JsonStub.seen) == 3
@@ -110,7 +120,7 @@ class TestChatCompletionBackend:
     def test_each_retry_is_logged(self, json_stub, caplog, fast_backoff):
         caplog.set_level(logging.INFO, logger="kgqa_engine.backends")
         JsonStub.responses = [(500, b"broken"), (200, completion("ok"))]
-        backend = ChatCompletionBackend(json_stub, "m", retries=2)
+        backend = make_chat_backend(json_stub, "m", http_retries=2)
         assert backend.complete("p", "think") == "ok"
         assert [(r.name, r.levelno) for r in caplog.records] == [("kgqa_engine.backends", logging.INFO)]
         message = caplog.records[0].getMessage()

@@ -55,6 +55,16 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(write_simple(tmp_path, bad), "simple")
 
+    def test_simple_number_answers_kept_as_text(self, tmp_path):
+        examples = load_dataset(write_simple(tmp_path, [dict(SIMPLE_TWO[0], answers=[1945, 2.5])]), "simple")
+        assert examples[0].gold_answers == ["1945", "2.5"]
+
+    def test_wrong_type_error_names_example_and_field(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^example 1: answers is str, not a list$"):
+            load_dataset(write_simple(tmp_path, [SIMPLE_TWO[0], dict(SIMPLE_TWO[1], answers="Else")]), "simple")
+        with pytest.raises(ParseError, match=r"^example 0 \('q1'\): gold answer None is not a string$"):
+            load_dataset(write_simple(tmp_path, [dict(SIMPLE_TWO[0], answers=[None])]), "simple")
+
     def test_duplicate_ids_rejected_by_name(self, tmp_path):
         bad = SIMPLE_TWO + [SIMPLE_TWO[0]]
         with pytest.raises(ParseError, match="q1"):
@@ -332,6 +342,31 @@ class TestCli:
             ("simple", json.dumps([dict(SIMPLE_TWO[0], id="../escaped")])),
             ("simple", json.dumps([dict(SIMPLE_TWO[0], id="..")])),
             ("simple", "[" * 100_000 + "]" * 100_000),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], answers="Cairo")])),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], answers=[None])])),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], question=["capital of France?"])])),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], topic_entities=[{"id": 7}])])),
+            (
+                "cwq",
+                json.dumps(
+                    [{"ID": "c1", "question": "q?", "answers": [{"answer": "Cairo", "aliases": "Al-Qahira"}]}]
+                ),
+            ),
+            ("grailqa", json.dumps([{"qid": "g1", "question": "q?", "answer": [{"entity_name": 5}]}])),
+            (
+                "webqsp",
+                json.dumps(
+                    {
+                        "Questions": [
+                            {
+                                "QuestionId": "w1",
+                                "RawQuestion": "q?",
+                                "Parses": [{"Answers": [{"EntityName": None, "AnswerArgument": 12}]}],
+                            }
+                        ]
+                    }
+                ),
+            ),
         ],
         ids=[
             "not-json",
@@ -347,6 +382,13 @@ class TestCli:
             "simple-id-escapes-out-dir",
             "simple-id-dotdot",
             "too-deep",
+            "simple-answers-a-string",
+            "simple-null-answer",
+            "simple-list-question",
+            "simple-int-topic-entity",
+            "cwq-aliases-a-string",
+            "grailqa-int-entity-name",
+            "webqsp-int-answer-argument",
         ],
     )
     def test_bench_invalid_dataset_exit_2(self, tmp_path, capsys, format, text):

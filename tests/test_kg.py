@@ -14,13 +14,12 @@ from urllib.parse import parse_qs
 import pytest
 import requests
 
-from conftest import StageBackend
+from conftest import StageBackend, make_sparql_store
 from kgqa_engine import kg as kg_mod
+from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
 from kgqa_engine.errors import InvalidEntityId, KgUnavailable, MalformedResults, ParseError
 from kgqa_engine.kg import (
-    FREEBASE_PREFIX,
     InMemoryGraphStore,
-    SparqlGraphStore,
     SparqlTemplate,
     execute,
     load_memory_store,
@@ -55,10 +54,11 @@ class TestRenderSparql:
             render_sparql(SparqlTemplate.NEIGHBORS, ["m.0a", "m.0b"])
 
     def test_limit_applied(self):
-        assert render_sparql(SparqlTemplate.OUTGOING_EDGES, "m.0abc", limit=17).endswith("LIMIT 17")
+        query = render_sparql(SparqlTemplate.OUTGOING_EDGES, "m.0abc", EngineConfig(kg_result_limit=17))
+        assert query.endswith("LIMIT 17")
 
     def test_neighbors_query_unions_both_directions(self):
-        query = render_sparql(SparqlTemplate.NEIGHBORS, "m.0abc", limit=17)
+        query = render_sparql(SparqlTemplate.NEIGHBORS, "m.0abc", EngineConfig(kg_result_limit=17))
         assert query.endswith(  # limit edges per direction, two directions
             "SELECT ?relation ?tail ?head WHERE "
             "{ { ns:m.0abc ?relation ?tail } UNION { ?head ?relation ns:m.0abc } } LIMIT 34"
@@ -75,7 +75,7 @@ class TestRenderSparql:
             render_sparql(SparqlTemplate.OUTGOING_EDGES, bad)
 
     def test_custom_grammar(self):
-        query = render_sparql(SparqlTemplate.LABELS, ["E17"], id_pattern=r"E\d+")
+        query = render_sparql(SparqlTemplate.LABELS, ["E17"], EngineConfig(entity_id_pattern=r"E\d+"))
         assert "ns:E17" in query
 
     def test_fuzzed_ids_never_escape_the_template(self):
@@ -208,20 +208,20 @@ class TestSparqlGraphStore:
             )),
             (200, sparql_json([], ["x", "label"])),
         ]
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         assert store.neighbors("m.0x") == [
             ("r.a", "m.0h", Direction.INCOMING),
             ("r.b", "m.0t", Direction.OUTGOING),
         ]
 
     def test_label_returns_none_for_ungrammatical_id(self, stub_server):
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         assert store.label("not an id") is None
         assert _StubHandler.seen == []
 
     def test_label_lookup(self, stub_server):
         _StubHandler.responses = [label_batch([("m.0paris", "Paris")])]
-        assert SparqlGraphStore(stub_server, retries=0).label("m.0paris") == "Paris"
+        assert make_sparql_store(stub_server, http_retries=0).label("m.0paris") == "Paris"
 
     def test_unavailable_endpoint_raises_through_session(self):
         with pytest.raises(KgUnavailable):
@@ -256,7 +256,7 @@ class TestRoundTrips:
             [("r.a", "m.0h")],
             [("m.0x", "Frontier"), ("m.0t1", "Tail one"), ("m.0h", "Head")],
         )
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         neighbors = store.neighbors("m.0x")
         labels = [store.label("m.0x")] + [store.label(other) for _, other, _ in neighbors]
         assert labels == ["Frontier", "Head", "Tail one", None]
@@ -267,7 +267,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("rows, expected", [([("m.0paris", "Paris")], "Paris"), ([], None)])
     def test_repeated_label_costs_nothing(self, stub_server, rows, expected):
         _StubHandler.responses = [label_batch(rows)]
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         assert store.label("m.0paris") == expected
         assert store.label("m.0paris") == expected  # "no label" is cached too
         assert len(_StubHandler.seen) == 1
@@ -275,7 +275,7 @@ class TestRoundTrips:
     def test_labelled_neighbours_are_not_asked_for_again(self, stub_server):
         _StubHandler.responses = edges_and_labels([("r.b", "m.0t")], [], [("m.0x", "X")])
         _StubHandler.responses += edges_and_labels([], [("r.b", "m.0x")], [("m.0t", "T")])
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         store.neighbors("m.0x")
         store.neighbors("m.0t")  # both ends already cached: no label batch
         assert len(_StubHandler.seen) == 3
@@ -290,7 +290,7 @@ class TestRoundTrips:
             )),
             (200, sparql_json([], ["x", "label"])),
         ]
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         store.neighbors("m.0x")
         assert "VALUES ?x { ns:m.0x }" in _StubHandler.seen[1]
         assert store.label("M.0BAD") is None and store.label("http://example.org/x y") is None
@@ -298,7 +298,7 @@ class TestRoundTrips:
 
     def test_first_row_per_id_wins(self, stub_server):
         _StubHandler.responses = edges_and_labels([], [], [("m.0x", "First"), ("m.0x", "Second")])
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         store.neighbors("m.0x")
         assert store.label("m.0x") == "First"
 
@@ -310,7 +310,7 @@ class TestRoundTrips:
             (200, sparql_json(union_rows([], [("r.i", "m.0h0"), ("r.i", "m.0h1")]), ["relation", "head"])),
             (200, sparql_json([], ["x", "label"])),
         ]
-        store = SparqlGraphStore(stub_server, retries=0, limit=2)
+        store = make_sparql_store(stub_server, http_retries=0, kg_result_limit=2)
         assert store.neighbors("m.0x") == [
             ("r.i", "m.0h0", Direction.INCOMING),
             ("r.i", "m.0h1", Direction.INCOMING),
@@ -330,7 +330,7 @@ class TestRoundTrips:
         _StubHandler.responses = edges_and_labels(
             [("r.o", f"m.0t{i}") for i in range(outgoing)], [("r.i", f"m.0h{i}") for i in range(incoming)], []
         )
-        store = SparqlGraphStore(stub_server, retries=0, limit=2)
+        store = make_sparql_store(stub_server, http_retries=0, kg_result_limit=2)
         assert len(store.neighbors("m.0x")) == outgoing + incoming
         assert len(_StubHandler.seen) == 2
         assert "UNION" in _StubHandler.seen[0] and "VALUES" in _StubHandler.seen[1]
@@ -338,7 +338,7 @@ class TestRoundTrips:
     def test_cache_evicts_oldest_past_its_size(self, stub_server, monkeypatch):
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 2)
         _StubHandler.responses = [label_batch([(i, "L") for i in ["m.0a", "m.0b", "m.0c"]])]
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         for entity in ["m.0a", "m.0b", "m.0c", "m.0c", "m.0b"]:
             store.label(entity)
         assert len(_StubHandler.seen) == 3
@@ -348,7 +348,7 @@ class TestRoundTrips:
     def test_cache_survives_concurrent_lookups_and_eviction(self, monkeypatch):
         # kgqa bench --concurrency shares one store between threads
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 8)
-        store = SparqlGraphStore("http://unused.invalid/sparql")
+        store = make_sparql_store("http://unused.invalid/sparql")
         store._execute = lambda query: [
             {"x": FREEBASE_PREFIX + i, "label": i.upper()} for i in re.findall(r"VALUES \?x \{ ns:(\S+) \}", query)
         ]
@@ -371,7 +371,7 @@ class TestRoundTrips:
 
     def test_session_opened_lazily_and_reused(self, stub_server):
         _StubHandler.responses = [label_batch([("m.0a", "L"), ("m.0b", "L")])]
-        store = SparqlGraphStore(stub_server, retries=0)
+        store = make_sparql_store(stub_server, http_retries=0)
         assert store._session is None
         store.label("m.0a")
         session = store._session
@@ -425,7 +425,7 @@ class TestEnvironment:
         monkeypatch, bundle = environment
         monkeypatch.setenv("NO_PROXY", no_proxy)
         execute(self.ENDPOINT, "q", retries=0)  # plain requests.post, environment read per request
-        SparqlGraphStore(self.ENDPOINT, retries=0).label("m.0a")
+        make_sparql_store(self.ENDPOINT, http_retries=0).label("m.0a")
         expected, got = sent
         assert got == expected
         assert (got["proxies"].get("http") == "http://proxy.test:3128") is proxied
@@ -438,7 +438,7 @@ class TestEnvironment:
         monkeypatch.setattr(
             requests.sessions, "get_environ_proxies", lambda *a, **kw: calls.append(a) or resolve(*a, **kw)
         )
-        store = SparqlGraphStore(self.ENDPOINT, retries=0)
+        store = make_sparql_store(self.ENDPOINT, http_retries=0)
         assert store._session is None and sent == [] and calls == []  # construction sends nothing
         for i in range(5):
             store.neighbors(f"m.0e{i}")
@@ -446,7 +446,7 @@ class TestEnvironment:
         assert len(sent) == 15  # per explore one union query and one label batch, plus each label()
         assert len(calls) == 1
         assert all(request == sent[0] for request in sent)
-        SparqlGraphStore(self.ENDPOINT, retries=0).label("m.0a")
+        make_sparql_store(self.ENDPOINT, http_retries=0).label("m.0a")
         assert len(calls) == 2  # a new store resolves it again
 
 
@@ -478,19 +478,19 @@ class TestMalformedBindings:
     def test_neighbors_raises_malformed(self, stub_server, case):
         _StubHandler.responses = self.CASES[case]
         with pytest.raises(MalformedResults):
-            SparqlGraphStore(stub_server, retries=0, limit=2).neighbors("m.0x")
+            make_sparql_store(stub_server, http_retries=0, kg_result_limit=2).neighbors("m.0x")
 
     def test_single_label_row_lacking_label(self, stub_server):
         _StubHandler.responses = [(200, sparql_json([{"x": f"{self.ns}m.0x"}], ["x", "label"]))]
         with pytest.raises(MalformedResults):
-            SparqlGraphStore(stub_server, retries=0).label("m.0x")
+            make_sparql_store(stub_server, http_retries=0).label("m.0x")
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_engine_run_still_finishes(self, stub_server, case):
         _StubHandler.responses = self.CASES[case]
         engine = Engine(
             backend=StageBackend(),
-            kg=SparqlGraphStore(stub_server, retries=0, limit=2),
+            kg=make_sparql_store(stub_server, http_retries=0, kg_result_limit=2),
             embedder=HashingEmbedder(),
         )
         result = engine.run("where is it?", ["m.0x"])
@@ -566,3 +566,6 @@ class TestInMemoryStore:
         store.add_label("m.1", "Paris")
         assert store.entity_with_label("  paris ") == "m.1"
         assert store.entity_with_label("London") is None
+        store.add_label("m.3", "Cairo")
+        store.add_label("m.2", "cairo ")  # added later, but the smaller id
+        assert store.entity_with_label("Cairo") == "m.2"
