@@ -43,14 +43,6 @@ class PruningUnavailable(EngineError):
     """Embeddings failed or are unusable; the current attempt is abandoned."""
 
 
-class ZeroVector(PruningUnavailable):
-    """Cosine similarity of a vector with no nonzero component."""
-
-
-class DimensionMismatch(PruningUnavailable):
-    """Cosine similarity of vectors with different dimensions."""
-
-
 class ParseError(EngineError):
     """Malformed input file (triple file or dataset)."""
 

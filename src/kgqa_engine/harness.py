@@ -35,7 +35,7 @@ def _number_as_text(value):
 def _simple(raw) -> QaExample:
     topics = _list(raw.get("topic_entities", []), "topic_entities")
     return QaExample(
-        id=str(raw["id"]),
+        id=_number_as_text(raw["id"]),
         question=raw["question"],
         topic_entities=[(e["id"], e.get("label", "")) for e in topics],
         gold_answers=[_number_as_text(a) for a in _list(raw["answers"], "answers")],
@@ -45,7 +45,7 @@ def _simple(raw) -> QaExample:
 def _grailqa(raw) -> QaExample:
     nodes = _list(raw.get("graph_query", {}).get("nodes", []), "graph_query.nodes")
     return QaExample(
-        id=str(raw["qid"]),
+        id=_number_as_text(raw["qid"]),
         question=raw["question"],
         topic_entities=[
             (n["id"], n.get("friendly_name", "")) for n in nodes if n.get("node_type") == "entity"
@@ -62,7 +62,7 @@ def _cwq(raw) -> QaExample:
         gold.append(ans["answer"])
         gold.extend(_list(ans.get("aliases", []), "aliases"))
     return QaExample(
-        id=str(raw["ID"]),
+        id=_number_as_text(raw["ID"]),
         question=raw["question"],
         topic_entities=sorted((raw.get("topic_entity") or {}).items()),
         gold_answers=gold,
@@ -72,7 +72,7 @@ def _cwq(raw) -> QaExample:
 def _webqsp(raw) -> QaExample:
     parses = _list(raw.get("Parses", []), "Parses")
     return QaExample(
-        id=str(raw["QuestionId"]),
+        id=_number_as_text(raw["QuestionId"]),
         question=raw["RawQuestion"],
         topic_entities=[
             (p["TopicEntityMid"], p.get("TopicEntityName", ""))
@@ -116,7 +116,8 @@ def load_dataset(path, format: str = "simple") -> list[QaExample]:
             raise ParseError(f"example {i}: {exc}") from None
         except (KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"example {i}: missing field {exc}") from exc
-        fields = [("question", ex.question), *(("topic entity id", e) for e, _ in ex.topic_entities),
+        fields = [("id", ex.id), ("question", ex.question),
+                  *(("topic entity id", e) for e, _ in ex.topic_entities),
                   *(("gold answer", a) for a in ex.gold_answers)]
         for field_name, value in fields:
             if not isinstance(value, str):
@@ -219,21 +220,21 @@ def evaluate_run(
         try:
             engine = engine_factory(example)
             run = engine.run(example.question, [eid for eid, _ in example.topic_entities])
+            return ExampleResult(
+                id=example.id,
+                answer=run.answer,
+                hit=exact_match(run.answer, example.gold_answers),
+                cycles=run.cycles,
+                replans=run.replans,
+                trace_path=write_trace(run.trace, trace_dir, example.id) if trace_dir else None,
+                error=run.error_note,
+            )
         except ScriptMismatch:
             raise
         except Exception as exc:  # per-example isolation: record, keep going
             return ExampleResult(
                 id=example.id, answer="", hit=0, cycles=0, replans=0, error=str(exc)
             )
-        return ExampleResult(
-            id=example.id,
-            answer=run.answer,
-            hit=exact_match(run.answer, example.gold_answers),
-            cycles=run.cycles,
-            replans=run.replans,
-            trace_path=write_trace(run.trace, trace_dir, example.id) if trace_dir else None,
-            error=run.error_note,
-        )
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:

@@ -19,7 +19,7 @@ from typing import Iterable, Protocol, Sequence
 import requests
 
 from .config import EngineConfig
-from .errors import DimensionMismatch, PruningUnavailable, ZeroVector
+from .errors import PruningUnavailable
 from .transport import post
 from .triples import CandidateTriple
 
@@ -61,13 +61,13 @@ def _cosines(u: Vector, vectors: Iterable[Vector]) -> list[float]:
     scores = []
     for v in vectors:
         if len(v) != dim:
-            raise DimensionMismatch(f"dimensions differ: {dim} vs {len(v)}")
+            raise PruningUnavailable(f"dimensions differ: {dim} vs {len(v)}")
         nv = math.sqrt(_sum_squares(v))
         dot = sum([a * v[i] for i, a in nonzeros])
         if not math.isfinite(dot + nv):  # inf or NaN in either
             raise PruningUnavailable("vector has a non-finite component")
         if nu == 0.0 or nv == 0.0:
-            raise ZeroVector("cosine similarity undefined for a zero vector")
+            raise PruningUnavailable("cosine similarity undefined for a zero vector")
         scores.append(max(-1.0, min(1.0, dot / (nu * nv))))
     return scores
 

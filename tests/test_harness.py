@@ -64,6 +64,8 @@ class TestLoadDataset:
             load_dataset(write_simple(tmp_path, [SIMPLE_TWO[0], dict(SIMPLE_TWO[1], answers="Else")]), "simple")
         with pytest.raises(ParseError, match=r"^example 0 \('q1'\): gold answer None is not a string$"):
             load_dataset(write_simple(tmp_path, [dict(SIMPLE_TWO[0], answers=[None])]), "simple")
+        with pytest.raises(ParseError, match=r"^example 0 \(None\): id None is not a string$"):
+            load_dataset(write_simple(tmp_path, [dict(SIMPLE_TWO[0], id=None)]), "simple")
 
     def test_duplicate_ids_rejected_by_name(self, tmp_path):
         bad = SIMPLE_TWO + [SIMPLE_TWO[0]]
@@ -73,7 +75,7 @@ class TestLoadDataset:
     def test_grailqa_mapping(self, tmp_path):
         doc = [
             {
-                "qid": "g1",
+                "qid": 2102902009000,
                 "question": "what river?",
                 "answer": [{"answer_argument": "m.0x", "entity_name": "The River"}],
                 "graph_query": {
@@ -86,6 +88,7 @@ class TestLoadDataset:
         ]
         (tmp_path / "g.json").write_text(json.dumps(doc))
         examples = load_dataset(tmp_path / "g.json", "grailqa")
+        assert examples[0].id == "2102902009000"
         assert examples[0].topic_entities == [("m.0topic", "Topic")]
         assert examples[0].gold_answers == ["The River"]
 
@@ -216,6 +219,19 @@ class TestEvaluateRun:
         assert by_id["q1"].hit == 0 and "exploded" in by_id["q1"].error
         assert by_id["q0"].hit == 1 and by_id["q2"].hit == 1
 
+    @pytest.mark.parametrize("fault", ["score", "trace"])
+    def test_unscorable_or_untraceable_example_isolated(self, tmp_path, fault):
+        examples = self.dataset(tmp_path, 2)
+        if fault == "score":
+            examples[1].gold_answers = [5]
+        else:
+            (tmp_path / "traces" / "q1.trace.jsonl").mkdir(parents=True)
+        factory = self.scripted_engine_factory({"q0": "gold0", "q1": "gold1"})
+        report = evaluate_run(examples, engine_factory=factory, trace_dir=str(tmp_path / "traces"))
+        by_id = {r.id: r for r in report.results}
+        assert by_id["q0"].hit == 1 and by_id["q0"].error is None
+        assert by_id["q1"].hit == 0 and by_id["q1"].error
+
     def test_empty_dataset_flagged_undefined(self):
         report = evaluate_run([], engine_factory=lambda e: None)
         assert report.undefined
@@ -235,8 +251,8 @@ class TestEvaluateRun:
         # an example built in code skips load_dataset's id check
         example = QaExample(id="../escaped", question="q?", topic_entities=[("e", "E")], gold_answers=["g"])
         factory = self.scripted_engine_factory({"../escaped": "g"})
-        with pytest.raises(ValueError, match="not a plain file name"):
-            evaluate_run([example], engine_factory=factory, trace_dir=str(tmp_path / "traces"))
+        report = evaluate_run([example], engine_factory=factory, trace_dir=str(tmp_path / "traces"))
+        assert "not a plain file name" in report.results[0].error
         assert list(tmp_path.rglob("*.trace.jsonl")) == []
 
     def test_concurrent_matches_serial(self, tmp_path):
@@ -353,6 +369,10 @@ class TestCli:
                 ),
             ),
             ("grailqa", json.dumps([{"qid": "g1", "question": "q?", "answer": [{"entity_name": 5}]}])),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], id=None)])),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], id=["q", 2])])),
+            ("simple", json.dumps([dict(SIMPLE_TWO[0], id=True)])),
+            ("grailqa", json.dumps([{"qid": None, "question": "q?", "answer": [{"entity_name": "a"}]}])),
             (
                 "webqsp",
                 json.dumps(
@@ -388,6 +408,10 @@ class TestCli:
             "simple-int-topic-entity",
             "cwq-aliases-a-string",
             "grailqa-int-entity-name",
+            "simple-null-id",
+            "simple-list-id",
+            "simple-bool-id",
+            "grailqa-null-qid",
             "webqsp-int-answer-argument",
         ],
     )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa_engine.backends import ScriptedBackend
-from kgqa_engine.cli import _read_trace
+from kgqa_engine.cli import _read_trace, main
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import BackendUnavailable
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl, write_trace
@@ -452,7 +452,7 @@ class TestDegradedPaths:
         assert result.trace[-1].payload["note"] == "re-decomposition failed: backend output unparseable"
         assert result.error_note == "re-decomposition failed: backend output unparseable"
 
-    def test_select_index_too_long_for_int_falls_back(self):
+    def test_select_index_too_long_for_int_falls_back(self, tmp_path, capsys):
         engine = build_engine("happy_path")
         records = json.loads((FIXTURES / "happy_path" / "script.json").read_text())
         first_select = next(r for r in records if r["expect_stage"] == "select")
@@ -462,7 +462,13 @@ class TestDegradedPaths:
         result = engine.run(meta["question"], meta["topic_entities"])
         assert result.trace[-1].stage is Stage.FINISH
         assert result.error_note is None
+        assert result.answer
         assert "fallback" in events_by_stage(result.trace, "observe")[0].payload["observation"]["rationale"]
+        trace = write_trace(result.trace, tmp_path, "run")
+        code = main(["replay", "--trace", trace, "--kg-file", str(FIXTURES / "happy_path" / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.strip() == result.answer
 
 
 def _observed(trace, field):
