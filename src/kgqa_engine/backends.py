@@ -15,7 +15,7 @@ from typing import Protocol
 import requests
 
 from .config import EngineConfig
-from .errors import BackendUnavailable, ScriptMismatch
+from .errors import BackendUnavailable, EngineError, MalformedBackendOutput, ScriptMismatch
 from .transport import post
 
 log = logging.getLogger(__name__)
@@ -100,14 +100,27 @@ class ScriptedBackend:
 
 
 class RecordingBackend:
-    """Wraps a backend and logs every (stage, response) pair for the trace."""
+    """Wraps a backend and logs every (stage, response) pair for the trace.
+
+    Every backend call of a run passes through here: an exception that is
+    neither an ``EngineError`` nor a ``ScriptMismatch`` becomes
+    ``BackendUnavailable``, and a non-``str`` response becomes
+    ``MalformedBackendOutput``; neither is logged.
+    """
 
     def __init__(self, inner: ReasoningBackend):
         self.inner = inner
         self.buffer: list[dict] = []
 
     def complete(self, prompt: str, stage: str) -> str:
-        response = self.inner.complete(prompt, stage)
+        try:
+            response = self.inner.complete(prompt, stage)
+        except (EngineError, ScriptMismatch):
+            raise
+        except Exception as exc:
+            raise BackendUnavailable(f"backend failed: {exc!r}") from exc
+        if not isinstance(response, str):
+            raise MalformedBackendOutput(f"backend returned {type(response).__name__}, not str")
         self.buffer.append({"stage": stage, "response": response})
         return response
 

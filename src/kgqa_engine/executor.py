@@ -11,12 +11,22 @@ import re
 
 from .backends import ReasoningBackend
 from .config import EngineConfig
-from .errors import MalformedBackendOutput, NoFrontier, PruningUnavailable
+from .errors import EngineError, KgUnavailable, MalformedBackendOutput, NoFrontier, PruningUnavailable
 from .kg import GraphStore
 from .memory import IntegratedMemory, Observation, PlanStep
 from .planner import load_prompt, parse_fields
 from .pruning import Embedder, prune
 from .triples import CandidateTriple, Direction
+
+
+def _read_graph(read, *args):
+    """``read(*args)``; a graph store fault that is no ``EngineError`` becomes ``KgUnavailable``."""
+    try:
+        return read(*args)
+    except EngineError:
+        raise
+    except Exception as exc:
+        raise KgUnavailable(f"graph store failed: {exc!r}") from exc
 
 
 class Executor:
@@ -53,84 +63,50 @@ class Executor:
         except MalformedBackendOutput:
             return None
         name = parse_fields(raw).get("ENTITY", "")
-        return lookup(name) if name else None
+        return _read_graph(lookup, name) if name else None
 
     # -- exploration ----------------------------------------------------------
 
-    def _label(self, labels: dict[str, str], entity_or_relation: str) -> str:
-        """``kg.label`` once per distinct id per explore; "" when unlabeled."""
-        text = labels.get(entity_or_relation)
-        if text is None:
-            text = labels[entity_or_relation] = self.kg.label(entity_or_relation) or ""
-        return text
-
-    def _make_candidate(
-        self, frontier: str, relation: str, other: str, direction: Direction, labels: dict[str, str]
-    ) -> CandidateTriple:
-        if direction is Direction.OUTGOING:
-            head, tail = frontier, other
-        else:
-            head, tail = other, frontier
-        return CandidateTriple(
-            head=head,
-            relation=relation,
-            tail=tail,
-            direction=direction,
-            head_label=self._label(labels, head),
-            relation_label=self._label(labels, relation),
-            tail_label=self._label(labels, tail),
-        )
-
     def _retrieve_candidates(self, frontier: str, memory: IntegratedMemory) -> list[CandidateTriple]:
-        candidates: list[CandidateTriple] = []
-        labels: dict[str, str] = {}
-        for relation, other, direction in self.kg.neighbors(frontier):
-            cand = self._make_candidate(frontier, relation, other, direction, labels)
-            memory.record_explored(cand)
-            if (
-                self.config.expand_unlabeled
-                and direction is Direction.OUTGOING
-                and not cand.tail_label
-            ):
-                expanded = self._expand_mediator(cand, memory, labels)
-                candidates.extend(expanded if expanded else [cand])
-            else:
-                candidates.append(cand)
-        return candidates
+        """Every edge at the frontier as a candidate, each recorded as explored.
 
-    def _expand_mediator(
-        self, first_hop: CandidateTriple, memory: IntegratedMemory, labels: dict[str, str]
-    ) -> list[CandidateTriple]:
-        """Hop once more through an unlabeled (CVT-style) node.
-
-        Freebase answers often sit behind such mediators; the two hops are
-        presented as one compound candidate whose relation joins both legs.
+        ``kg.label`` runs once per distinct id per explore; "" when unlabeled.
         """
-        compounds: list[CandidateTriple] = []
-        mediator = first_hop.tail
-        for relation, other, direction in self.kg.neighbors(mediator):
-            if direction is not Direction.OUTGOING or other == first_hop.head:
+        labels: dict[str, str] = {}
+
+        def label(entity_or_relation: str) -> str:
+            text = labels.get(entity_or_relation)
+            if text is None:
+                text = labels[entity_or_relation] = self.kg.label(entity_or_relation) or ""
+            return text
+
+        def candidate(near: str, relation: str, other: str, direction: Direction) -> CandidateTriple:
+            head, tail = (near, other) if direction is Direction.OUTGOING else (other, near)
+            cand = CandidateTriple(head, relation, tail, direction, label(head), label(relation), label(tail))
+            memory.record_explored(cand)
+            return cand
+
+        candidates: list[CandidateTriple] = []
+        for relation, other, direction in self.kg.neighbors(frontier):
+            first = candidate(frontier, relation, other, direction)
+            if not (self.config.expand_unlabeled and direction is Direction.OUTGOING and not first.tail_label):
+                candidates.append(first)
                 continue
-            second = self._make_candidate(mediator, relation, other, direction, labels)
-            memory.record_explored(second)
-            compounds.append(
-                CandidateTriple(
-                    head=first_hop.head,
-                    relation=f"{first_hop.relation}/{relation}",
-                    tail=other,
-                    direction=Direction.OUTGOING,
-                    head_label=first_hop.head_label,
-                    relation_label=" / ".join(
-                        lab or raw
-                        for lab, raw in [
-                            (first_hop.relation_label, first_hop.relation),
-                            (second.relation_label, relation),
-                        ]
-                    ),
-                    tail_label=second.tail_label,
-                )
-            )
-        return compounds
+            # Hop once more through an unlabeled (CVT-style) node: Freebase
+            # answers often sit behind such mediators, so the two hops are
+            # presented as one compound candidate whose relation joins both legs.
+            compounds = []
+            for onward, end, leg in self.kg.neighbors(other):
+                if leg is not Direction.OUTGOING or end == frontier:
+                    continue
+                second = candidate(other, onward, end, leg)
+                compounds.append(CandidateTriple(
+                    frontier, f"{relation}/{onward}", end, Direction.OUTGOING, first.head_label,
+                    f"{first.relation_label or relation} / {second.relation_label or onward}",
+                    second.tail_label,
+                ))
+            candidates.extend(compounds or [first])
+        return candidates
 
     def explore(self, frontier: str, step: PlanStep, memory: IntegratedMemory) -> Observation:
         """One Act+Observe: retrieve, exclude known-bad, prune, select.
@@ -138,9 +114,10 @@ class Executor:
         Excluded are triples already failed on the step in progress and
         triples already accepted into the reasoning chain.  All retrieved
         triples are recorded into the knowledge layer regardless.  Unusable
-        embeddings abandon the attempt with an empty observation.
+        embeddings abandon the attempt with an empty observation; a graph
+        store fault raises ``KgUnavailable``.
         """
-        retrieved = self._retrieve_candidates(frontier, memory)
+        retrieved = _read_graph(self._retrieve_candidates, frontier, memory)
         failed = memory.step_cycle.failed
         # chain exclusion ignores traversal direction: the same edge seen
         # from the other side is still a revisit

@@ -176,7 +176,11 @@ def _embeddings(resp: requests.Response) -> list[list[float]]:
 
 
 class CachingEmbedder:
-    """Per-run cache keyed by exact text; repeated renderings embed once."""
+    """Per-run cache keyed by exact text; repeated renderings embed once.
+
+    The inner embedder must return one vector per text it is asked for;
+    any other count raises ``PruningUnavailable`` and caches nothing.
+    """
 
     def __init__(self, inner: Embedder):
         self.inner = inner
@@ -185,6 +189,10 @@ class CachingEmbedder:
     def embed(self, texts: list[str]) -> list[list[float]]:
         missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
         if missing:
-            for text, vec in zip(missing, self.inner.embed(missing)):
-                self._cache[text] = vec
+            vectors = self.inner.embed(missing)
+            if len(vectors) != len(missing):
+                raise PruningUnavailable(
+                    f"embedder returned {len(vectors)} vectors for {len(missing)} texts"
+                )
+            self._cache.update(zip(missing, vectors))
         return [self._cache[t] for t in texts]

@@ -2,12 +2,13 @@
 
 import json
 import logging
+import re
 
 import pytest
 
-from conftest import JsonStub, make_chat_backend
+from conftest import JsonStub, StageBackend, make_chat_backend
 from kgqa_engine.backends import RecordingBackend, ScriptedBackend
-from kgqa_engine.errors import BackendUnavailable, ScriptMismatch
+from kgqa_engine.errors import BackendUnavailable, MalformedBackendOutput, ScriptMismatch
 
 
 class TestScriptedBackend:
@@ -48,6 +49,39 @@ class TestRecordingBackend:
         backend.complete("p", "think")
         assert backend.drain() == [{"stage": "think", "response": "hm"}]
         assert backend.drain() == []
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyError("x"), ValueError()])
+    def test_other_exception_becomes_backend_unavailable(self, error):
+        backend = RecordingBackend(StageBackend({"think": Raises(error)}))
+        with pytest.raises(BackendUnavailable, match=re.escape(f"backend failed: {error!r}")):
+            backend.complete("p", "think")
+        assert backend.drain() == []
+
+    @pytest.mark.parametrize(
+        "error", [BackendUnavailable("down"), MalformedBackendOutput("junk"), ScriptMismatch("off script")]
+    )
+    def test_engine_errors_and_script_mismatch_pass_unchanged(self, error):
+        backend = RecordingBackend(StageBackend({"think": Raises(error)}))
+        with pytest.raises(type(error)) as caught:
+            backend.complete("p", "think")
+        assert caught.value is error
+
+    @pytest.mark.parametrize("response, name", [(None, "NoneType"), (5, "int"), (b"hm", "bytes")])
+    def test_non_string_response_is_malformed_and_not_recorded(self, response, name):
+        backend = RecordingBackend(StageBackend({"think": lambda prompt: response}))
+        with pytest.raises(MalformedBackendOutput, match=f"^backend returned {name}, not str$"):
+            backend.complete("p", "think")
+        assert backend.drain() == []
+
+
+class Raises:
+    """Backend response that raises ``error`` instead of answering."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __call__(self, prompt):
+        raise self.error
 
 
 def completion(text):

@@ -1,12 +1,14 @@
 """Executor: frontier resolution, exploration bookkeeping, selection."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from kgqa_engine.backends import RecordingBackend
 from kgqa_engine.config import EngineConfig
-from kgqa_engine.errors import NoFrontier
+from kgqa_engine.errors import BackendUnavailable, KgUnavailable, NoFrontier
 from kgqa_engine.executor import Executor
 from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder
 from kgqa_engine.triples import CandidateTriple, Direction
@@ -45,6 +47,13 @@ class TestResolveFrontier:
         memory = make_memory(question="Where is the Eiffel Tower?", topic=())
         assert make_executor(store, backend).resolve_frontier(memory) == "m.1"
         assert memory.strategic.topic_entities == ["m.1"]
+
+    def test_non_string_extraction_finds_no_entity(self):
+        store = make_store([("m.1", "r", "m.2")], labels={"m.1": "Eiffel Tower"})
+        backend = RecordingBackend(StageBackend({"extract": lambda prompt: 5}))
+        memory = make_memory(question="Where is the Eiffel Tower?", topic=())
+        with pytest.raises(NoFrontier):
+            make_executor(store, backend).resolve_frontier(memory)
 
 
 class TestExplore:
@@ -152,6 +161,52 @@ class TestMediatorExpansion:
         # raw hops are still in the knowledge layer
         assert ("m.cvt1", "award.work", "m.film", "outgoing") in memory.knowledge.explored_triples
 
+    def test_compound_candidates_in_order_with_labels(self):
+        store = make_store(
+            [
+                ("f", "rel.named", "n1"),  # labelled neighbour
+                ("f", "rel.via", "cvt1"),  # mediator with onward legs
+                ("cvt1", "leg.year", "y1"),  # labelled leg
+                ("cvt1", "leg.raw", "w1"),  # leg without a relation label
+                ("cvt1", "leg.back", "f"),  # back to the frontier: no compound
+                ("x1", "leg.in", "cvt1"),  # incoming on the mediator: no compound
+                ("f", "rel.bare", "cvt2"),  # mediator with no onward edge
+                ("x1", "leg.in", "cvt2"),
+                ("i1", "rel.in", "f"),  # incoming neighbour
+            ],
+            labels={
+                "f": "Frontier", "n1": "Named", "y1": "1999", "w1": "Work", "i1": "Inbound",
+                "rel.named": "named", "rel.via": "via", "leg.year": "year", "rel.in": "in",
+            },
+        )
+        memory = make_memory(topic=("f",))
+        executor = make_executor(store, expand_unlabeled=True)
+
+        def cand(head, relation, tail, direction, head_label, relation_label, tail_label):
+            return {
+                "head": head, "relation": relation, "tail": tail, "direction": direction,
+                "head_label": head_label, "relation_label": relation_label, "tail_label": tail_label,
+                "score": None,
+            }
+
+        assert [c.to_dict() for c in executor._retrieve_candidates("f", memory)] == [
+            cand("cvt1", "leg.back", "f", "incoming", "", "", "Frontier"),
+            cand("f", "rel.bare", "cvt2", "outgoing", "Frontier", "", ""),
+            cand("i1", "rel.in", "f", "incoming", "Inbound", "in", "Frontier"),
+            cand("f", "rel.named", "n1", "outgoing", "Frontier", "named", "Named"),
+            cand("f", "rel.via/leg.raw", "w1", "outgoing", "Frontier", "via / leg.raw", "Work"),
+            cand("f", "rel.via/leg.year", "y1", "outgoing", "Frontier", "via / year", "1999"),
+        ]
+        assert memory.knowledge.explored_triples == {
+            ("cvt1", "leg.back", "f", "incoming"),
+            ("cvt1", "leg.raw", "w1", "outgoing"),
+            ("cvt1", "leg.year", "y1", "outgoing"),
+            ("f", "rel.bare", "cvt2", "outgoing"),
+            ("f", "rel.named", "n1", "outgoing"),
+            ("f", "rel.via", "cvt1", "outgoing"),
+            ("i1", "rel.in", "f", "incoming"),
+        }
+
     def test_labeled_neighbors_not_expanded(self, store):
         memory = make_memory(topic=("e1",))
         executor = make_executor(store, expand_unlabeled=True)
@@ -204,6 +259,47 @@ class TestLabelLookups:
         assert set(store.label_calls.values()) == {2}
 
 
+class BrokenStore:
+    """Graph store whose every read raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def neighbors(self, entity):
+        raise self.error
+
+    label = entity_with_label = neighbors
+
+
+class TestStoreFaults:
+    def test_store_fault_becomes_kg_unavailable(self):
+        memory = make_memory(topic=("e1",))
+        executor = make_executor(BrokenStore(RuntimeError("boom")))
+        with pytest.raises(KgUnavailable, match=re.escape("graph store failed: RuntimeError('boom')")):
+            executor.explore("e1", memory.current_step(), memory)
+
+    def test_engine_error_passes_unchanged(self):
+        memory = make_memory(topic=("e1",))
+        executor = make_executor(BrokenStore(KgUnavailable("endpoint down")))
+        with pytest.raises(KgUnavailable, match="^endpoint down$"):
+            executor.explore("e1", memory.current_step(), memory)
+
+    def test_label_lookup_fault_becomes_kg_unavailable(self):
+        memory = make_memory(question="Where is the Eiffel Tower?", topic=())
+        backend = StageBackend({"extract": "ENTITY: Eiffel Tower"})
+        executor = make_executor(BrokenStore(ValueError("bad label")), backend)
+        with pytest.raises(KgUnavailable, match=re.escape("graph store failed: ValueError('bad label')")):
+            executor.resolve_frontier(memory)
+
+    def test_backend_fault_beside_the_lookup_is_not_a_store_fault(self, store):
+        def down(prompt):
+            raise BackendUnavailable("down")
+
+        memory = make_memory(topic=())
+        with pytest.raises(BackendUnavailable, match="^down$"):
+            make_executor(store, StageBackend({"extract": down})).resolve_frontier(memory)
+
+
 class TestSelectEntity:
     def candidates(self, n=3):
         cands = [
@@ -235,6 +331,14 @@ class TestSelectEntity:
             )
             assert chosen.relation == "r2"  # highest score
             assert "fallback" in rationale
+
+    def test_non_string_response_falls_back_to_highest_score(self, store):
+        backend = RecordingBackend(StageBackend({"select": lambda prompt: None}))
+        chosen, rationale = make_executor(store, backend).select_entity(
+            self.candidates(), make_memory().current_step(), ""
+        )
+        assert chosen.relation == "r2"
+        assert "fallback" in rationale
 
     def test_tie_break_lexicographic_rendering(self, store):
         cands = self.candidates()

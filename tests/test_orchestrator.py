@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import tempfile
 
 import pytest
@@ -13,6 +14,7 @@ from kgqa_engine.backends import ScriptedBackend
 from kgqa_engine.cli import _read_trace, main
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import BackendUnavailable
+from kgqa_engine.kg import load_memory_store
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl, write_trace
 from kgqa_engine.pruning import HashingEmbedder
 
@@ -331,6 +333,70 @@ class TestEmbedderFaults:
         assert "pruning unavailable" in observe.payload["observation"]["rationale"]
         assert result.error_note is None or "exploration failed" not in result.error_note
 
+    @pytest.mark.parametrize("fault", ["fewer", "more"])
+    def test_wrong_vector_count_abandons_the_attempt(self, fault):
+        store, entities = random_kg(random.Random(2))
+        engine = Engine(StageBackend(), store, FaultyEmbedder(fault, position=1, every=1), EngineConfig())
+        result = engine.run("q?", [entities[0]])
+        rationale = events_by_stage(result.trace, "observe")[0].payload["observation"]["rationale"]
+        assert re.fullmatch(
+            r"attempt abandoned, pruning unavailable: embedder failed: embedder returned \d+ vectors for \d+ texts",
+            rationale,
+        )
+
+
+# What a faulty port does on one call: raise, answer None or an int, or
+# (``neighbors`` only) list a neighbour that is a 1-tuple.
+RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError}
+PORT_FAULTS = {
+    "backend.complete": [*RAISED, "None", "int"],
+    "kg.neighbors": [*RAISED, "None", "int", "1-tuple"],
+    "kg.label": [*RAISED, "None", "int"],
+    "kg.entity_with_label": [*RAISED, "None", "int"],
+}
+
+
+class FaultAt:
+    """Wraps one port method; its ``at``-th call (from 0) shows ``fault``."""
+
+    def __init__(self, method, at, fault):
+        self.method = method
+        self.at = at
+        self.fault = fault
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        if self.calls - 1 != self.at:
+            return self.method(*args)
+        if self.fault in RAISED:
+            raise RAISED[self.fault]("injected")
+        return {"None": None, "int": 5, "1-tuple": [("r",)]}[self.fault]
+
+
+PORT_FAULT = st.sampled_from(sorted(PORT_FAULTS)).flatmap(
+    lambda port: st.tuples(st.just(port), st.integers(0, 24), st.sampled_from(PORT_FAULTS[port]))
+)
+
+
+class TestPortFaults:
+    @settings(max_examples=150)
+    @given(fault=PORT_FAULT, topic=st.sampled_from([["m.0nile"], []]))
+    def test_one_fault_anywhere_still_finishes(self, fault, topic):
+        port, at, kind = fault
+        backend = StageBackend({
+            "decompose": "STEP: mouth country | b\nSTEP: capital | d\nSTEP: country | f",
+            "extract": "ENTITY: Nile",
+        })
+        store = load_memory_store(FIXTURES / "happy_path" / "kg.tsv")
+        owner, name = (backend, "complete") if port == "backend.complete" else (store, port[len("kg."):])
+        setattr(owner, name, FaultAt(getattr(owner, name), at, kind))
+        config = EngineConfig()
+        result = Engine(backend, store, HashingEmbedder(), config).run("q?", topic)
+        assert result.trace[-1].stage is Stage.FINISH
+        assert result.cycles <= config.max_total_cycles
+        assert_trace_grammar(result.trace)
+
 
 def _down(prompt):
     raise BackendUnavailable("down")
@@ -433,6 +499,35 @@ class TestDegradedPaths:
         assert result.trace[-1].stage is Stage.FINISH
         assert result.trace[-1].payload["note"] == note
         assert result.error_note == note
+
+    @pytest.mark.parametrize(
+        "stage, fault, note",
+        [
+            ("predict", "RuntimeError", "predict failed: backend failed: RuntimeError('injected')"),
+            ("evaluate", "KeyError", "evaluate failed: backend failed: KeyError('injected')"),
+            ("think", "None", "think failed: backend returned NoneType, not str"),
+            ("predict", "int", "predict failed: backend returned int, not str"),
+        ],
+    )
+    def test_faulty_backend_degrades_once(self, stage, fault, note):
+        backend = StageBackend({stage: FaultAt(None, 0, fault)})
+        engine = Engine(backend, make_store([("a", "r", "b")]), HashingEmbedder(), EngineConfig())
+        assert engine.run("q?", ["a"]).error_note == note
+        assert [s for s, _ in backend.calls].count(stage) == 1  # not retried
+
+    @pytest.mark.parametrize(
+        "fault, note",
+        [
+            ("RuntimeError", "graph store failed: RuntimeError('injected')"),
+            ("None", "graph store failed: TypeError(\"'NoneType' object is not iterable\")"),
+            ("1-tuple", "graph store failed: ValueError('not enough values to unpack"),
+        ],
+    )
+    def test_faulty_graph_store_degrades(self, fault, note):
+        store = make_store([("a", "r", "b")])
+        store.neighbors = FaultAt(store.neighbors, 0, fault)
+        result = Engine(StageBackend(), store, HashingEmbedder(), EngineConfig()).run("q?", ["a"])
+        assert result.error_note.startswith(f"exploration failed: {note}")
 
     def test_unparseable_re_decomposition(self):
         plans = iter([StageBackend.DEFAULTS["decompose"]])

@@ -404,6 +404,19 @@ class TestCachingEmbedder:
         texts = ["x", "y", "x", "z"]
         assert cache.embed(texts) == inner.embed(texts)
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_wrong_vector_count_is_unavailable(self, extra):
+        class Miscounting:
+            def embed(self, texts):
+                vectors = HashingEmbedder().embed(texts)
+                return vectors + vectors[:1] if extra > 0 else vectors[1:]
+
+        cache = CachingEmbedder(Miscounting())
+        with pytest.raises(PruningUnavailable, match=f"^embedder returned {3 + extra} vectors for 3 texts$"):
+            cache.embed(["a", "b", "a", "c"])
+        with pytest.raises(PruningUnavailable):  # nothing was cached
+            cache.embed(["a"])
+
 
 def embeddings(*vectors):
     return json.dumps({"data": [{"embedding": v} for v in vectors]}).encode()
