@@ -28,7 +28,7 @@ class KgUnavailable(EngineError):
 
 
 class MalformedResults(EngineError):
-    """SPARQL endpoint returned a non-conforming results document."""
+    """A graph store returned a non-conforming result: a SPARQL results document or a label."""
 
 
 class InvalidEntityId(EngineError):

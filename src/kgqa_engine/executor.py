@@ -11,7 +11,9 @@ import re
 
 from .backends import ReasoningBackend
 from .config import EngineConfig
-from .errors import EngineError, KgUnavailable, MalformedBackendOutput, NoFrontier, PruningUnavailable
+from .errors import (
+    EngineError, KgUnavailable, MalformedBackendOutput, MalformedResults, NoFrontier, PruningUnavailable,
+)
 from .kg import GraphStore
 from .memory import IntegratedMemory, Observation, PlanStep
 from .planner import load_prompt, parse_fields
@@ -71,13 +73,20 @@ class Executor:
         """Every edge at the frontier as a candidate, each recorded as explored.
 
         ``kg.label`` runs once per distinct id per explore; "" when unlabeled.
+        A label that is neither ``str`` nor ``None`` raises ``MalformedResults``.
         """
         labels: dict[str, str] = {}
 
         def label(entity_or_relation: str) -> str:
             text = labels.get(entity_or_relation)
             if text is None:
-                text = labels[entity_or_relation] = self.kg.label(entity_or_relation) or ""
+                text = self.kg.label(entity_or_relation)
+                if text is None:
+                    text = ""
+                elif not isinstance(text, str):
+                    kind = type(text).__name__
+                    raise MalformedResults(f"label of {entity_or_relation!r} is {kind}, not str")
+                labels[entity_or_relation] = text
             return text
 
         def candidate(near: str, relation: str, other: str, direction: Direction) -> CandidateTriple:
@@ -118,15 +127,14 @@ class Executor:
         store fault raises ``KgUnavailable``.
         """
         retrieved = _read_graph(self._retrieve_candidates, frontier, memory)
-        failed = memory.step_cycle.failed
         # chain exclusion ignores traversal direction: the same edge seen
         # from the other side is still a revisit
-        chain_edges = {(t.head, t.relation, t.tail) for t in memory.knowledge.reasoning_chain}
-        candidates = [
-            c
-            for c in retrieved
-            if c.key() not in failed and (c.head, c.relation, c.tail) not in chain_edges
-        ]
+        excluded = memory.step_cycle.failed | {
+            (t.head, t.relation, t.tail, direction)
+            for t in memory.knowledge.reasoning_chain
+            for direction in (Direction.OUTGOING.value, Direction.INCOMING.value)
+        }
+        candidates = [c for c in retrieved if c.key() not in excluded]
         try:
             pruned = prune(candidates, step.objective, self.config.prune_threshold, self.embedder)
         except PruningUnavailable as exc:

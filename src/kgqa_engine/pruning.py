@@ -8,12 +8,11 @@ to the step objective are kept.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import logging
 import math
 import re
 import threading
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Protocol, Sequence
 
 import requests
@@ -25,7 +24,7 @@ from .triples import CandidateTriple
 
 Vector = Sequence[float]
 
-# Token -> bucket entries one HashingEmbedder keeps; past this it starts over.
+# Chunk -> buckets entries one HashingEmbedder keeps; past this it starts over.
 TOKEN_MEMO_SIZE = 8_192
 _TOKEN = re.compile(r"[a-z0-9]+")
 _MEMO_LOCK = threading.Lock()  # taken on memo misses only
@@ -38,37 +37,43 @@ class Embedder(Protocol):
     def embed(self, texts: list[str]) -> list[list[float]]: ...
 
 
-def _sum_squares(v: Vector) -> float:
-    nonzero = [*filter(None, v)]
-    return sum(map(mul, nonzero, nonzero))
-
-
 def _cosines(u: Vector, vectors: Iterable[Vector]) -> list[float]:
     """Cosine similarity of ``u`` with each vector; ``u``'s norm is taken once.
 
-    Only nonzero components enter the sums, in ascending index order:
-    skipping exact zeros leaves every float sum bit for bit unchanged.
-    A non-finite component raises ``PruningUnavailable``, so it can never
-    rank first.  Components are not type-checked: ``None`` is skipped like
-    a zero, so it reads as 0 where the objective is zero and raises
-    ``TypeError`` where it is not, as any other non-number does.
+    Only nonzero components enter the sums, in ascending index order and
+    from ``0``: skipping exact zeros leaves every float sum bit for bit
+    unchanged.  With two or more nonzeros in ``u``, one ``itemgetter``
+    picks a vector's components at their indices (with one, it would pick
+    a scalar, so the products are listed instead).  A non-finite component
+    raises ``PruningUnavailable``, so it can never rank first.  Components
+    are not type-checked: ``None`` is skipped like a zero, so it reads as 0
+    where the objective is zero and raises ``TypeError`` where it is not,
+    as any other non-number does.
     """
+    sqrt, isfinite = math.sqrt, math.isfinite
     dim = len(u)
     nonzeros = [(i, a) for i, a in enumerate(u) if a]
-    nu = math.sqrt(_sum_squares(u))
-    if not math.isfinite(nu):
+    pick = None
+    if len(nonzeros) > 1:
+        indices, weights = zip(*nonzeros)
+        pick = itemgetter(*indices)
+    nu = sqrt(sum([a * a for _, a in nonzeros]))
+    if not isfinite(nu):
         raise PruningUnavailable("objective vector has a non-finite component")
     scores = []
     for v in vectors:
         if len(v) != dim:
             raise PruningUnavailable(f"dimensions differ: {dim} vs {len(v)}")
-        nv = math.sqrt(_sum_squares(v))
-        dot = sum([a * v[i] for i, a in nonzeros])
-        if not math.isfinite(dot + nv):  # inf or NaN in either
+        nonzero = [*filter(None, v)]
+        nv = sqrt(sum(map(mul, nonzero, nonzero)))
+        dot = sum(map(mul, weights, pick(v))) if pick else sum([a * v[i] for i, a in nonzeros])
+        if not isfinite(dot + nv):  # inf or NaN in either
             raise PruningUnavailable("vector has a non-finite component")
         if nu == 0.0 or nv == 0.0:
             raise PruningUnavailable("cosine similarity undefined for a zero vector")
-        scores.append(max(-1.0, min(1.0, dot / (nu * nv))))
+        score = dot / (nu * nv)
+        # clamped as max(-1.0, min(1.0, score)) would, without two calls
+        scores.append(1.0 if score > 1.0 else -1.0 if score < -1.0 else score)
     return scores
 
 
@@ -87,8 +92,9 @@ def prune(
     Scores are populated on every candidate either way.  At or below the
     threshold the input list comes back unchanged; above it, the top
     ``threshold`` by cosine similarity are returned sorted score-descending,
-    ties broken by lexicographic rendering, then by key.  Unusable vectors,
-    non-numeric components included, raise ``PruningUnavailable``.
+    ties broken by lexicographic rendering, then by key, then by input
+    order.  Unusable vectors, non-numeric components included, raise
+    ``PruningUnavailable``.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -109,39 +115,58 @@ def prune(
         cand.score = score
     if len(candidates) <= threshold:
         return candidates
-    ranked = heapq.nsmallest(
-        threshold, zip(candidates, texts), key=lambda ct: (-ct[0].score, ct[1], ct[0].key())
-    )
-    return [c for c, _ in ranked]
+    # the trailing index keeps full ties in input order and never lets
+    # two candidates be compared
+    ranked = sorted(zip([-s for s in scores], texts, [c.key() for c in candidates], range(len(candidates))))
+    return [candidates[i] for *_, i in ranked[:threshold]]
 
 
 class HashingEmbedder:
-    """Deterministic token-hash bag-of-words embedder for offline runs."""
+    """Deterministic token-hash bag-of-words embedder for offline runs.
+
+    A token (``[a-z0-9]+``) never spans whitespace, so each whitespace
+    chunk of the lowered text is looked up in a per-instance memo of its
+    tokens' buckets; the regex runs on a chunk miss only, and md5 on a
+    token that is not in the memo as a chunk of its own.
+    """
 
     def __init__(self, dim: int = 64):
         self.dim = dim
-        self._buckets: dict[str, int] = {}
+        self._buckets: dict[str, tuple[int, ...]] = {}
 
-    def _bucket(self, token: str) -> int:
-        bucket = int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % self.dim
+    def _chunk(self, chunk: str) -> tuple[int, ...]:
+        # a token is a chunk of its own: its entry serves every chunk it is in
+        memo = self._buckets
+        buckets: list[int] = []
+        for token in _TOKEN.findall(chunk):
+            known = memo.get(token)
+            if known is None:
+                bucket = int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % self.dim
+                known = self._remember(token, (bucket,))
+            buckets += known
+        # a chunk that is one lone token was remembered in the loop
+        return memo.get(chunk) or self._remember(chunk, tuple(buckets))
+
+    def _remember(self, chunk: str, buckets: tuple[int, ...]) -> tuple[int, ...]:
         with _MEMO_LOCK:
             if len(self._buckets) >= TOKEN_MEMO_SIZE:
                 self._buckets.clear()
-            self._buckets[token] = bucket
-        return bucket
+            self._buckets[chunk] = buckets
+        return buckets
 
     def _one(self, text: str) -> list[float]:
         vec = [0.0] * self.dim
-        tokens = _TOKEN.findall(text.lower())
-        if not tokens:
-            vec[0] = 1.0  # token-free text still needs a nonzero vector
-            return vec
-        buckets = self._buckets
-        for token in tokens:
+        memo = self._buckets
+        buckets: list[int] = []
+        for chunk in text.lower().split():
             try:
-                vec[buckets[token]] += 1.0
+                buckets += memo[chunk]
             except KeyError:
-                vec[self._bucket(token)] += 1.0
+                buckets += self._chunk(chunk)
+        if not buckets:
+            vec[0] = 1.0  # token-free text still needs a nonzero vector
+        for bucket in buckets:
+            vec[bucket] += 1.0
         return vec
 
     def embed(self, texts: list[str]) -> list[list[float]]:

@@ -16,7 +16,7 @@ class Direction(str, Enum):
 TripleKey = tuple[str, str, str, str]
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateTriple:
     """One (head, relation, tail) edge seen from a frontier entity.
 
@@ -37,7 +37,9 @@ class CandidateTriple:
     _key: TripleKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._key = (self.head, self.relation, self.tail, self.direction.value)
+        # ``_value_`` is the member's plain attribute; ``.value`` is an enum
+        # property, a descriptor call on every one of the many candidates
+        self._key = (self.head, self.relation, self.tail, self.direction._value_)
 
     def key(self) -> TripleKey:
         return self._key

@@ -8,7 +8,7 @@ import pytest
 
 from kgqa_engine.backends import RecordingBackend
 from kgqa_engine.config import EngineConfig
-from kgqa_engine.errors import BackendUnavailable, KgUnavailable, NoFrontier
+from kgqa_engine.errors import BackendUnavailable, KgUnavailable, MalformedResults, NoFrontier
 from kgqa_engine.executor import Executor
 from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder
 from kgqa_engine.triples import CandidateTriple, Direction
@@ -283,6 +283,15 @@ class TestStoreFaults:
         executor = make_executor(BrokenStore(KgUnavailable("endpoint down")))
         with pytest.raises(KgUnavailable, match="^endpoint down$"):
             executor.explore("e1", memory.current_step(), memory)
+
+    @pytest.mark.parametrize("bad", [5, 0, b"e2", ["e2"]], ids=["int", "zero", "bytes", "list"])
+    def test_non_string_label_is_malformed(self, bad):
+        store = make_store([("e1", "r", "e2")])
+        store.label = lambda entity_or_relation: bad
+        memory = make_memory(topic=("e1",))
+        kind = type(bad).__name__
+        with pytest.raises(MalformedResults, match=re.escape(f"label of 'e1' is {kind}, not str")):
+            make_executor(store).explore("e1", memory.current_step(), memory)
 
     def test_label_lookup_fault_becomes_kg_unavailable(self):
         memory = make_memory(question="Where is the Eiffel Tower?", topic=())

@@ -345,13 +345,14 @@ class TestEmbedderFaults:
         )
 
 
-# What a faulty port does on one call: raise, answer None or an int, or
-# (``neighbors`` only) list a neighbour that is a 1-tuple.
+# What a faulty port does on one call: raise, answer None or an int,
+# (``label`` only) answer bytes, or (``neighbors`` only) list a neighbour
+# that is a 1-tuple.
 RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError}
 PORT_FAULTS = {
     "backend.complete": [*RAISED, "None", "int"],
     "kg.neighbors": [*RAISED, "None", "int", "1-tuple"],
-    "kg.label": [*RAISED, "None", "int"],
+    "kg.label": [*RAISED, "None", "int", "bytes"],
     "kg.entity_with_label": [*RAISED, "None", "int"],
 }
 
@@ -371,7 +372,7 @@ class FaultAt:
             return self.method(*args)
         if self.fault in RAISED:
             raise RAISED[self.fault]("injected")
-        return {"None": None, "int": 5, "1-tuple": [("r",)]}[self.fault]
+        return {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)]}[self.fault]
 
 
 PORT_FAULT = st.sampled_from(sorted(PORT_FAULTS)).flatmap(
@@ -395,6 +396,7 @@ class TestPortFaults:
         result = Engine(backend, store, HashingEmbedder(), config).run("q?", topic)
         assert result.trace[-1].stage is Stage.FINISH
         assert result.cycles <= config.max_total_cycles
+        assert isinstance(result.answer, str)
         assert_trace_grammar(result.trace)
 
 
@@ -477,6 +479,20 @@ class TestDegradedPaths:
         result = engine.run("q?", ["e0"])
         assert result.answer == "unknown"
         assert "exploration failed" in result.error_note
+
+    def test_non_string_label_never_reaches_the_answer(self):
+        # the label stops the first explore, before a step can accept a
+        # triple whose tail label a failed think would make the answer
+        store = make_store([("a", "r", "b"), ("b", "r2", "c")])
+        store.label = lambda entity_or_relation: 5
+        thoughts = iter(["Noted the outcome; continuing.", None])
+        backend = StageBackend({
+            "decompose": "STEP: first hop | b\nSTEP: second hop | c",
+            "think": lambda prompt: next(thoughts),
+        })
+        result = Engine(backend, store, HashingEmbedder(), EngineConfig()).run("q?", ["a"])
+        assert result.answer == "unknown"
+        assert result.error_note == "exploration failed: label of 'a' is int, not str"
 
     @pytest.mark.parametrize(
         "stage, note",

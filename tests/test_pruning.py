@@ -9,6 +9,7 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -102,6 +103,22 @@ class TestPrune:
         assert out is cands
         assert all(c.score is not None for c in out)
 
+    def test_at_threshold_returns_the_input_list(self):
+        cands = make_candidates(70)
+        assert prune(cands, "find the capital city", 70, HashingEmbedder()) is cands
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_full_ties_keep_input_order(self, order):
+        # two compound candidates alike in score, rendering and key
+        twins = [
+            CandidateTriple("m.1", "r1/r2", "m.3", Direction.OUTGOING, "Nile", "flows / into", "Egypt")
+            for _ in range(2)
+        ]
+        later = CandidateTriple("m.1", "r9", "m.9", Direction.OUTGOING, "Nile", "zone", "Zambia")
+        first, second = (twins[i] for i in order)
+        out = prune([later, first, later, second], "objective", 3, ConstantEmbedder())
+        assert [id(c) for c in out] == [id(first), id(second), id(later)]
+
     def test_size_is_min_of_count_and_threshold(self):
         embedder = CachingEmbedder(HashingEmbedder())
         rng = random.Random(1)
@@ -136,10 +153,6 @@ class TestPrune:
                     tail_label="same tail",
                 )
             )
-
-        class ConstantEmbedder:
-            def embed(self, texts):
-                return [[1.0, 2.0]] * len(texts)
 
         out = prune(cands, "objective", 70, ConstantEmbedder())
         renders = sorted(c.render() for c in cands)[:70]
@@ -234,6 +247,13 @@ class TestPrune:
         assert [(c.key(), c.score) for c in with_none] == [(c.key(), c.score) for c in with_zero]
 
 
+class ConstantEmbedder:
+    """One vector for every text: every candidate scores the same."""
+
+    def embed(self, texts):
+        return [[1.0, 2.0]] * len(texts)
+
+
 class TamperedEmbedder:
     """HashingEmbedder output passed through ``tamper`` before it is returned."""
 
@@ -312,6 +332,18 @@ class TestPruneProperties:
         assert [id(c) for c in kept] == [id(c) for c in expected]
 
 
+# every kind of ``str.split`` whitespace, letters whose lowercase is or
+# holds ASCII (Kelvin sign, dotted I) or is not ASCII (long s, sigma), and
+# punctuation that glues to words
+awkward = st.sampled_from(
+    ["\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000", " ",
+     "\u212a", "\u0130", "\u017f", "\u03a3", "-", ".", "/", "\u2014", "\u2192"]
+)
+unicode_text = st.lists(
+    st.one_of(awkward, st.text(alphabet="aZ09", min_size=1, max_size=4), st.text(max_size=4)), max_size=12
+).map("".join)
+
+
 class TestHashingEmbedder:
     def test_deterministic(self):
         e = HashingEmbedder()
@@ -339,6 +371,15 @@ class TestHashingEmbedder:
             # twice: the second pass reads every bucket from the token memo
             for _ in range(2):
                 assert embedder.embed(texts) == [self.reference(t, dim) for t in texts]
+
+    @given(st.lists(unicode_text, min_size=1, max_size=8))
+    def test_matches_md5_bucket_reference_on_any_text(self, texts):
+        expected = [self.reference(t) for t in texts]
+        embedder = HashingEmbedder()
+        assert embedder.embed(texts) == expected
+        assert embedder.embed(texts) == expected  # every chunk from the memo
+        with mock.patch.object(pruning, "TOKEN_MEMO_SIZE", 3):
+            assert HashingEmbedder().embed(texts) == expected  # the memo clears as it goes
 
     def test_token_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(pruning, "TOKEN_MEMO_SIZE", 5)
