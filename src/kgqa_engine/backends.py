@@ -14,6 +14,7 @@ from typing import Protocol
 
 import requests
 
+from . import errors
 from .config import EngineConfig
 from .errors import BackendUnavailable, EngineError, MalformedBackendOutput, ScriptMismatch
 from .transport import post
@@ -64,20 +65,33 @@ def _content(resp: requests.Response) -> str:
     return content
 
 
-class ScriptedBackend:
-    """Replays a fixed list of {expect_stage, response} records in order.
+def _engine_error(name) -> type[EngineError] | None:
+    """The ``EngineError`` subclass in ``errors`` called ``name``; None for anything else."""
+    found = getattr(errors, name, None) if isinstance(name, str) else None
+    return found if isinstance(found, type) and issubclass(found, EngineError) else None
 
-    Any deviation -- wrong stage or a call past the end of the script -- is
-    a fixture bug and raises ScriptMismatch (an AssertionError) so tests
-    fail loudly instead of degrading.
+
+class ScriptedBackend:
+    """Replays a fixed list of records in order.
+
+    Each record is {expect_stage, response}, or {expect_stage, error,
+    message} for a call that raised: ``error`` names an ``EngineError``
+    subclass, raised again with ``message``.  Any deviation -- wrong stage
+    or a call past the end of the script -- is a fixture bug and raises
+    ScriptMismatch (an AssertionError) so tests fail loudly instead of
+    degrading.
     """
 
     def __init__(self, records: list[dict]):
         if not isinstance(records, list):
             raise ValueError("a script is a list of records")
         for i, rec in enumerate(records):
-            if not isinstance(rec, dict) or "expect_stage" not in rec or "response" not in rec:
-                raise ValueError(f"script record {i} needs expect_stage and response")
+            if not isinstance(rec, dict) or "expect_stage" not in rec:
+                raise ValueError(f"script record {i} needs expect_stage")
+            if "error" not in rec and "response" not in rec:
+                raise ValueError(f"script record {i} needs a response or an error")
+            if "error" in rec and (_engine_error(rec["error"]) is None or not isinstance(rec.get("message"), str)):
+                raise ValueError(f"script record {i}: error {rec['error']!r} is no engine error with a message")
         self.records = records
         self.cursor = 0
 
@@ -96,16 +110,21 @@ class ScriptedBackend:
                 f"{self.cursor}, engine asked for {stage!r}"
             )
         self.cursor += 1
+        if "error" in record:
+            raise _engine_error(record["error"])(record["message"])
         return record["response"]
 
 
 class RecordingBackend:
-    """Wraps a backend and logs every (stage, response) pair for the trace.
+    """Wraps a backend and logs every call for the trace.
 
     Every backend call of a run passes through here: an exception that is
     neither an ``EngineError`` nor a ``ScriptMismatch`` becomes
     ``BackendUnavailable``, and a non-``str`` response becomes
-    ``MalformedBackendOutput``; neither is logged.
+    ``MalformedBackendOutput``.  A call logs {stage, response}, or
+    {stage, error, message} for the ``EngineError`` it raised, so
+    ``ScriptedBackend`` can replay either; a ``ScriptMismatch`` is not
+    logged.
     """
 
     def __init__(self, inner: ReasoningBackend):
@@ -115,14 +134,22 @@ class RecordingBackend:
     def complete(self, prompt: str, stage: str) -> str:
         try:
             response = self.inner.complete(prompt, stage)
-        except (EngineError, ScriptMismatch):
+            if not isinstance(response, str):
+                raise MalformedBackendOutput(f"backend returned {type(response).__name__}, not str")
+        except ScriptMismatch:
+            raise
+        except EngineError as exc:
+            self._log_error(stage, exc)
             raise
         except Exception as exc:
-            raise BackendUnavailable(f"backend failed: {exc!r}") from exc
-        if not isinstance(response, str):
-            raise MalformedBackendOutput(f"backend returned {type(response).__name__}, not str")
+            error = BackendUnavailable(f"backend failed: {exc!r}")
+            self._log_error(stage, error)
+            raise error from exc
         self.buffer.append({"stage": stage, "response": response})
         return response
+
+    def _log_error(self, stage: str, exc: EngineError) -> None:
+        self.buffer.append({"stage": stage, "error": type(exc).__name__, "message": str(exc)})
 
     def drain(self) -> list[dict]:
         calls, self.buffer = self.buffer, []

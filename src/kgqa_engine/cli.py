@@ -63,11 +63,11 @@ def _read_trace(path):
         if not events or events[0]["stage"] != "decompose":
             raise ValueError("trace does not start with a decompose event")
         header = events[0]["payload"]
-        script = [
-            {"expect_stage": call["stage"], "response": call["response"]}
-            for event in events
-            for call in event["payload"].get("backend_calls", [])
-        ]
+        script = []
+        for event in events:
+            for call in event["payload"].get("backend_calls", []):
+                kept = ("error", "message") if "error" in call else ("response",)
+                script.append({"expect_stage": call["stage"], **{key: call[key] for key in kept}})
         config = EngineConfig(**header["config"])
         config.validate()
         return header["question"], header["topic_entities"], config, ScriptedBackend(script), events

@@ -28,6 +28,8 @@ def _parse_bool(raw: str) -> bool:
 
 
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+# declared field type -> the types its value may have; a bool is never a number here
+_ACCEPTED = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 @dataclass
@@ -53,6 +55,10 @@ class EngineConfig:
     label_property: str = FREEBASE_LABEL_PROPERTY
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _ACCEPTED[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"{f.name} must be {f.type}, not {type(value).__name__}")
         for name in (
             "replan_limit",
             "max_path_corrections",

@@ -28,7 +28,7 @@ class KgUnavailable(EngineError):
 
 
 class MalformedResults(EngineError):
-    """A graph store returned a non-conforming result: a SPARQL results document or a label."""
+    """A graph store returned a non-conforming result: a SPARQL results document, a label or a direction."""
 
 
 class InvalidEntityId(EngineError):

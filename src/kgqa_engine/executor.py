@@ -56,7 +56,10 @@ class Executor:
         raise NoFrontier("no topic entity and empty reasoning chain")
 
     def _extract_topic_entity(self, question: str) -> str | None:
-        """Backend extraction + reverse label lookup, if the store supports it."""
+        """Backend extraction + reverse label lookup, if the store supports it.
+
+        A lookup that gives neither a ``str`` nor ``None`` raises ``MalformedResults``.
+        """
         lookup = getattr(self.kg, "entity_with_label", None)
         if lookup is None:
             return None
@@ -65,7 +68,10 @@ class Executor:
         except MalformedBackendOutput:
             return None
         name = parse_fields(raw).get("ENTITY", "")
-        return _read_graph(lookup, name) if name else None
+        entity = _read_graph(lookup, name) if name else None
+        if entity is not None and not isinstance(entity, str):
+            raise MalformedResults(f"entity with label {name!r} is {type(entity).__name__}, not str")
+        return entity
 
     # -- exploration ----------------------------------------------------------
 
@@ -73,7 +79,9 @@ class Executor:
         """Every edge at the frontier as a candidate, each recorded as explored.
 
         ``kg.label`` runs once per distinct id per explore; "" when unlabeled.
-        A label that is neither ``str`` nor ``None`` raises ``MalformedResults``.
+        A label that is neither ``str`` nor ``None``, or a direction other
+        than ``Direction.OUTGOING`` and ``Direction.INCOMING``, raises
+        ``MalformedResults``.
         """
         labels: dict[str, str] = {}
 
@@ -89,8 +97,15 @@ class Executor:
                 labels[entity_or_relation] = text
             return text
 
-        def candidate(near: str, relation: str, other: str, direction: Direction) -> CandidateTriple:
-            head, tail = (near, other) if direction is Direction.OUTGOING else (other, near)
+        def candidate(near: str, relation: str, other: str, direction: str) -> CandidateTriple:
+            # keys and traces get the constant, never an equal str subclass a store yields
+            if direction == Direction.OUTGOING:
+                head, tail, direction = near, other, Direction.OUTGOING
+            elif direction == Direction.INCOMING:
+                head, tail, direction = other, near, Direction.INCOMING
+            else:
+                raise MalformedResults(f"direction of {relation!r} at {near!r} is {direction!r}, "
+                                       f"not {Direction.OUTGOING!r} or {Direction.INCOMING!r}")
             cand = CandidateTriple(head, relation, tail, direction, label(head), label(relation), label(tail))
             memory.record_explored(cand)
             return cand
@@ -98,7 +113,7 @@ class Executor:
         candidates: list[CandidateTriple] = []
         for relation, other, direction in self.kg.neighbors(frontier):
             first = candidate(frontier, relation, other, direction)
-            if not (self.config.expand_unlabeled and direction is Direction.OUTGOING and not first.tail_label):
+            if not (self.config.expand_unlabeled and direction == Direction.OUTGOING and not first.tail_label):
                 candidates.append(first)
                 continue
             # Hop once more through an unlabeled (CVT-style) node: Freebase
@@ -106,7 +121,7 @@ class Executor:
             # presented as one compound candidate whose relation joins both legs.
             compounds = []
             for onward, end, leg in self.kg.neighbors(other):
-                if leg is not Direction.OUTGOING or end == frontier:
+                if leg != Direction.OUTGOING or end == frontier:
                     continue
                 second = candidate(other, onward, end, leg)
                 compounds.append(CandidateTriple(
@@ -132,7 +147,7 @@ class Executor:
         excluded = memory.step_cycle.failed | {
             (t.head, t.relation, t.tail, direction)
             for t in memory.knowledge.reasoning_chain
-            for direction in (Direction.OUTGOING.value, Direction.INCOMING.value)
+            for direction in (Direction.OUTGOING, Direction.INCOMING)
         }
         candidates = [c for c in retrieved if c.key() not in excluded]
         try:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .config import EngineConfig
 from .errors import ReplanBudgetExhausted
 from .triples import CandidateTriple, TripleKey
 
 
-class StepStatus(str, Enum):
+class StepStatus:
     NOT_STARTED = "not_started"
     IN_PROGRESS = "in_progress"
     COMPLETED = "completed"
@@ -39,7 +38,7 @@ class PlanStep:
     objective: str
     description: str
 
-    def status(self, cursor: int, at_cursor: StepStatus = StepStatus.IN_PROGRESS) -> StepStatus:
+    def status(self, cursor: int, at_cursor: str = StepStatus.IN_PROGRESS) -> str:
         """The step's status in a plan whose ``cursor`` step is ``at_cursor``."""
         if self.index < cursor:
             return StepStatus.COMPLETED
@@ -50,7 +49,7 @@ class PlanStep:
             "index": self.index,
             "objective": self.objective,
             "description": self.description,
-            "status": self.status(cursor).value,
+            "status": self.status(cursor),
         }
 
 
@@ -68,7 +67,7 @@ class Prediction:
         }
 
 
-class ErrorLevel(str, Enum):
+class ErrorLevel:
     FULFILLED = "fulfilled"
     PARTIAL = "partial"
     MISMATCH = "mismatch"
@@ -77,11 +76,11 @@ class ErrorLevel(str, Enum):
 
 @dataclass
 class ErrorSignal:
-    level: ErrorLevel
+    level: str  # an ErrorLevel constant
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"level": self.level.value, "detail": self.detail}
+        return {"level": self.level, "detail": self.detail}
 
 
 @dataclass
@@ -231,12 +230,12 @@ class IntegratedMemory:
             lines.append("Abandoned plans:")
             for gen, (plan, cursor) in enumerate(s.prior_plans):
                 for step in plan:
-                    status = step.status(cursor, StepStatus.ABANDONED).value
+                    status = step.status(cursor, StepStatus.ABANDONED)
                     lines.append(f"  (plan {gen}) Step {step.index} [{status}]: {step.objective}")
         if s.plan:
             lines.append("Current plan:")
             for step in s.plan:
-                lines.append(f"Step {step.index} [{step.status(s.cursor).value}]: {step.objective}")
+                lines.append(f"Step {step.index} [{step.status(s.cursor)}]: {step.objective}")
         limit = self.config.context_chain_limit
         chain = self._chain_lines(limit)
         if chain:

@@ -219,7 +219,7 @@ class _Run:
             self.emit(
                 Stage.EVALUATE,
                 {
-                    "decision": decision.kind.value,
+                    "decision": decision.kind,
                     "rationale": decision.rationale,
                     "coerced": decision.coerced,
                     "step_index": step.index,
@@ -236,18 +236,18 @@ class _Run:
     def dispatch(self, decision: Decision, observation) -> RunResult | None:
         # Proceed and PathCorrect come only from the backend's evaluate,
         # which the planner asks only when the observation has a chosen triple.
-        if decision.kind is DecisionKind.PROCEED:
+        if decision.kind == DecisionKind.PROCEED:
             self.memory.accept_triple(observation.chosen)
             if self.memory.advance_step() is None:
                 # proceeded past the final step: the engine forces Finish
                 return self.finish(self.planner.synthesize_answer(self.memory))
             return None
 
-        if decision.kind is DecisionKind.PATH_CORRECT:
+        if decision.kind == DecisionKind.PATH_CORRECT:
             self.memory.mark_failed_path(observation.chosen)
             return None
 
-        if decision.kind is DecisionKind.REPLAN:
+        if decision.kind == DecisionKind.REPLAN:
             self.emit(
                 Stage.REPLAN,
                 {

@@ -9,7 +9,6 @@ delimited key-value format, re-requested up to the config's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from importlib import resources
 from typing import Callable, TypeVar
@@ -29,7 +28,7 @@ from .memory import (
 T = TypeVar("T")
 
 
-class DecisionKind(str, Enum):
+class DecisionKind:
     PROCEED = "proceed"
     PATH_CORRECT = "path_correct"
     REPLAN = "replan"
@@ -38,13 +37,13 @@ class DecisionKind(str, Enum):
 
 @dataclass
 class Decision:
-    kind: DecisionKind
+    kind: str  # a DecisionKind constant
     rationale: str = ""
     answer: str = ""  # non-empty iff kind is FINISH
     coerced: bool = False
 
     def __post_init__(self):
-        if self.kind is DecisionKind.FINISH and not self.answer:
+        if self.kind == DecisionKind.FINISH and not self.answer:
             raise ValueError("Finish decision requires a non-empty answer")
 
 
@@ -141,15 +140,15 @@ class Planner:
         def parser(raw: str) -> ErrorSignal:
             fields = parse_fields(raw)
             level = fields.get("LEVEL", "").lower()
-            if level not in ("fulfilled", "partial", "mismatch"):
+            if level not in (ErrorLevel.FULFILLED, ErrorLevel.PARTIAL, ErrorLevel.MISMATCH):
                 raise MalformedBackendOutput(f"unknown error level: {fields.get('LEVEL')!r}")
-            return ErrorSignal(ErrorLevel(level), fields.get("DETAIL", ""))
+            return ErrorSignal(level, fields.get("DETAIL", ""))
 
         return self._complete_parsed("classify", prompt, parser)
 
     def think(self, error_signal: ErrorSignal, context: str) -> str:
         prompt = load_prompt("think").format(
-            context=context, level=error_signal.level.value, detail=error_signal.detail
+            context=context, level=error_signal.level, detail=error_signal.detail
         )
 
         def parser(raw: str) -> str:
@@ -189,17 +188,17 @@ class Planner:
                 raise MalformedBackendOutput(f"unknown decision: {fields.get('DECISION')!r}")
             kind = mapping[decision]
             answer = fields.get("ANSWER", "")
-            if kind is DecisionKind.FINISH and not answer:
+            if kind == DecisionKind.FINISH and not answer:
                 raise MalformedBackendOutput("Finish decision requires ANSWER")
             return Decision(kind=kind, rationale=fields.get("RATIONALE", ""),
-                            answer=answer if kind is DecisionKind.FINISH else "")
+                            answer=answer if kind == DecisionKind.FINISH else "")
 
         decision = self._complete_parsed("evaluate", prompt, parser)
         return self._apply_overrides(decision, memory)
 
     def _apply_overrides(self, decision: Decision, memory: IntegratedMemory) -> Decision:
         if (
-            decision.kind is DecisionKind.PATH_CORRECT
+            decision.kind == DecisionKind.PATH_CORRECT
             and memory.step_cycle.attempt_counter >= self.config.max_path_corrections
         ):
             decision = Decision(
@@ -208,7 +207,7 @@ class Planner:
                 coerced=True,
             )
         if (
-            decision.kind is DecisionKind.REPLAN
+            decision.kind == DecisionKind.REPLAN
             and memory.strategic.replan_counter >= self.config.replan_limit
         ):
             decision = Decision(

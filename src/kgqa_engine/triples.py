@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 
-class Direction(str, Enum):
+class Direction:
+    """The two directions of an edge seen from an entity, as the plain strings a graph store yields."""
+
     OUTGOING = "outgoing"
     INCOMING = "incoming"
 
@@ -29,7 +30,7 @@ class CandidateTriple:
     head: str
     relation: str
     tail: str
-    direction: Direction
+    direction: str  # Direction.OUTGOING or Direction.INCOMING
     head_label: str = ""
     relation_label: str = ""
     tail_label: str = ""
@@ -37,9 +38,7 @@ class CandidateTriple:
     _key: TripleKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # ``_value_`` is the member's plain attribute; ``.value`` is an enum
-        # property, a descriptor call on every one of the many candidates
-        self._key = (self.head, self.relation, self.tail, self.direction._value_)
+        self._key = (self.head, self.relation, self.tail, self.direction)
 
     def key(self) -> TripleKey:
         return self._key
@@ -55,7 +54,7 @@ class CandidateTriple:
             "head": self.head,
             "relation": self.relation,
             "tail": self.tail,
-            "direction": self.direction.value,
+            "direction": self.direction,
             "head_label": self.head_label,
             "relation_label": self.relation_label,
             "tail_label": self.tail_label,

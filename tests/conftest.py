@@ -60,6 +60,26 @@ def make_store(triples, labels=None) -> InMemoryGraphStore:
     return store
 
 
+class RedirectedStore:
+    """Graph store that yields ``redirect(direction)`` for each direction ``inner`` yields."""
+
+    def __init__(self, inner, redirect):
+        self.inner = inner
+        self.redirect = redirect
+
+    def neighbors(self, entity):
+        return [(relation, other, self.redirect(direction))
+                for relation, other, direction in self.inner.neighbors(entity)]
+
+    def label(self, entity_or_relation):
+        return self.inner.label(entity_or_relation)
+
+
+def plain(text: str) -> str:
+    """A string equal to ``text`` but not the same object, as a store that parses text yields."""
+    return "".join(list(text))
+
+
 def make_memory(question="q?", topic=("e1",), plan_objectives=("find it",), **kwargs) -> IntegratedMemory:
     memory = IntegratedMemory.new(question, list(topic), EngineConfig(**kwargs))
     steps = [

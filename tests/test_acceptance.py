@@ -312,7 +312,7 @@ def test_criterion_adapter_equivalence():
             # this one answers label() from what neighbors() batched (cache hit)
             sparql_store = make_sparql_store(endpoint, http_retries=0, http_timeout=5)
             for entity in entities:
-                if set(memory_store.neighbors(entity)) != set(sparql_store.neighbors(entity)):
+                if memory_store.neighbors(entity) != sparql_store.neighbors(entity):
                     mismatches += 1
                 if memory_store.label(entity) != sparql_store.label(entity):
                     mismatches += 1

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import JsonStub, StageBackend, make_chat_backend
 from kgqa_engine.backends import RecordingBackend, ScriptedBackend
-from kgqa_engine.errors import BackendUnavailable, MalformedBackendOutput, ScriptMismatch
+from kgqa_engine.errors import BackendUnavailable, KgUnavailable, MalformedBackendOutput, ScriptMismatch
 
 
 class TestScriptedBackend:
@@ -41,6 +41,24 @@ class TestScriptedBackend:
         with pytest.raises(ValueError):
             ScriptedBackend([{"response": "missing stage"}])
 
+    @pytest.mark.parametrize("error", [BackendUnavailable("down"), KgUnavailable("")])
+    def test_error_record_raises_that_engine_error(self, error):
+        name, message = type(error).__name__, str(error)
+        backend = ScriptedBackend([{"expect_stage": "think", "error": name, "message": message}])
+        with pytest.raises(type(error), match=f"^{re.escape(message)}$"):
+            backend.complete("p", "think")
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"error": "ScriptMismatch", "message": "m"}, {"error": "ValueError", "message": "m"},
+         {"error": "requests", "message": "m"}, {"error": 5, "message": "m"}, {"error": "KgUnavailable"},
+         {"error": "KgUnavailable", "message": None}, {}],
+        ids=["script-mismatch", "builtin", "module", "not-a-name", "no-message", "message-not-str", "neither"],
+    )
+    def test_error_record_that_names_no_engine_error_rejected(self, record):
+        with pytest.raises(ValueError, match="^script record 0"):
+            ScriptedBackend([{"expect_stage": "think", **record}])
+
 
 class TestRecordingBackend:
     def test_records_and_drains(self):
@@ -55,7 +73,9 @@ class TestRecordingBackend:
         backend = RecordingBackend(StageBackend({"think": Raises(error)}))
         with pytest.raises(BackendUnavailable, match=re.escape(f"backend failed: {error!r}")):
             backend.complete("p", "think")
-        assert backend.drain() == []
+        assert backend.drain() == [
+            {"stage": "think", "error": "BackendUnavailable", "message": f"backend failed: {error!r}"}
+        ]
 
     @pytest.mark.parametrize(
         "error", [BackendUnavailable("down"), MalformedBackendOutput("junk"), ScriptMismatch("off script")]
@@ -65,13 +85,20 @@ class TestRecordingBackend:
         with pytest.raises(type(error)) as caught:
             backend.complete("p", "think")
         assert caught.value is error
+        # a script that ran off its fixture is a test failure, never part of a trace
+        recorded = [] if isinstance(error, ScriptMismatch) else [
+            {"stage": "think", "error": type(error).__name__, "message": str(error)}
+        ]
+        assert backend.drain() == recorded
 
     @pytest.mark.parametrize("response, name", [(None, "NoneType"), (5, "int"), (b"hm", "bytes")])
     def test_non_string_response_is_malformed_and_not_recorded(self, response, name):
         backend = RecordingBackend(StageBackend({"think": lambda prompt: response}))
         with pytest.raises(MalformedBackendOutput, match=f"^backend returned {name}, not str$"):
             backend.complete("p", "think")
-        assert backend.drain() == []
+        # the error is recorded in place of the response
+        message = f"backend returned {name}, not str"
+        assert backend.drain() == [{"stage": "think", "error": "MalformedBackendOutput", "message": message}]
 
 
 class Raises:

@@ -55,10 +55,10 @@ def test_invalid_config_from_the_environment_exits_2(tmp_path):
     assert ran.stderr.startswith("invalid config: http_timeout")
 
 
-def test_run_without_a_chat_endpoint_answers_and_its_replay_exits_1(tmp_path):
+def test_run_without_a_chat_endpoint_answers_and_its_replay_exits_0(tmp_path):
     # nothing listens on port 9; no retry means no backoff sleep
     ran = run(tmp_path, "--chat-url", "http://127.0.0.1:9/v1", KGQA_HTTP_RETRIES="0")
     assert (ran.returncode, ran.stdout) == (0, "unknown\n"), ran.stderr
+    # the trace records the failed call, so the replay needs no endpoint
     replayed = replay(tmp_path)
-    assert replayed.returncode == 1
-    assert replayed.stderr.startswith("replay diverged: ")
+    assert (replayed.returncode, replayed.stdout) == (0, "unknown\n"), replayed.stderr

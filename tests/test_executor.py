@@ -13,7 +13,7 @@ from kgqa_engine.executor import Executor
 from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder
 from kgqa_engine.triples import CandidateTriple, Direction
 
-from conftest import StageBackend, make_memory, make_store
+from conftest import RedirectedStore, StageBackend, make_memory, make_store, plain
 
 
 def make_executor(store, backend=None, **kw):
@@ -293,12 +293,54 @@ class TestStoreFaults:
         with pytest.raises(MalformedResults, match=re.escape(f"label of 'e1' is {kind}, not str")):
             make_executor(store).explore("e1", memory.current_step(), memory)
 
+    @pytest.mark.parametrize("expand_unlabeled", [False, True])
+    def test_plain_direction_strings_give_the_same_candidates(self, expand_unlabeled):
+        assert plain(Direction.OUTGOING) is not Direction.OUTGOING
+        # m is an unlabeled mediator with an outgoing and an incoming second leg
+        triples = [("e1", "r1", "e2"), ("e3", "r2", "e1"), ("e1", "r3", "m"), ("m", "r4", "e4"), ("e5", "r5", "m")]
+        labels = {"e1": "One", "e2": "Two", "e3": "Three", "e4": "Four", "e5": "Five"}
+        seen = []
+        for store in (make_store(triples, labels), RedirectedStore(make_store(triples, labels), plain)):
+            memory = make_memory(topic=("e1",))
+            executor = make_executor(store, expand_unlabeled=expand_unlabeled)
+            observation = executor.explore("e1", memory.current_step(), memory)
+            seen.append((observation.to_dict(), sorted(memory.knowledge.explored_triples)))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("bad", ["sideways", None, 5, "OUTGOING"])
+    def test_other_direction_is_malformed(self, bad):
+        store = RedirectedStore(make_store([("e1", "r", "e2")]), lambda direction: bad)
+        memory = make_memory(topic=("e1",))
+        with pytest.raises(MalformedResults, match=re.escape(f"direction of 'r' at 'e1' is {bad!r}, not ")):
+            make_executor(store).explore("e1", memory.current_step(), memory)
+
+    def test_mediator_leg_that_is_not_outgoing_is_skipped(self):
+        store = make_store([("e1", "r1", "m"), ("m", "r2", "e2")], {"e1": "One", "e2": "Two"})
+        neighbors = store.neighbors
+        store.neighbors = lambda entity: [
+            (relation, other, "sideways" if entity == "m" else direction)
+            for relation, other, direction in neighbors(entity)
+        ]
+        memory = make_memory(topic=("e1",))
+        observation = make_executor(store, expand_unlabeled=True).explore("e1", memory.current_step(), memory)
+        assert [c.key() for c in observation.candidates] == [("e1", "r1", "m", "outgoing")]
+
     def test_label_lookup_fault_becomes_kg_unavailable(self):
         memory = make_memory(question="Where is the Eiffel Tower?", topic=())
         backend = StageBackend({"extract": "ENTITY: Eiffel Tower"})
         executor = make_executor(BrokenStore(ValueError("bad label")), backend)
         with pytest.raises(KgUnavailable, match=re.escape("graph store failed: ValueError('bad label')")):
             executor.resolve_frontier(memory)
+
+    @pytest.mark.parametrize("bad", [5, b"e1", ["e1"]], ids=["int", "bytes", "list"])
+    def test_non_string_label_lookup_is_malformed(self, bad, store):
+        store.entity_with_label = lambda text: bad
+        memory = make_memory(topic=())
+        executor = make_executor(store, StageBackend({"extract": "ENTITY: One"}))
+        kind = type(bad).__name__
+        with pytest.raises(MalformedResults, match=re.escape(f"entity with label 'One' is {kind}, not str")):
+            executor.resolve_frontier(memory)
+        assert memory.strategic.topic_entities == []
 
     def test_backend_fault_beside_the_lookup_is_not_a_store_fault(self, store):
         def down(prompt):

@@ -655,7 +655,7 @@ class TestCli:
         assert code == 0, captured.err
         assert captured.out.strip() == "unknown"
 
-    def test_replay_of_a_raised_backend_call_diverges(self, tmp_path, capsys):
+    def test_replay_of_a_raised_backend_call_matches(self, tmp_path, capsys):
         from kgqa_engine.cli import main
 
         engine, meta = build_engine("happy_path"), load_meta("happy_path")
@@ -669,13 +669,44 @@ class TestCli:
         engine.backend = SimpleNamespace(complete=complete)
         result = engine.run(meta["question"], meta["topic_entities"])
         assert result.error_note.startswith("evaluate failed")
-        # the raised call left nothing in the trace, so the replay's script runs out
+        # the trace records the raised call, and the replay raises it again
+        finish = result.trace[-1].payload
+        assert finish["backend_calls"] == [{"stage": "evaluate", "error": "BackendUnavailable",
+                                            "message": "connection refused"}]
         trace = write_trace(result.trace, tmp_path, "run")
         code = main(["replay", "--trace", trace, "--kg-file", str(HAPPY / "kg.tsv")])
         captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("replay diverged:")
-        assert "internal error" not in captured.err
+        assert code == 0, captured.err
+        assert captured.out.strip() == result.answer
+
+    @pytest.mark.parametrize(
+        "error", ["ValueError", "ScriptMismatch", "errors", 5], ids=["builtin", "not-engine", "module", "int"]
+    )
+    def test_replay_of_a_call_raising_no_engine_error_exit_2(self, tmp_path, capsys, error):
+        from kgqa_engine.cli import main
+
+        events = [json.loads(line) for line in (HAPPY / "trace.golden.jsonl").read_text().splitlines()]
+        events[0]["payload"]["backend_calls"] = [{"stage": "decompose", "error": error, "message": "m"}]
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+        code = main(["replay", "--trace", str(trace), "--kg-file", str(HAPPY / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("invalid trace: script record 0: ")
+        assert captured.out == ""
+
+    def test_replay_of_a_wrongly_typed_config_exit_2(self, tmp_path, capsys):
+        from kgqa_engine.cli import main
+
+        events = [json.loads(line) for line in (HAPPY / "trace.golden.jsonl").read_text().splitlines()]
+        events[0]["payload"]["config"]["context_chain_limit"] = 0.5
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+        code = main(["replay", "--trace", str(trace), "--kg-file", str(HAPPY / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "invalid trace: context_chain_limit must be int, not float\n"
+        assert captured.out == ""
 
 
 class TestConfig:
@@ -735,6 +766,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="context_chain_limit"):
             EngineConfig(context_chain_limit=-1).validate()
         EngineConfig(context_chain_limit=0).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("prune_threshold", 2.5), ("context_chain_limit", 0.5), ("max_total_cycles", "40"),
+         ("replan_limit", True), ("http_retries", None), ("http_timeout", True), ("http_timeout", "30"),
+         ("expand_unlabeled", "no"), ("expand_unlabeled", 1), ("chat_url", None), ("entity_id_pattern", 5)],
+    )
+    def test_wrongly_typed_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            EngineConfig(**{field: value}).validate()
+
+    def test_whole_number_timeout_accepted(self):
+        EngineConfig(http_timeout=5).validate()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import json
 import random
 import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from kgqa_engine.kg import load_memory_store
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl, write_trace
 from kgqa_engine.pruning import HashingEmbedder
 
-from conftest import StageBackend, make_store
+from conftest import RedirectedStore, StageBackend, make_store, plain
 from scenarios import (
     FIXTURES,
     SCENARIOS,
@@ -351,7 +353,7 @@ class TestEmbedderFaults:
 RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError}
 PORT_FAULTS = {
     "backend.complete": [*RAISED, "None", "int"],
-    "kg.neighbors": [*RAISED, "None", "int", "1-tuple"],
+    "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction"],
     "kg.label": [*RAISED, "None", "int", "bytes"],
     "kg.entity_with_label": [*RAISED, "None", "int"],
 }
@@ -372,7 +374,9 @@ class FaultAt:
             return self.method(*args)
         if self.fault in RAISED:
             raise RAISED[self.fault]("injected")
-        return {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)]}[self.fault]
+        faults = {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)],
+                  "bad-direction": [("r", "m.0nile", "sideways")]}
+        return faults[self.fault]
 
 
 PORT_FAULT = st.sampled_from(sorted(PORT_FAULTS)).flatmap(
@@ -380,15 +384,19 @@ PORT_FAULT = st.sampled_from(sorted(PORT_FAULTS)).flatmap(
 )
 
 
+def happy_path_backend():
+    return StageBackend({
+        "decompose": "STEP: mouth country | b\nSTEP: capital | d\nSTEP: country | f",
+        "extract": "ENTITY: Nile",
+    })
+
+
 class TestPortFaults:
     @settings(max_examples=150)
     @given(fault=PORT_FAULT, topic=st.sampled_from([["m.0nile"], []]))
     def test_one_fault_anywhere_still_finishes(self, fault, topic):
         port, at, kind = fault
-        backend = StageBackend({
-            "decompose": "STEP: mouth country | b\nSTEP: capital | d\nSTEP: country | f",
-            "extract": "ENTITY: Nile",
-        })
+        backend = happy_path_backend()
         store = load_memory_store(FIXTURES / "happy_path" / "kg.tsv")
         owner, name = (backend, "complete") if port == "backend.complete" else (store, port[len("kg."):])
         setattr(owner, name, FaultAt(getattr(owner, name), at, kind))
@@ -397,6 +405,46 @@ class TestPortFaults:
         assert result.trace[-1].stage is Stage.FINISH
         assert result.cycles <= config.max_total_cycles
         assert isinstance(result.answer, str)
+        assert_trace_grammar(result.trace)
+
+    @settings(max_examples=60)
+    @given(at=st.integers(0, 24), kind=st.sampled_from(PORT_FAULTS["backend.complete"]),
+           topic=st.sampled_from([["m.0nile"], []]))
+    def test_a_backend_fault_anywhere_replays(self, at, kind, topic):
+        backend = happy_path_backend()
+        backend.complete = FaultAt(backend.complete, at, kind)
+        kg_file = str(FIXTURES / "happy_path" / "kg.tsv")
+        result = Engine(backend, load_memory_store(kg_file), HashingEmbedder(), EngineConfig()).run("q?", topic)
+        out, err = StringIO(), StringIO()
+        with tempfile.TemporaryDirectory() as out_dir, redirect_stdout(out), redirect_stderr(err):
+            code = main(["replay", "--trace", write_trace(result.trace, out_dir, "run"), "--kg-file", kg_file])
+        assert code == 0, err.getvalue()
+        assert out.getvalue() == result.answer + "\n"
+
+
+class TestForeignDirections:
+    """A graph store's directions are compared by value: equal strings work, others degrade."""
+
+    def test_plain_direction_strings_answer_like_the_constants(self):
+        meta = load_meta("happy_path")
+        runs = []
+        for redirect in (None, plain):
+            engine = build_engine("happy_path")
+            if redirect:
+                engine.kg = RedirectedStore(engine.kg, redirect)
+            runs.append(engine.run(meta["question"], meta["topic_entities"]))
+        assert runs[1].answer == runs[0].answer == meta["gold"]
+        assert strip_timestamps(trace_to_jsonl(runs[1].trace)) == strip_timestamps(trace_to_jsonl(runs[0].trace))
+
+    @pytest.mark.parametrize("bad", ["sideways", None, 5, "OUTGOING"])
+    def test_other_direction_degrades_the_explore(self, bad):
+        meta = load_meta("happy_path")
+        engine = build_engine("happy_path")
+        engine.kg = RedirectedStore(engine.kg, lambda direction: bad)
+        result = engine.run(meta["question"], meta["topic_entities"])
+        assert isinstance(result.answer, str)
+        assert result.error_note.startswith("exploration failed: direction of ")
+        assert f"is {bad!r}, not 'outgoing' or 'incoming'" in result.error_note
         assert_trace_grammar(result.trace)
 
 

@@ -101,19 +101,19 @@ class TestErrorSignal:
         obs = Observation("e", 0, None, "")
         backend = scripted()  # any call would raise ScriptMismatch
         signal = Planner(backend).compute_error_signal(Prediction("x"), obs)
-        assert signal.level is ErrorLevel.EMPTY_RESULT
+        assert signal.level == ErrorLevel.EMPTY_RESULT
 
     def test_scripted_fulfilled(self):
         obs = Observation("e", 3, chosen_triple(), "")
         backend = scripted(("classify", "LEVEL: Fulfilled\nDETAIL: as expected"))
         signal = Planner(backend).compute_error_signal(Prediction("capital city"), obs)
-        assert signal.level is ErrorLevel.FULFILLED
+        assert signal.level == ErrorLevel.FULFILLED
 
     def test_scripted_mismatch(self):
         obs = Observation("e", 3, chosen_triple(tail_label="1889-01-01"), "")
         backend = scripted(("classify", "LEVEL: Mismatch\nDETAIL: expected a person, got a date"))
         signal = Planner(backend).compute_error_signal(Prediction("a person"), obs)
-        assert signal.level is ErrorLevel.MISMATCH
+        assert signal.level == ErrorLevel.MISMATCH
 
     def test_unknown_level_malformed(self):
         obs = Observation("e", 1, chosen_triple(), "")

@@ -297,7 +297,7 @@ candidate = st.builds(
     head=st.sampled_from(["h1", "h2", "h3"]),
     relation=st.sampled_from(["r1", "r2"]),
     tail=st.sampled_from(["t1", "t2", "t3"]),
-    direction=st.sampled_from(list(Direction)),
+    direction=st.sampled_from([Direction.OUTGOING, Direction.INCOMING]),
     head_label=word,
     relation_label=word,
     tail_label=word,
