@@ -37,6 +37,15 @@ LABEL_CACHE_SIZE = 50_000
 
 Neighbor = tuple[str, str, str]  # (relation, other_entity, Direction.OUTGOING or INCOMING)
 
+
+class _Direction(str):
+    """A direction the adapters yield, with the ``value`` the old enum had (read under ``benchmarks/``)."""
+
+    value = property(str.__str__)
+
+
+_OUT, _IN = _Direction(Direction.OUTGOING), _Direction(Direction.INCOMING)
+
 log = logging.getLogger(__name__)
 
 
@@ -156,8 +165,8 @@ _UNCACHED = object()
 # The variable naming an edge's far end in a NEIGHBORS row -> the edge's
 # direction and the query for that direction alone.
 _ENDS = {
-    "tail": (Direction.OUTGOING, SparqlTemplate.OUTGOING_EDGES),
-    "head": (Direction.INCOMING, SparqlTemplate.INCOMING_EDGES),
+    "tail": (_OUT, SparqlTemplate.OUTGOING_EDGES),
+    "head": (_IN, SparqlTemplate.INCOMING_EDGES),
 }
 
 
@@ -274,8 +283,8 @@ class InMemoryGraphStore:
         self._sorted: dict[str, list[Neighbor]] = {}
 
     def add_triple(self, head: str, relation: str, tail: str) -> None:
-        self._edges.setdefault(head, set()).add((relation, tail, Direction.OUTGOING))
-        self._edges.setdefault(tail, set()).add((relation, head, Direction.INCOMING))
+        self._edges.setdefault(head, set()).add((relation, tail, _OUT))
+        self._edges.setdefault(tail, set()).add((relation, head, _IN))
         if self._sorted:  # empty while a file loads, so loading pays nothing here
             self._sorted.pop(head, None)
             self._sorted.pop(tail, None)

@@ -307,6 +307,13 @@ class TestStoreFaults:
             seen.append((observation.to_dict(), sorted(memory.knowledge.explored_triples)))
         assert seen[0] == seen[1]
 
+    def test_keys_hold_the_plain_direction_constants(self):
+        store = make_store([("e1", "r1", "e2"), ("e3", "r2", "e1")], {"e2": "Two", "e3": "Three"})
+        memory = make_memory(topic=("e1",))
+        observation = make_executor(store).explore("e1", memory.current_step(), memory)
+        keys = [c.key() for c in observation.candidates] + sorted(memory.knowledge.explored_triples)
+        assert {(key[3], type(key[3])) for key in keys} == {("outgoing", str), ("incoming", str)}
+
     @pytest.mark.parametrize("bad", ["sideways", None, 5, "OUTGOING"])
     def test_other_direction_is_malformed(self, bad):
         store = RedirectedStore(make_store([("e1", "r", "e2")]), lambda direction: bad)

@@ -214,6 +214,12 @@ class TestSparqlGraphStore:
             ("r.b", "m.0t", Direction.OUTGOING),
         ]
 
+    def test_directions_are_strings_that_answer_value(self, stub_server):
+        _StubHandler.responses = edges_and_labels([("r.b", "m.0t")], [("r.a", "m.0h")], [])
+        directions = [d for _, _, d in make_sparql_store(stub_server, http_retries=0).neighbors("m.0x")]
+        assert [(d, type(d.value)) for d in directions] == [("incoming", str), ("outgoing", str)]
+        assert [d.value for d in directions] == ["incoming", "outgoing"]
+
     def test_label_returns_none_for_ungrammatical_id(self, stub_server):
         store = make_sparql_store(stub_server, http_retries=0)
         assert store.label("not an id") is None
@@ -504,6 +510,13 @@ class TestInMemoryStore:
         store = load_memory_store(path)
         assert store.neighbors("A") == [("r", "B", Direction.OUTGOING)]
         assert store.neighbors("B") == [("r", "A", Direction.INCOMING)]
+
+    def test_directions_are_strings_that_answer_value(self):
+        store = InMemoryGraphStore()
+        store.add_triple("a", "r", "b")
+        directions = [d for _, _, d in store.neighbors("a") + store.neighbors("b")]
+        assert [(d, type(d.value)) for d in directions] == [("outgoing", str), ("incoming", str)]
+        assert [d.value for d in directions] == ["outgoing", "incoming"]
 
     def test_absent_entity_empty(self):
         assert InMemoryGraphStore().neighbors("nope") == []

@@ -151,7 +151,7 @@ class TestEvaluate:
         memory.accept_triple(chosen_triple())
         backend = scripted(("evaluate", "DECISION: Replan\nRATIONALE: start over"))
         decision = Planner(backend).evaluate(CHOSEN, memory)
-        assert decision.kind is DecisionKind.FINISH
+        assert decision.kind == DecisionKind.FINISH
         assert decision.coerced
         assert decision.answer == "Paris"  # best-effort: chain tail label
 
@@ -160,7 +160,7 @@ class TestEvaluate:
         memory.step_cycle.attempt_counter = 3
         backend = scripted(("evaluate", "DECISION: PathCorrect\nRATIONALE: retry"))
         decision = Planner(backend, EngineConfig(max_path_corrections=3)).evaluate(CHOSEN, memory)
-        assert decision.kind is DecisionKind.REPLAN
+        assert decision.kind == DecisionKind.REPLAN
         assert decision.coerced
 
     def test_coercion_chains_to_finish_when_both_budgets_spent(self):
@@ -169,13 +169,13 @@ class TestEvaluate:
         memory.strategic.replan_counter = 2
         backend = scripted(("evaluate", "DECISION: PathCorrect"))
         decision = Planner(backend, EngineConfig(max_path_corrections=3)).evaluate(CHOSEN, memory)
-        assert decision.kind is DecisionKind.FINISH
+        assert decision.kind == DecisionKind.FINISH
         assert decision.answer == "unknown"
 
     def test_proceed_passes_through(self):
         backend = scripted(("evaluate", "DECISION: Proceed\nRATIONALE: done"))
         decision = Planner(backend).evaluate(CHOSEN, self._memory())
-        assert decision.kind is DecisionKind.PROCEED
+        assert decision.kind == DecisionKind.PROCEED
         assert not decision.coerced
 
     def test_finish_requires_answer(self):
@@ -186,13 +186,13 @@ class TestEvaluate:
     def test_finish_with_answer(self):
         backend = scripted(("evaluate", "DECISION: Finish\nANSWER: Paris"))
         decision = Planner(backend).evaluate(CHOSEN, self._memory())
-        assert decision.kind is DecisionKind.FINISH
+        assert decision.kind == DecisionKind.FINISH
         assert decision.answer == "Paris"
 
     def test_nothing_chosen_is_coerced_replan_without_backend(self):
         backend = scripted()  # any call would raise ScriptMismatch
         decision = Planner(backend).evaluate(NOTHING_CHOSEN, self._memory())
-        assert decision.kind is DecisionKind.REPLAN
+        assert decision.kind == DecisionKind.REPLAN
         assert decision.coerced
         assert decision.rationale == "no viable candidates for this step"
         assert backend.cursor == 0
@@ -202,7 +202,7 @@ class TestEvaluate:
         memory.strategic.replan_counter = 2
         memory.accept_triple(chosen_triple())
         decision = Planner(scripted()).evaluate(NOTHING_CHOSEN, memory)
-        assert decision.kind is DecisionKind.FINISH
+        assert decision.kind == DecisionKind.FINISH
         assert decision.coerced
         assert decision.answer == best_effort_answer(memory) == "Paris"
 
