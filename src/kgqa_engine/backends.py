@@ -12,12 +12,12 @@ import json
 import logging
 from typing import Protocol
 
-import requests
+import urllib3
 
 from . import errors
 from .config import EngineConfig
 from .errors import BackendUnavailable, EngineError, MalformedBackendOutput, ScriptMismatch
-from .transport import post
+from .transport import JSON_HEADERS, Client, post
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +28,7 @@ class ReasoningBackend(Protocol):
     def complete(self, prompt: str, stage: str) -> str: ...
 
 
-class ChatCompletionBackend:
+class ChatCompletionBackend(Client):
     """Minimal chat-completions client.
 
     Endpoint, model, timeout and retries are read from ``config``
@@ -36,7 +36,9 @@ class ChatCompletionBackend:
     each call.  Temperature is 0 for reproducibility; the bearer token
     comes from ``KGQA_CHAT_TOKEN`` so it never lands in config files.
     Requests are retried as ``transport.post`` does, a malformed body
-    included, before giving up with BackendUnavailable.
+    included, before giving up with BackendUnavailable.  They go through
+    the backend's ``transport.Client`` pool, opened on the first call, which
+    takes the environment's proxy, CA-bundle and netrc settings once.
     """
 
     def __init__(self, config: EngineConfig):
@@ -49,12 +51,12 @@ class ChatCompletionBackend:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0.0,
         }
-        return post(config.chat_url, _content, BackendUnavailable, log, timeout=config.http_timeout,
-                    retries=config.http_retries, token_env=CHAT_TOKEN_ENV, json=body,
-                    headers={"Content-Type": "application/json"})
+        return post(config.chat_url, _content, BackendUnavailable, log, body=json.dumps(body).encode(),
+                    headers=JSON_HEADERS, timeout=config.http_timeout, retries=config.http_retries,
+                    session=self, token_env=CHAT_TOKEN_ENV)
 
 
-def _content(resp: requests.Response) -> str:
+def _content(resp: urllib3.BaseHTTPResponse) -> str:
     try:
         content = resp.json()["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:

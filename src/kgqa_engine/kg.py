@@ -24,12 +24,13 @@ import threading
 from collections.abc import Iterable
 from enum import Enum
 from typing import Protocol
+from urllib.parse import urlencode
 
-import requests
+import urllib3
 
 from .config import EngineConfig
 from .errors import InvalidEntityId, KgUnavailable, MalformedResults, ParseError
-from .transport import post
+from .transport import Client, post
 from .triples import Direction
 
 # Labels one SparqlGraphStore keeps; past this the oldest are evicted first.
@@ -109,26 +110,31 @@ def render_sparql(
     return f"{header}{body} LIMIT {limit}"
 
 
+_SPARQL_HEADERS = {
+    "Accept": "application/sparql-results+json",
+    "Content-Type": "application/x-www-form-urlencoded",
+}
+
+
 def execute(
     endpoint: str,
     query: str,
     *,
     timeout: float = EngineConfig.http_timeout,
     retries: int = EngineConfig.http_retries,
-    session: requests.Session | None = None,
+    session: Client | None = None,
 ) -> list[dict[str, str]]:
     """Run a query over the SPARQL 1.1 protocol; return variable->value rows.
 
-    POSTs the query (through ``session`` if given, so connections are pooled)
-    with ``transport.post``'s retries; a non-conforming document raises
-    MalformedResults at once.
+    POSTs the query form-encoded with ``transport.post``'s retries, through
+    ``session``'s pool if given, else through one opened and closed for
+    this query.  A non-conforming document raises MalformedResults at once.
     """
-    headers = {"Accept": "application/sparql-results+json"}
-    return post(endpoint, _rows, KgUnavailable, log, timeout=timeout, retries=retries,
-                session=session, data={"query": query}, headers=headers)
+    return post(endpoint, _rows, KgUnavailable, log, body=urlencode({"query": query}).encode(),
+                headers=_SPARQL_HEADERS, timeout=timeout, retries=retries, session=session)
 
 
-def _rows(resp: requests.Response) -> list[dict[str, str]]:
+def _rows(resp: urllib3.BaseHTTPResponse) -> list[dict[str, str]]:
     """Variable -> value rows; every value is a ``str`` or MalformedResults is raised."""
     try:
         bindings = resp.json()["results"]["bindings"]
@@ -170,47 +176,28 @@ _ENDS = {
 }
 
 
-class SparqlGraphStore:
+class SparqlGraphStore(Client):
     """GraphStore over a remote SPARQL 1.1 endpoint.
 
     Every setting is read from ``config`` where it is used, ``sparql_url``
     as the endpoint.  Labels, ``None`` included, are cached for the
     adapter's lifetime, which assumes the graph does not change under it.
-    Requests go through one pooled ``requests.Session``, opened on the
-    first query, which resolves the environment's proxy, CA-bundle and
-    netrc settings for the endpoint once: changes to them after that query
-    are not seen.
+    Every query goes through the module's ``execute`` and the store's
+    ``transport.Client`` pool, opened on the first query, which resolves
+    the environment's proxy, CA-bundle and netrc settings for the endpoint
+    once: changes to them after that query are not seen.  ``close()``
+    closes the pooled connections.
     """
 
     def __init__(self, config: EngineConfig):
         self.config = config
         self._labels: dict[str, str | None] = {}
         self._lock = threading.Lock()
-        self._session: requests.Session | None = None
 
     def _execute(self, query: str) -> list[dict[str, str]]:
         config = self.config
-        if self._session is None:
-            with self._lock:
-                if self._session is None:
-                    self._session = self._open_session()
         return execute(config.sparql_url, query, timeout=config.http_timeout,
-                       retries=config.http_retries, session=self._session)
-
-    def _open_session(self) -> requests.Session:
-        """A session with what ``requests`` takes from the environment for
-        this endpoint (proxies after ``NO_PROXY``, CA bundle, netrc auth)
-        fixed on it, so no request reads ``os.environ`` or ``~/.netrc`` again.
-        """
-        endpoint = self.config.sparql_url
-        session = requests.Session()
-        settings = session.merge_environment_settings(endpoint, {}, None, None, None)
-        session.proxies = settings["proxies"]
-        session.verify = settings["verify"]
-        session.cert = settings["cert"]
-        session.auth = requests.utils.get_netrc_auth(endpoint)
-        session.trust_env = False
-        return session
+                       retries=config.http_retries, session=self)
 
     def _localize(self, value: str) -> str:
         return value.removeprefix(self.config.kg_prefix)

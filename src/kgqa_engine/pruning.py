@@ -8,6 +8,7 @@ to the step objective are kept.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
 import re
@@ -15,11 +16,11 @@ import threading
 from operator import itemgetter, mul
 from typing import Iterable, Protocol, Sequence
 
-import requests
+import urllib3
 
 from .config import EngineConfig
 from .errors import PruningUnavailable
-from .transport import post
+from .transport import JSON_HEADERS, Client, post
 from .triples import CandidateTriple
 
 Vector = Sequence[float]
@@ -173,27 +174,30 @@ class HashingEmbedder:
         return [self._one(t) for t in texts]
 
 
-class HttpEmbedder:
+class HttpEmbedder(Client):
     """Embeddings over an HTTP endpoint taking {model, input:[...]}, with
     ``transport.post``'s retries, a malformed body included.  Endpoint,
     model, timeout and retries are read from ``config`` (``embed_url``,
     ``embed_model``, ``http_timeout``, ``http_retries``) on each call.  The
-    bearer token comes from ``KGQA_EMBED_TOKEN``."""
+    bearer token comes from ``KGQA_EMBED_TOKEN``.  Requests go through the
+    embedder's ``transport.Client`` pool, opened on the first call, which
+    takes the environment's proxy, CA-bundle and netrc settings once."""
 
     def __init__(self, config: EngineConfig):
         self.config = config
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         config = self.config
-        body = {"model": config.embed_model, "input": texts}
-        vectors = post(config.embed_url, _embeddings, PruningUnavailable, log, timeout=config.http_timeout,
-                       retries=config.http_retries, token_env=EMBED_TOKEN_ENV, json=body)
+        body = json.dumps({"model": config.embed_model, "input": texts}).encode()
+        vectors = post(config.embed_url, _embeddings, PruningUnavailable, log, body=body, headers=JSON_HEADERS,
+                       timeout=config.http_timeout, retries=config.http_retries, session=self,
+                       token_env=EMBED_TOKEN_ENV)
         if len(vectors) != len(texts):
             raise PruningUnavailable("embeddings endpoint returned wrong number of vectors")
         return vectors
 
 
-def _embeddings(resp: requests.Response) -> list[list[float]]:
+def _embeddings(resp: urllib3.BaseHTTPResponse) -> list[list[float]]:
     try:
         return [item["embedding"] for item in resp.json()["data"]]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:

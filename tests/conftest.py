@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from time import sleep as real_sleep  # bound at import: the ``sleeps`` fixture patches time.sleep
 
 import pytest
 from hypothesis import settings
@@ -128,38 +130,87 @@ def sleeps(monkeypatch):
 class JsonStub(BaseHTTPRequestHandler):
     """Loopback JSON endpoint: records each request, serves a script.
 
-    A JSON request body is recorded decoded; any other body, such as a
-    form-encoded SPARQL query, as text.
+    ``seen`` holds each request's body, a JSON body decoded and any other,
+    such as a form-encoded SPARQL query, as text, with its Authorization
+    header.  ``wire`` holds each request as it arrived: method, path
+    (absolute when sent to a proxy), headers, body bytes and the client's
+    port, which tells connections apart.  A scripted response is
+    ``(status, body)`` or ``(status, body, headers)``, the last one
+    repeating, and is sent after ``delay`` seconds.
     """
 
-    responses: list[tuple[int, bytes]] = []  # (status, body); the last one repeats
+    responses: list[tuple] = []
     seen: list[dict] = []
+    wire: list[dict] = []
+    delay = 0.0
 
     def do_POST(self):
+        stub = type(self)
         raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         try:
             body = json.loads(raw)
         except ValueError:
             body = raw.decode()
-        type(self).seen.append({"body": body, "auth": self.headers.get("Authorization")})
-        idx = min(len(type(self).seen) - 1, len(type(self).responses) - 1)
-        status, payload = type(self).responses[idx]
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
+        stub.seen.append({"body": body, "auth": self.headers.get("Authorization")})
+        stub.wire.append({"method": self.command, "path": self.path, "headers": self.headers,
+                          "body": raw, "port": self.client_address[1]})
+        status, payload, *headers = stub.responses[min(len(stub.seen), len(stub.responses)) - 1]
+        real_sleep(stub.delay)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(payload)
+        except ConnectionError:  # the client stopped waiting during the delay
+            self.close_connection = True
+
+    do_GET = do_POST
 
     def log_message(self, *args):
         pass
 
 
+@contextmanager
+def serving(handler, wrap=None):
+    """The port of a loopback server running ``handler``; its socket is closed afterwards.
+
+    ``wrap``, given, wraps the listening socket, as an ``ssl.SSLContext`` does.
+    """
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if wrap is not None:
+        server.socket = wrap(server.socket)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
+    try:
+        yield server.server_port
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def reset(stub, responses=()):
+    stub.responses, stub.seen, stub.wire, stub.delay = list(responses), [], [], 0.0
+
+
 @pytest.fixture
 def json_stub():
-    """URL of a fresh JsonStub server; its socket is closed afterwards."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), JsonStub)
-    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
-    JsonStub.responses = []
-    JsonStub.seen = []
-    yield f"http://127.0.0.1:{server.server_port}/v1"
-    server.shutdown()
-    server.server_close()
+    """URL of a fresh JsonStub server speaking HTTP/1.0, so each request has its own connection."""
+    reset(JsonStub)
+    with serving(JsonStub) as port:
+        yield f"http://127.0.0.1:{port}/v1"
+
+
+class KeepAliveStub(JsonStub):
+    """A JsonStub speaking HTTP/1.1, so a client may send many requests over one connection."""
+
+    protocol_version = "HTTP/1.1"
+
+
+@pytest.fixture
+def keepalive_stub():
+    """URL of a fresh KeepAliveStub server; it records into ``JsonStub``'s lists."""
+    reset(JsonStub)
+    with serving(KeepAliveStub) as port:
+        yield f"http://127.0.0.1:{port}/v1"

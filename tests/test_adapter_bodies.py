@@ -10,11 +10,10 @@ import json
 from unittest import mock
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgqa_engine import backends, kg, pruning
+from kgqa_engine import backends, kg, pruning, transport
 from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
 from kgqa_engine.errors import BackendUnavailable, MalformedResults, PruningUnavailable
 from kgqa_engine.orchestrator import Engine, Stage
@@ -130,7 +129,7 @@ class TestDeepJson:
 
 
 class FakeResponse:
-    status_code = 200
+    status = 200
 
     def __init__(self, document):
         self.document = document
@@ -139,14 +138,24 @@ class FakeResponse:
         return self.document
 
 
-class FakeSession:
-    """Answers every POST with the same decoded document."""
+class FakePool:
+    """A pool that answers every request with the same decoded document."""
+
+    headers: dict[str, str] = {}
 
     def __init__(self, document):
         self.document = document
 
-    def post(self, url, **request):
+    def urlopen(self, method, url, **request):
         return FakeResponse(self.document)
+
+    def clear(self):
+        pass
+
+
+def answering(document):
+    """Every HTTP adapter's pool, while active, is a ``FakePool`` answering ``document``."""
+    return mock.patch.object(transport, "open_pool", lambda url: FakePool(document))
 
 
 # Whole JSON documents: junk of every JSON type, with the keys the three
@@ -205,20 +214,19 @@ class TestWholeDocuments:
     @settings(max_examples=60)
     @given(DOCUMENT)
     def test_runs_finish_whatever_the_graph_answers(self, document):
-        store = make_sparql_store("http://127.0.0.1:9/sparql", http_retries=0)
-        store._session = FakeSession(document)
-        run_to_finish(kg=store)
+        with answering(document):
+            run_to_finish(kg=make_sparql_store("http://127.0.0.1:9/sparql", http_retries=0))
 
     @settings(max_examples=60)
     @given(DOCUMENT)
     def test_runs_finish_whatever_the_chat_endpoint_answers(self, document):
-        with mock.patch.object(requests, "post", FakeSession(document).post):
+        with answering(document):
             run_to_finish(backend=make_chat_backend("http://127.0.0.1:9/chat", "m", http_retries=0))
 
     @settings(max_examples=60)
     @given(DOCUMENT)
     def test_runs_finish_whatever_the_embedder_answers(self, document):
-        with mock.patch.object(requests, "post", FakeSession(document).post):
+        with answering(document):
             result = run_to_finish(
                 backend=StageBackend(),
                 embedder=make_http_embedder("http://127.0.0.1:9/embed", "m", http_retries=0),

@@ -1,21 +1,24 @@
 """Graph access layer: query rendering, protocol client, in-memory store."""
 
+import base64
 import json
 import logging
 import random
 import re
+import ssl
 import string
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs
 
 import pytest
-import requests
 
-from conftest import StageBackend, make_sparql_store
+from conftest import JsonStub, StageBackend, make_sparql_store, reset, serving
 from kgqa_engine import kg as kg_mod
+from kgqa_engine import transport
 from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
 from kgqa_engine.errors import InvalidEntityId, KgUnavailable, MalformedResults, ParseError
 from kgqa_engine.kg import (
@@ -230,8 +233,12 @@ class TestSparqlGraphStore:
         assert make_sparql_store(stub_server, http_retries=0).label("m.0paris") == "Paris"
 
     def test_unavailable_endpoint_raises_through_session(self):
-        with pytest.raises(KgUnavailable):
-            execute("http://127.0.0.1:1/sparql", "q", retries=0, timeout=0.2, session=requests.Session())
+        client = transport.Client()
+        try:
+            with pytest.raises(KgUnavailable):
+                execute("http://127.0.0.1:1/sparql", "q", retries=0, timeout=0.2, session=client)
+        finally:
+            client.close()
 
 
 def union_rows(outgoing, incoming):
@@ -375,85 +382,109 @@ class TestRoundTrips:
         assert sum(len(pairs) for pairs in results) == 6 * 10_000
         assert len(store._labels) <= 8
 
-    def test_session_opened_lazily_and_reused(self, stub_server):
+    def test_session_opened_lazily_and_reused(self, stub_server, monkeypatch):
+        opened = []
+        open_pool = transport.open_pool
+        monkeypatch.setattr(transport, "open_pool", lambda url: opened.append(url) or open_pool(url))
         _StubHandler.responses = [label_batch([("m.0a", "L"), ("m.0b", "L")])]
         store = make_sparql_store(stub_server, http_retries=0)
-        assert store._session is None
+        assert opened == []
         store.label("m.0a")
-        session = store._session
         store.label("m.0b")
-        assert isinstance(session, requests.Session) and store._session is session
+        assert opened == [stub_server] and len(_StubHandler.seen) == 2
+
+    def test_every_request_goes_through_execute(self, stub_server, monkeypatch):
+        # the benchmark counts SPARQL round-trips by patching kg.execute
+        queries = []
+        monkeypatch.setattr(kg_mod, "execute", lambda url, query, **kw: queries.append(query) or execute(url, query, **kw))
+        # a full union answer with one direction short: union, refill, label batch; then one label()
+        outgoing = [("r.o", f"m.0t{i}") for i in range(3)]
+        _StubHandler.responses = edges_and_labels(outgoing, [("r.i", "m.0h")], [])[:1]
+        _StubHandler.responses += [(200, sparql_json(union_rows([], [("r.i", "m.0h")]), ["relation", "head"]))]
+        _StubHandler.responses += [label_batch([("m.0x", "X")]), label_batch([])]
+        store = make_sparql_store(stub_server, http_retries=0, kg_result_limit=2)
+        store.neighbors("m.0x")
+        assert store.label("m.0x") == "X" and store.label("m.0new") is None
+        assert len(queries) == 4 and queries == _StubHandler.seen
+
+
+TLS = Path(__file__).parent / "tls"  # cert.pem: self-signed for IP 127.0.0.1 until 2126 (openssl req -x509)
+
+
+EMPTY = (200, b'{"results": {"bindings": []}}')
+
+
+class ProxyStub(JsonStub):
+    """A forward HTTP proxy that answers every request itself with an empty SPARQL result."""
+
+    responses, seen, wire = [EMPTY], [], []
 
 
 class TestEnvironment:
     """The store takes proxy, CA-bundle and netrc settings from the environment
-    once, and they are the ones ``requests`` computes for each request."""
-
-    ENDPOINT = "http://sparql.test/sparql"
-
-    @pytest.fixture
-    def sent(self, monkeypatch):
-        """Capture what each request would be sent with; nothing leaves the process."""
-        sent = []
-
-        def send(adapter, request, **kwargs):
-            sent.append({
-                "proxies": kwargs["proxies"],
-                "verify": kwargs["verify"],
-                "cert": kwargs["cert"],
-                "auth": request.headers.get("Authorization"),
-            })
-            resp = requests.Response()
-            resp.status_code = 200
-            resp._content = sparql_json([], ["label"])
-            resp.url, resp.request = request.url, request
-            return resp
-
-        monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
-        return sent
+    on its first query, once, as ``requests`` computes them."""
 
     @pytest.fixture
     def environment(self, monkeypatch, tmp_path):
-        for name in ["http_proxy", "https_proxy", "all_proxy", "no_proxy", "CURL_CA_BUNDLE"]:
+        for name in ["http_proxy", "https_proxy", "all_proxy", "no_proxy", "CURL_CA_BUNDLE", "REQUESTS_CA_BUNDLE"]:
             monkeypatch.delenv(name, raising=False)
             monkeypatch.delenv(name.upper(), raising=False)
-        bundle = tmp_path / "ca.pem"
-        bundle.write_text("")
         netrc = tmp_path / "netrc"
-        netrc.write_text("machine sparql.test login reader password secret\n")
-        monkeypatch.setenv("HTTP_PROXY", "http://proxy.test:3128")
-        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+        netrc.write_text("machine 127.0.0.1 login reader password secret\n")
         monkeypatch.setenv("NETRC", str(netrc))
-        return monkeypatch, str(bundle)
+        return monkeypatch
 
-    @pytest.mark.parametrize("no_proxy, proxied", [("other.test", True), ("sparql.test", False)])
-    def test_requests_carry_what_requests_computes(self, sent, environment, no_proxy, proxied):
-        monkeypatch, bundle = environment
-        monkeypatch.setenv("NO_PROXY", no_proxy)
-        execute(self.ENDPOINT, "q", retries=0)  # plain requests.post, environment read per request
-        make_sparql_store(self.ENDPOINT, http_retries=0).label("m.0a")
-        expected, got = sent
-        assert got == expected
-        assert (got["proxies"].get("http") == "http://proxy.test:3128") is proxied
-        assert got["verify"] == bundle
-        assert got["auth"].startswith("Basic ")
+    @pytest.fixture
+    def proxy(self):
+        ProxyStub.seen, ProxyStub.wire = [], []
+        with serving(ProxyStub) as port:
+            yield f"http://pu:pp@127.0.0.1:{port}"
 
-    def test_environment_resolved_once_per_store(self, sent, environment, monkeypatch):
-        calls = []
-        resolve = requests.sessions.get_environ_proxies
-        monkeypatch.setattr(
-            requests.sessions, "get_environ_proxies", lambda *a, **kw: calls.append(a) or resolve(*a, **kw)
-        )
-        store = make_sparql_store(self.ENDPOINT, http_retries=0)
-        assert store._session is None and sent == [] and calls == []  # construction sends nothing
-        for i in range(5):
+    @staticmethod
+    def basic(credentials):
+        return "Basic " + base64.b64encode(credentials.encode()).decode()
+
+    @pytest.mark.parametrize("no_proxy, proxied", [("other.test", True), ("127.0.0.1", False)])
+    def test_requests_carry_what_requests_computes(self, json_stub, proxy, environment, no_proxy, proxied):
+        JsonStub.responses = [EMPTY]
+        environment.setenv("HTTP_PROXY", proxy)
+        environment.setenv("NO_PROXY", no_proxy)
+        execute(json_stub, "q", retries=0)  # without a client: a pool opened for this query alone
+        make_sparql_store(json_stub, http_retries=0).label("m.0a")
+        sent, bypassed = (ProxyStub.wire, JsonStub.wire) if proxied else (JsonStub.wire, ProxyStub.wire)
+        assert bypassed == [] and len(sent) == 2
+        assert [r["path"] for r in sent] == [json_stub if proxied else "/v1"] * 2
+        assert [r["headers"]["Authorization"] for r in sent] == [self.basic("reader:secret")] * 2
+        assert [r["headers"]["Proxy-Authorization"] for r in sent] == [self.basic("pu:pp") if proxied else None] * 2
+
+    @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+    def test_ca_bundle_reaches_the_pool(self, environment, variable):
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS / "cert.pem", TLS / "key.pem")
+        reset(JsonStub, [EMPTY])
+        with serving(JsonStub, lambda sock: context.wrap_socket(sock, server_side=True)) as port:
+            endpoint = f"https://127.0.0.1:{port}/v1"
+            with pytest.raises(KgUnavailable, match="CERTIFICATE_VERIFY_FAILED"):
+                make_sparql_store(endpoint, http_retries=0).label("m.0a")  # not in the default bundle
+            environment.setenv(variable, str(TLS / "cert.pem"))
+            assert make_sparql_store(endpoint, http_retries=0).label("m.0a") is None
+        assert len(JsonStub.seen) == 1
+
+    def test_environment_resolved_once_per_store(self, json_stub, proxy, environment, tmp_path):
+        JsonStub.responses = [EMPTY]
+        store = make_sparql_store(json_stub, http_retries=0)
+        environment.setenv("HTTP_PROXY", proxy)  # set after construction, read by the first query
+        assert ProxyStub.wire == [] and JsonStub.wire == []  # construction sends nothing
+        store.neighbors("m.0e0")
+        environment.delenv("HTTP_PROXY")
+        (tmp_path / "netrc").write_text("machine 127.0.0.1 login writer password other\n")
+        for i in range(1, 5):
             store.neighbors(f"m.0e{i}")
             store.label(f"m.0l{i}")
-        assert len(sent) == 15  # per explore one union query and one label batch, plus each label()
-        assert len(calls) == 1
-        assert all(request == sent[0] for request in sent)
-        make_sparql_store(self.ENDPOINT, http_retries=0).label("m.0a")
-        assert len(calls) == 2  # a new store resolves it again
+        assert JsonStub.wire == [] and len(ProxyStub.wire) == 14  # per explore two queries, plus each label()
+        assert {r["headers"]["Authorization"] for r in ProxyStub.wire} == {self.basic("reader:secret")}
+        make_sparql_store(json_stub, http_retries=0).label("m.0a")  # a new store resolves it again
+        assert [r["headers"]["Authorization"] for r in JsonStub.wire] == [self.basic("writer:other")]
 
 
 class TestMalformedBindings:
