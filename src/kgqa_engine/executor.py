@@ -17,7 +17,7 @@ from .errors import (
 from .kg import GraphStore
 from .memory import IntegratedMemory, Observation, PlanStep
 from .planner import load_prompt, parse_fields
-from .pruning import Embedder, prune
+from .pruning import Embedder, prune, rank
 from .triples import CandidateTriple, Direction
 
 
@@ -78,10 +78,11 @@ class Executor:
     def _retrieve_candidates(self, frontier: str, memory: IntegratedMemory) -> list[CandidateTriple]:
         """Every edge at the frontier as a candidate, each recorded as explored.
 
-        ``kg.label`` runs once per distinct id per explore; "" when unlabeled.
-        A label that is neither ``str`` nor ``None``, or a direction other
-        than ``Direction.OUTGOING`` and ``Direction.INCOMING``, raises
-        ``MalformedResults``.
+        ``kg.label`` runs once per distinct id per call; "" when unlabeled.
+        ``explore`` calls this once per step and frontier.  A relation or
+        entity id that is not a ``str``, a label that is neither ``str`` nor
+        ``None``, or a direction other than ``Direction.OUTGOING`` and
+        ``Direction.INCOMING`` raises ``MalformedResults``.
         """
         labels: dict[str, str] = {}
 
@@ -106,6 +107,8 @@ class Executor:
             else:
                 raise MalformedResults(f"direction of {relation!r} at {near!r} is {direction!r}, "
                                        f"not {Direction.OUTGOING!r} or {Direction.INCOMING!r}")
+            if not (isinstance(relation, str) and isinstance(other, str)):
+                raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {near!r} has an id that is not str")
             cand = CandidateTriple(head, relation, tail, direction, label(head), label(relation), label(tail))
             memory.record_explored(cand)
             return cand
@@ -140,8 +143,15 @@ class Executor:
         triples are recorded into the knowledge layer regardless.  Unusable
         embeddings abandon the attempt with an empty observation; a graph
         store fault raises ``KgUnavailable``.
+
+        The step's first explore keeps its scored candidates in the
+        step-cycle memory.  A later explore of the same frontier and
+        objective in the same step (a Path Correction's retry) drops the
+        newly excluded ones and re-ranks the rest by those scores, with no
+        graph read and no embedding: the chain is unchanged within a step
+        and the exclusions only grow, so the observation is the one a
+        fresh retrieval would give.
         """
-        retrieved = _read_graph(self._retrieve_candidates, frontier, memory)
         # chain exclusion ignores traversal direction: the same edge seen
         # from the other side is still a revisit
         excluded = memory.step_cycle.failed | {
@@ -149,12 +159,19 @@ class Executor:
             for t in memory.knowledge.reasoning_chain
             for direction in (Direction.OUTGOING, Direction.INCOMING)
         }
-        candidates = [c for c in retrieved if c.key() not in excluded]
-        try:
-            pruned = prune(candidates, step.objective, self.config.prune_threshold, self.embedder)
-        except PruningUnavailable as exc:
-            rationale = f"attempt abandoned, pruning unavailable: {exc}"
-            return Observation(frontier_entity=frontier, candidates_total=0, chosen=None, rationale=rationale)
+        scored = memory.step_cycle.scored
+        if scored is not None and scored[0] == frontier and scored[1] == step.objective:
+            candidates = [c for c in scored[2] if c.key() not in excluded]
+            pruned = rank(candidates, self.config.prune_threshold)
+        else:
+            retrieved = _read_graph(self._retrieve_candidates, frontier, memory)
+            candidates = [c for c in retrieved if c.key() not in excluded]
+            try:
+                pruned = prune(candidates, step.objective, self.config.prune_threshold, self.embedder)
+            except PruningUnavailable as exc:
+                rationale = f"attempt abandoned, pruning unavailable: {exc}"
+                return Observation(frontier_entity=frontier, candidates_total=0, chosen=None, rationale=rationale)
+            memory.step_cycle.scored = (frontier, step.objective, candidates)
         if pruned:
             chosen, rationale = self.select_entity(pruned, step, memory.render_context("executor"))
         else:

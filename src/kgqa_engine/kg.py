@@ -248,10 +248,14 @@ class SparqlGraphStore(Client):
         return neighbors
 
     def label(self, entity_or_relation: str) -> str | None:
+        """The cached label, else one query; ``None`` with no query for an id outside the grammar."""
         cached = self._labels.get(entity_or_relation, _UNCACHED)
         if cached is not _UNCACHED:
             return cached
-        return self._fetch_labels([entity_or_relation]).get(entity_or_relation)
+        fetched = self._fetch_labels([entity_or_relation])
+        if not fetched:  # outside the grammar, a relation id say: remembered as unlabelled
+            self._remember({entity_or_relation: None})
+        return fetched.get(entity_or_relation)
 
 
 class InMemoryGraphStore:

@@ -4,8 +4,11 @@
   plans, and the replan count; the replan and context limits come from
   the run's ``EngineConfig``.
 * Step-cycle layer: the attempt count, the last thought and the failed
-  paths of the step in progress; the trace, not memory, records each
-  cycle's prediction, observation and error signal.
+  paths of the step in progress, and the candidates its first explore
+  retrieved, with the scores pruning gave them, so a Path Correction's
+  re-explore re-ranks them instead of reading the graph again; the trace,
+  not memory, records each cycle's prediction, observation and error
+  signal.
 * Knowledge layer: everything learned from the graph; it only grows,
   including across replans.
 """
@@ -119,11 +122,14 @@ class StepCycleMemory:
     attempt_counter: int = 0
     thought: str | None = None
     failed: set[TripleKey] = field(default_factory=set)  # path-corrected away on this step
+    # (frontier, objective, scored candidates) of the step's first explore
+    scored: tuple[str, str, list[CandidateTriple]] | None = None
 
     def clear(self) -> None:
         self.attempt_counter = 0
         self.thought = None
         self.failed = set()
+        self.scored = None
 
 
 @dataclass

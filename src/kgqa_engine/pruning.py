@@ -90,12 +90,9 @@ def prune(
 ) -> list[CandidateTriple]:
     """Keep the ``threshold`` candidates most relevant to the objective.
 
-    Scores are populated on every candidate either way.  At or below the
-    threshold the input list comes back unchanged; above it, the top
-    ``threshold`` by cosine similarity are returned sorted score-descending,
-    ties broken by lexicographic rendering, then by key, then by input
-    order.  Unusable vectors, non-numeric components included, raise
-    ``PruningUnavailable``.
+    Scores (cosine similarity) are populated on every candidate either
+    way, and ``rank`` makes the cut.  Unusable vectors, non-numeric
+    components included, raise ``PruningUnavailable``.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -114,11 +111,29 @@ def prune(
         raise PruningUnavailable(f"embedder returned a non-numeric vector: {exc}") from exc
     for cand, score in zip(candidates, scores):
         cand.score = score
+    return rank(candidates, threshold, texts)
+
+
+def rank(
+    candidates: list[CandidateTriple], threshold: int, texts: list[str] | None = None
+) -> list[CandidateTriple]:
+    """Pruning's cut of candidates whose scores are already set.
+
+    At or below the threshold the input list comes back unchanged; above
+    it, the top ``threshold`` are returned sorted score-descending, ties
+    broken by rendering (``texts``, rendered here if not given), then by
+    key, then by input order.  Dropping candidates from a ranked list
+    leaves the order of the rest unchanged, so a subset of candidates
+    scored once ranks the same without embedding them again.
+    """
     if len(candidates) <= threshold:
         return candidates
+    if texts is None:
+        texts = [c.render() for c in candidates]
     # the trailing index keeps full ties in input order and never lets
     # two candidates be compared
-    ranked = sorted(zip([-s for s in scores], texts, [c.key() for c in candidates], range(len(candidates))))
+    keys = [c.key() for c in candidates]
+    ranked = sorted(zip([-c.score for c in candidates], texts, keys, range(len(candidates))))
     return [candidates[i] for *_, i in ranked[:threshold]]
 
 

@@ -62,6 +62,17 @@ def make_store(triples, labels=None) -> InMemoryGraphStore:
     return store
 
 
+def random_kg(rng, n_entities=50):
+    """A labelled store of ``3 * n_entities`` random edges over 12 relations, and its entities."""
+    entities = [f"e{i}" for i in range(n_entities)]
+    triples = []
+    for _ in range(n_entities * 3):
+        head, tail = rng.sample(entities, 2)
+        triples.append((head, f"r{rng.randrange(12)}", tail))
+    labels = {e: f"Entity {e}" for e in entities}
+    return make_store(triples, labels), entities
+
+
 class RedirectedStore:
     """Graph store that yields ``redirect(direction)`` for each direction ``inner`` yields."""
 

@@ -5,15 +5,18 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgqa_engine.backends import RecordingBackend
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import BackendUnavailable, KgUnavailable, MalformedResults, NoFrontier
 from kgqa_engine.executor import Executor
+from kgqa_engine.memory import PlanStep
 from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder
 from kgqa_engine.triples import CandidateTriple, Direction
 
-from conftest import RedirectedStore, StageBackend, make_memory, make_store, plain
+from conftest import RedirectedStore, StageBackend, make_memory, make_store, plain, random_kg
 
 
 def make_executor(store, backend=None, **kw):
@@ -105,6 +108,8 @@ class TestExplore:
         assert obs.to_dict()["candidates_after_pruning"] == 0
         # what was retrieved is still recorded
         assert ("e1", "r1", "e2", "outgoing") in memory.knowledge.explored_triples
+        # and nothing is stored for a re-explore to reuse
+        assert memory.step_cycle.scored is None
 
     def test_bookkeeping_records_everything_retrieved(self, store):
         memory = make_memory(topic=("e1",))
@@ -216,13 +221,15 @@ class TestMediatorExpansion:
 
 
 class CountingStore:
-    """Graph store that counts ``label`` calls per id."""
+    """Graph store that counts ``neighbors`` and ``label`` calls per id."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.neighbor_calls = Counter()
         self.label_calls = Counter()
 
     def neighbors(self, entity):
+        self.neighbor_calls[entity] += 1
         return self.inner.neighbors(entity)
 
     def label(self, entity_or_relation):
@@ -254,9 +261,76 @@ class TestLabelLookups:
                 assert c.relation_label == (store.inner.label(c.relation) or "")
             assert c.head_label == (store.inner.label(c.head) or "")
             assert c.tail_label == (store.inner.label(c.tail) or "")
-        # a second explore looks every id up afresh
+        # a second explore in the same step reads nothing from the graph
+        neighbor_calls = dict(store.neighbor_calls)
+        executor.explore("hub", memory.current_step(), memory)
+        assert store.neighbor_calls == neighbor_calls
+        assert set(store.label_calls.values()) == {1}
+        # a new step cycle looks every id up once again
+        memory.step_cycle.clear()
         executor.explore("hub", memory.current_step(), memory)
         assert set(store.label_calls.values()) == {2}
+
+
+class TestReExplore:
+    """A re-explore of the step's frontier re-ranks the first explore's scored candidates."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), threshold=st.sampled_from([2, 70]),
+           failures=st.lists(st.integers(0, 10**6), max_size=6))
+    def test_same_observation_as_a_fresh_retrieval(self, seed, threshold, failures):
+        rng = random.Random(seed)
+        store, entities = random_kg(rng, n_entities=15)
+        objectives = [f"Entity e{rng.randrange(15)} r{rng.randrange(12)}" for _ in range(2)]
+        memory = make_memory(topic=(rng.choice(entities),), plan_objectives=objectives)
+        executor = make_executor(store, prune_threshold=threshold)
+        # accept a first step's triple, so the chain excludes an edge at the frontier
+        first = executor.explore(executor.resolve_frontier(memory), memory.current_step(), memory)
+        if first.chosen is None:
+            return
+        memory.accept_triple(first.chosen)
+        step = memory.advance_step()
+        frontier = executor.resolve_frontier(memory)
+        executor.explore(frontier, step, memory)
+        scored = memory.step_cycle.scored
+        for pick in failures:
+            if not scored[2]:
+                break
+            memory.mark_failed_path(scored[2][pick % len(scored[2])])
+            reused = executor.explore(frontier, step, memory).to_dict()
+            memory.step_cycle.scored = None
+            fresh = executor.explore(frontier, step, memory).to_dict()
+            assert reused == fresh
+            memory.step_cycle.scored = scored
+
+    def test_only_the_first_explore_embeds(self, store):
+        class CountingEmbedder(HashingEmbedder):
+            calls = 0
+
+            def embed(self, texts):
+                self.calls += 1
+                return super().embed(texts)
+
+        embedder = CountingEmbedder()
+        executor = Executor(store, embedder, StageBackend())
+        memory = make_memory(topic=("e1",))
+        step = memory.current_step()
+        first = executor.explore("e1", step, memory)
+        memory.mark_failed_path(first.chosen)
+        second = executor.explore("e1", step, memory)
+        assert embedder.calls == 1
+        assert second.candidates == [c for c in first.candidates if c is not first.chosen]
+
+    def test_another_frontier_or_objective_retrieves(self, store):
+        store = CountingStore(store)
+        memory = make_memory(topic=("e1",))
+        step = memory.current_step()
+        executor = make_executor(store)
+        executor.explore("e1", step, memory)
+        executor.explore("e2", step, memory)
+        executor.explore("e2", PlanStep(0, "another objective", ""), memory)
+        assert store.neighbor_calls == {"e1": 1, "e2": 2}
+        assert memory.step_cycle.scored[:2] == ("e2", "another objective")
 
 
 class BrokenStore:
@@ -277,6 +351,7 @@ class TestStoreFaults:
         executor = make_executor(BrokenStore(RuntimeError("boom")))
         with pytest.raises(KgUnavailable, match=re.escape("graph store failed: RuntimeError('boom')")):
             executor.explore("e1", memory.current_step(), memory)
+        assert memory.step_cycle.scored is None
 
     def test_engine_error_passes_unchanged(self):
         memory = make_memory(topic=("e1",))
@@ -292,6 +367,24 @@ class TestStoreFaults:
         kind = type(bad).__name__
         with pytest.raises(MalformedResults, match=re.escape(f"label of 'e1' is {kind}, not str")):
             make_executor(store).explore("e1", memory.current_step(), memory)
+
+    @pytest.mark.parametrize("relation, entity", [(5, "m.x"), ("r", None), (None, "m.x"), ("r", ["m.x"])])
+    def test_non_string_id_is_malformed(self, relation, entity):
+        store = make_store([("e1", "r1", "e2")])
+        store.neighbors = lambda e: [(relation, entity, Direction.OUTGOING)]
+        memory = make_memory(topic=("e1",))
+        message = f"neighbor ({relation!r}, {entity!r}) of 'e1' has an id that is not str"
+        with pytest.raises(MalformedResults, match=re.escape(message)):
+            make_executor(store).explore("e1", memory.current_step(), memory)
+        assert memory.knowledge.explored_triples == set()
+
+    def test_non_string_id_behind_a_mediator_is_malformed(self):
+        store = make_store([("e1", "r1", "m")], {"e1": "One"})
+        neighbors = store.neighbors
+        store.neighbors = lambda e: [("r2", 5, Direction.OUTGOING)] if e == "m" else neighbors(e)
+        memory = make_memory(topic=("e1",))
+        with pytest.raises(MalformedResults, match=re.escape("neighbor ('r2', 5) of 'm' has an id that is not str")):
+            make_executor(store, expand_unlabeled=True).explore("e1", memory.current_step(), memory)
 
     @pytest.mark.parametrize("expand_unlabeled", [False, True])
     def test_plain_direction_strings_give_the_same_candidates(self, expand_unlabeled):

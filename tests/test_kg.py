@@ -285,6 +285,14 @@ class TestRoundTrips:
         assert store.label("m.0paris") == expected  # "no label" is cached too
         assert len(_StubHandler.seen) == 1
 
+    def test_ungrammatical_label_costs_nothing_the_second_time(self, stub_server, monkeypatch):
+        store = make_sparql_store(stub_server, http_retries=0)
+        assert store.label("people.person.nationality") is None  # a relation id
+        # the second lookup is a cache hit: the grammar is not checked again
+        monkeypatch.setattr(store, "_fetch_labels", None)
+        assert store.label("people.person.nationality") is None
+        assert _StubHandler.seen == []
+
     def test_labelled_neighbours_are_not_asked_for_again(self, stub_server):
         _StubHandler.responses = edges_and_labels([("r.b", "m.0t")], [], [("m.0x", "X")])
         _StubHandler.responses += edges_and_labels([], [("r.b", "m.0x")], [("m.0t", "T")])

@@ -127,11 +127,13 @@ class TestPlanLifecycle:
         memory = make_memory(plan_objectives=("a", "b"))
         memory.step_cycle.thought = "something"
         memory.step_cycle.attempt_counter = 2
+        memory.step_cycle.scored = ("e1", "a", [triple()])
         nxt = memory.advance_step()
         assert nxt.index == 1
         assert memory.current_step().index == 1
         assert memory.step_cycle.attempt_counter == 0
         assert memory.step_cycle.thought is None
+        assert memory.step_cycle.scored is None
 
 
 class TestResetForReplan:

@@ -20,7 +20,7 @@ from kgqa_engine.kg import load_memory_store
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl, write_trace
 from kgqa_engine.pruning import HashingEmbedder
 
-from conftest import RedirectedStore, StageBackend, make_store, plain
+from conftest import RedirectedStore, StageBackend, make_store, plain, random_kg
 from scenarios import (
     FIXTURES,
     SCENARIOS,
@@ -126,16 +126,6 @@ class TestDeterminism:
         assert strip_timestamps(trace_to_jsonl(first.trace)) == strip_timestamps(
             trace_to_jsonl(second.trace)
         )
-
-
-def random_kg(rng, n_entities=50):
-    entities = [f"e{i}" for i in range(n_entities)]
-    triples = []
-    for _ in range(n_entities * 3):
-        head, tail = rng.sample(entities, 2)
-        triples.append((head, f"r{rng.randrange(12)}", tail))
-    labels = {e: f"Entity {e}" for e in entities}
-    return make_store(triples, labels), entities
 
 
 def adversarial_backend(rng, mode):
@@ -349,11 +339,11 @@ class TestEmbedderFaults:
 
 # What a faulty port does on one call: raise, answer None or an int,
 # (``label`` only) answer bytes, or (``neighbors`` only) list a neighbour
-# that is a 1-tuple.
+# that is a 1-tuple, has no valid direction, or has an id that is no str.
 RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError}
 PORT_FAULTS = {
     "backend.complete": [*RAISED, "None", "int"],
-    "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction"],
+    "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction", "int-relation", "None-entity"],
     "kg.label": [*RAISED, "None", "int", "bytes"],
     "kg.entity_with_label": [*RAISED, "None", "int"],
 }
@@ -375,7 +365,8 @@ class FaultAt:
         if self.fault in RAISED:
             raise RAISED[self.fault]("injected")
         faults = {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)],
-                  "bad-direction": [("r", "m.0nile", "sideways")]}
+                  "bad-direction": [("r", "m.0nile", "sideways")], "int-relation": [(5, "m.x", "outgoing")],
+                  "None-entity": [("r", None, "outgoing")]}
         return faults[self.fault]
 
 
@@ -405,6 +396,7 @@ class TestPortFaults:
         assert result.trace[-1].stage is Stage.FINISH
         assert result.cycles <= config.max_total_cycles
         assert isinstance(result.answer, str)
+        assert all(isinstance(i, str) for key in result.trace[-1].payload["explored_triples"] for i in key)
         assert_trace_grammar(result.trace)
 
     @settings(max_examples=60)
