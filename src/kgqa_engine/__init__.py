@@ -11,10 +11,9 @@ from .harness import QaExample, Report, evaluate_run, exact_match, load_dataset
 from .kg import InMemoryGraphStore, SparqlGraphStore, load_memory_store
 from .memory import IntegratedMemory
 from .orchestrator import Engine, RunResult, TraceEvent
-from .pruning import CachingEmbedder, HashingEmbedder, cosine_similarity, prune
+from .pruning import HashingEmbedder, cosine_similarity, prune
 
 __all__ = [
-    "CachingEmbedder",
     "Engine",
     "EngineConfig",
     "HashingEmbedder",

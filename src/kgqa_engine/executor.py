@@ -80,9 +80,9 @@ class Executor:
 
         ``kg.label`` runs once per distinct id per call; "" when unlabeled.
         ``explore`` calls this once per step and frontier.  A relation or
-        entity id that is not a ``str``, a label that is neither ``str`` nor
-        ``None``, or a direction other than ``Direction.OUTGOING`` and
-        ``Direction.INCOMING`` raises ``MalformedResults``.
+        entity id that is empty or not a ``str``, a label that is neither
+        ``str`` nor ``None``, or a direction other than ``Direction.OUTGOING``
+        and ``Direction.INCOMING`` raises ``MalformedResults``.
         """
         labels: dict[str, str] = {}
 
@@ -109,6 +109,8 @@ class Executor:
                                        f"not {Direction.OUTGOING!r} or {Direction.INCOMING!r}")
             if not (isinstance(relation, str) and isinstance(other, str)):
                 raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {near!r} has an id that is not str")
+            if not (relation and other):
+                raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {near!r} has an empty id")
             cand = CandidateTriple(head, relation, tail, direction, label(head), label(relation), label(tail))
             memory.record_explored(cand)
             return cand

@@ -20,7 +20,7 @@ from .executor import Executor
 from .kg import GraphStore
 from .memory import IntegratedMemory
 from .planner import Decision, DecisionKind, Planner, best_effort_answer
-from .pruning import CachingEmbedder, Embedder
+from .pruning import Embedder
 
 
 class Stage(str, Enum):
@@ -102,7 +102,7 @@ class _Run:
         self.config = engine.config
         self.backend = RecordingBackend(engine.backend)
         self.planner = Planner(self.backend, self.config)
-        self.executor = Executor(engine.kg, CachingEmbedder(engine.embedder), self.backend, self.config)
+        self.executor = Executor(engine.kg, engine.embedder, self.backend, self.config)
         self.memory = IntegratedMemory.new(question, topic_entities, self.config)
         self.trace: list[TraceEvent] = []
         self.cycles = 0

@@ -217,26 +217,3 @@ def _embeddings(resp: urllib3.BaseHTTPResponse) -> list[list[float]]:
         return [item["embedding"] for item in resp.json()["data"]]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise PruningUnavailable(f"malformed embeddings response: {exc}") from exc
-
-
-class CachingEmbedder:
-    """Per-run cache keyed by exact text; repeated renderings embed once.
-
-    The inner embedder must return one vector per text it is asked for;
-    any other count raises ``PruningUnavailable`` and caches nothing.
-    """
-
-    def __init__(self, inner: Embedder):
-        self.inner = inner
-        self._cache: dict[str, list[float]] = {}
-
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
-        if missing:
-            vectors = self.inner.embed(missing)
-            if len(vectors) != len(missing):
-                raise PruningUnavailable(
-                    f"embedder returned {len(vectors)} vectors for {len(missing)} texts"
-                )
-            self._cache.update(zip(missing, vectors))
-        return [self._cache[t] for t in texts]

@@ -25,7 +25,7 @@ from kgqa_engine.executor import Executor
 from kgqa_engine.harness import evaluate_run, exact_match, load_dataset, normalize_answer
 from kgqa_engine.memory import IntegratedMemory, PlanStep
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl
-from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder, prune
+from kgqa_engine.pruning import HashingEmbedder, prune
 from kgqa_engine.triples import CandidateTriple, Direction
 
 from conftest import StageBackend, make_sparql_store, make_store
@@ -146,7 +146,7 @@ def test_criterion_pruning_oracle():
     """1,000 randomized pruning instances match the full-sort oracle, <10 s."""
     rng = random.Random(4)
     vocab = [f"word{i}" for i in range(30)]
-    embedder = CachingEmbedder(HashingEmbedder())
+    embedder = HashingEmbedder()
     start = time.perf_counter()
     mismatches = 0
     for _ in range(1000):

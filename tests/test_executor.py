@@ -13,14 +13,14 @@ from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import BackendUnavailable, KgUnavailable, MalformedResults, NoFrontier
 from kgqa_engine.executor import Executor
 from kgqa_engine.memory import PlanStep
-from kgqa_engine.pruning import CachingEmbedder, HashingEmbedder
+from kgqa_engine.pruning import HashingEmbedder
 from kgqa_engine.triples import CandidateTriple, Direction
 
 from conftest import RedirectedStore, StageBackend, make_memory, make_store, plain, random_kg
 
 
 def make_executor(store, backend=None, **kw):
-    return Executor(store, CachingEmbedder(HashingEmbedder()), backend or StageBackend(), EngineConfig(**kw))
+    return Executor(store, HashingEmbedder(), backend or StageBackend(), EngineConfig(**kw))
 
 
 def accepted(head="a", relation="r", tail="b"):
@@ -374,6 +374,16 @@ class TestStoreFaults:
         store.neighbors = lambda e: [(relation, entity, Direction.OUTGOING)]
         memory = make_memory(topic=("e1",))
         message = f"neighbor ({relation!r}, {entity!r}) of 'e1' has an id that is not str"
+        with pytest.raises(MalformedResults, match=re.escape(message)):
+            make_executor(store).explore("e1", memory.current_step(), memory)
+        assert memory.knowledge.explored_triples == set()
+
+    @pytest.mark.parametrize("relation, entity", [("", "m.x"), ("r", "")])
+    def test_empty_id_is_malformed(self, relation, entity):
+        store = make_store([("e1", "r1", "e2")])
+        store.neighbors = lambda e: [(relation, entity, Direction.OUTGOING)]
+        memory = make_memory(topic=("e1",))
+        message = f"neighbor ({relation!r}, {entity!r}) of 'e1' has an empty id"
         with pytest.raises(MalformedResults, match=re.escape(message)):
             make_executor(store).explore("e1", memory.current_step(), memory)
         assert memory.knowledge.explored_triples == set()

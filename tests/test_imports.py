@@ -1,4 +1,5 @@
-"""Every name a module in src/ or tests/ imports is used in that module.
+"""Every name a module in src/, tests/ or benchmarks/ imports is used in
+that module, and every name the package exports exists.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a name counts
 as used when it appears as an identifier anywhere in the module, inside a
@@ -10,8 +11,14 @@ from pathlib import Path
 
 import pytest
 
+import kgqa_engine
+
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+MODULES = [
+    *sorted((ROOT / "src").rglob("*.py")),
+    *sorted((ROOT / "tests").rglob("*.py")),
+    *sorted((ROOT / "benchmarks").glob("*.py")),
+]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -66,3 +73,10 @@ def test_detects_an_unused_import():
         "def f() -> 'c': return re.compile('x')\n"
     )
     assert unused_imports(source) == ["os (line 2)"]
+
+
+def test_every_exported_name_resolves():
+    """A stale ``__all__`` entry makes ``from kgqa_engine import *`` raise."""
+    namespace: dict = {}
+    exec("from kgqa_engine import *", namespace)
+    assert set(kgqa_engine.__all__) <= namespace.keys()

@@ -332,18 +332,19 @@ class TestEmbedderFaults:
         result = engine.run("q?", [entities[0]])
         rationale = events_by_stage(result.trace, "observe")[0].payload["observation"]["rationale"]
         assert re.fullmatch(
-            r"attempt abandoned, pruning unavailable: embedder failed: embedder returned \d+ vectors for \d+ texts",
+            r"attempt abandoned, pruning unavailable: embedder returned \d+ vectors for \d+ texts",
             rationale,
         )
 
 
 # What a faulty port does on one call: raise, answer None or an int,
 # (``label`` only) answer bytes, or (``neighbors`` only) list a neighbour
-# that is a 1-tuple, has no valid direction, or has an id that is no str.
+# that is a 1-tuple, has no valid direction, or has an id that is no str or empty.
 RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError}
 PORT_FAULTS = {
     "backend.complete": [*RAISED, "None", "int"],
-    "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction", "int-relation", "None-entity"],
+    "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction", "int-relation", "None-entity",
+                     "empty-entity"],
     "kg.label": [*RAISED, "None", "int", "bytes"],
     "kg.entity_with_label": [*RAISED, "None", "int"],
 }
@@ -366,7 +367,7 @@ class FaultAt:
             raise RAISED[self.fault]("injected")
         faults = {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)],
                   "bad-direction": [("r", "m.0nile", "sideways")], "int-relation": [(5, "m.x", "outgoing")],
-                  "None-entity": [("r", None, "outgoing")]}
+                  "None-entity": [("r", None, "outgoing")], "empty-entity": [("r", "", "outgoing")]}
         return faults[self.fault]
 
 
@@ -396,7 +397,7 @@ class TestPortFaults:
         assert result.trace[-1].stage is Stage.FINISH
         assert result.cycles <= config.max_total_cycles
         assert isinstance(result.answer, str)
-        assert all(isinstance(i, str) for key in result.trace[-1].payload["explored_triples"] for i in key)
+        assert all(isinstance(i, str) and i for key in result.trace[-1].payload["explored_triples"] for i in key)
         assert_trace_grammar(result.trace)
 
     @settings(max_examples=60)

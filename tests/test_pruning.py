@@ -20,7 +20,6 @@ from kgqa_engine import pruning
 from kgqa_engine.errors import PruningUnavailable
 from kgqa_engine.orchestrator import Engine, Stage
 from kgqa_engine.pruning import (
-    CachingEmbedder,
     HashingEmbedder,
     cosine_similarity,
     prune,
@@ -120,7 +119,7 @@ class TestPrune:
         assert [id(c) for c in out] == [id(first), id(second), id(later)]
 
     def test_size_is_min_of_count_and_threshold(self):
-        embedder = CachingEmbedder(HashingEmbedder())
+        embedder = HashingEmbedder()
         rng = random.Random(1)
         for n, t in [(1, 1), (10, 5), (100, 70), (70, 70), (71, 70)]:
             out = prune(make_candidates(n, rng), "objective text", t, embedder)
@@ -159,7 +158,7 @@ class TestPrune:
         assert sorted(c.render() for c in out) == renders
 
     def test_matches_sort_oracle(self):
-        embedder = CachingEmbedder(HashingEmbedder())
+        embedder = HashingEmbedder()
         rng = random.Random(42)
         cands = make_candidates(100, rng)
         out = prune(list(cands), "find the capital of the country", 70, embedder)
@@ -167,7 +166,7 @@ class TestPrune:
         assert {c.key() for c in out} == expected
 
     def test_permutation_stability(self):
-        embedder = CachingEmbedder(HashingEmbedder())
+        embedder = HashingEmbedder()
         rng = random.Random(9)
         cands = make_candidates(90, rng)
         baseline = {c.key() for c in prune(list(cands), "goal", 40, embedder)}
@@ -423,40 +422,6 @@ class TestHashingEmbedder:
         for worker, vectors in enumerate(results):
             assert vectors == [expected[t] for t in picks(worker)]
         assert embedder._buckets.largest <= 8
-
-
-class TestCachingEmbedder:
-    def test_inner_called_once_per_text(self):
-        calls = []
-
-        class Counting:
-            def embed(self, texts):
-                calls.extend(texts)
-                return HashingEmbedder().embed(texts)
-
-        cache = CachingEmbedder(Counting())
-        cache.embed(["a", "b", "a"])
-        cache.embed(["b", "c"])
-        assert sorted(calls) == ["a", "b", "c"]
-
-    def test_same_results_as_inner(self):
-        inner = HashingEmbedder()
-        cache = CachingEmbedder(HashingEmbedder())
-        texts = ["x", "y", "x", "z"]
-        assert cache.embed(texts) == inner.embed(texts)
-
-    @pytest.mark.parametrize("extra", [1, -1])
-    def test_wrong_vector_count_is_unavailable(self, extra):
-        class Miscounting:
-            def embed(self, texts):
-                vectors = HashingEmbedder().embed(texts)
-                return vectors + vectors[:1] if extra > 0 else vectors[1:]
-
-        cache = CachingEmbedder(Miscounting())
-        with pytest.raises(PruningUnavailable, match=f"^embedder returned {3 + extra} vectors for 3 texts$"):
-            cache.embed(["a", "b", "a", "c"])
-        with pytest.raises(PruningUnavailable):  # nothing was cached
-            cache.embed(["a"])
 
 
 def embeddings(*vectors):
