@@ -28,7 +28,7 @@ class KgUnavailable(EngineError):
 
 
 class MalformedResults(EngineError):
-    """A graph store returned a non-conforming result: a SPARQL results document, a label or a direction."""
+    """A graph store answered out of contract: a SPARQL results document, or what ``kg.CheckedGraph`` refuses."""
 
 
 class InvalidEntityId(EngineError):

@@ -11,31 +11,19 @@ import re
 
 from .backends import ReasoningBackend
 from .config import EngineConfig
-from .errors import (
-    EngineError, KgUnavailable, MalformedBackendOutput, MalformedResults, NoFrontier, PruningUnavailable,
-)
-from .kg import GraphStore
+from .errors import MalformedBackendOutput, NoFrontier, PruningUnavailable
+from .kg import CheckedGraph, GraphStore
 from .memory import IntegratedMemory, Observation, PlanStep
 from .planner import load_prompt, parse_fields
 from .pruning import Embedder, prune, rank
 from .triples import CandidateTriple, Direction
 
 
-def _read_graph(read, *args):
-    """``read(*args)``; a graph store fault that is no ``EngineError`` becomes ``KgUnavailable``."""
-    try:
-        return read(*args)
-    except EngineError:
-        raise
-    except Exception as exc:
-        raise KgUnavailable(f"graph store failed: {exc!r}") from exc
-
-
 class Executor:
     def __init__(
         self, kg: GraphStore, embedder: Embedder, backend: ReasoningBackend, config: EngineConfig | None = None
     ):
-        self.kg = kg
+        self.kg = CheckedGraph(kg)
         self.embedder = embedder
         self.backend = backend
         self.config = config or EngineConfig()
@@ -56,67 +44,30 @@ class Executor:
         raise NoFrontier("no topic entity and empty reasoning chain")
 
     def _extract_topic_entity(self, question: str) -> str | None:
-        """Backend extraction + reverse label lookup, if the store supports it.
-
-        A lookup that gives neither a ``str`` nor ``None`` raises ``MalformedResults``.
-        """
-        lookup = getattr(self.kg, "entity_with_label", None)
-        if lookup is None:
+        """Backend extraction + reverse label lookup, if the store supports it."""
+        if getattr(self.kg.store, "entity_with_label", None) is None:
             return None
         try:
             raw = self.backend.complete(load_prompt("extract").format(question=question), "extract")
         except MalformedBackendOutput:
             return None
         name = parse_fields(raw).get("ENTITY", "")
-        entity = _read_graph(lookup, name) if name else None
-        if entity is not None and not isinstance(entity, str):
-            raise MalformedResults(f"entity with label {name!r} is {type(entity).__name__}, not str")
-        return entity
+        return self.kg.entity_with_label(name) if name else None
 
     # -- exploration ----------------------------------------------------------
 
     def _retrieve_candidates(self, frontier: str, memory: IntegratedMemory) -> list[CandidateTriple]:
-        """Every edge at the frontier as a candidate, each recorded as explored.
-
-        ``kg.label`` runs once per distinct id per call; "" when unlabeled.
-        ``explore`` calls this once per step and frontier.  A relation or
-        entity id that is empty or not a ``str``, a label that is neither
-        ``str`` nor ``None``, or a direction other than ``Direction.OUTGOING``
-        and ``Direction.INCOMING`` raises ``MalformedResults``.
-        """
-        labels: dict[str, str] = {}
-
-        def label(entity_or_relation: str) -> str:
-            text = labels.get(entity_or_relation)
-            if text is None:
-                text = self.kg.label(entity_or_relation)
-                if text is None:
-                    text = ""
-                elif not isinstance(text, str):
-                    kind = type(text).__name__
-                    raise MalformedResults(f"label of {entity_or_relation!r} is {kind}, not str")
-                labels[entity_or_relation] = text
-            return text
+        """Every edge at the frontier as a candidate recorded as explored; ``explore`` asks once per step and frontier."""
+        kg, label = self.kg, self.kg.label
 
         def candidate(near: str, relation: str, other: str, direction: str) -> CandidateTriple:
-            # keys and traces get the constant, never an equal str subclass a store yields
-            if direction == Direction.OUTGOING:
-                head, tail, direction = near, other, Direction.OUTGOING
-            elif direction == Direction.INCOMING:
-                head, tail, direction = other, near, Direction.INCOMING
-            else:
-                raise MalformedResults(f"direction of {relation!r} at {near!r} is {direction!r}, "
-                                       f"not {Direction.OUTGOING!r} or {Direction.INCOMING!r}")
-            if not (isinstance(relation, str) and isinstance(other, str)):
-                raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {near!r} has an id that is not str")
-            if not (relation and other):
-                raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {near!r} has an empty id")
+            head, tail = (near, other) if direction == Direction.OUTGOING else (other, near)
             cand = CandidateTriple(head, relation, tail, direction, label(head), label(relation), label(tail))
             memory.record_explored(cand)
             return cand
 
         candidates: list[CandidateTriple] = []
-        for relation, other, direction in self.kg.neighbors(frontier):
+        for relation, other, direction in kg.neighbors(frontier):
             first = candidate(frontier, relation, other, direction)
             if not (self.config.expand_unlabeled and direction == Direction.OUTGOING and not first.tail_label):
                 candidates.append(first)
@@ -125,7 +76,7 @@ class Executor:
             # answers often sit behind such mediators, so the two hops are
             # presented as one compound candidate whose relation joins both legs.
             compounds = []
-            for onward, end, leg in self.kg.neighbors(other):
+            for onward, end, leg in kg.neighbors(other):
                 if leg != Direction.OUTGOING or end == frontier:
                     continue
                 second = candidate(other, onward, end, leg)
@@ -166,7 +117,7 @@ class Executor:
             candidates = [c for c in scored[2] if c.key() not in excluded]
             pruned = rank(candidates, self.config.prune_threshold)
         else:
-            retrieved = _read_graph(self._retrieve_candidates, frontier, memory)
+            retrieved = self._retrieve_candidates(frontier, memory)
             candidates = [c for c in retrieved if c.key() not in excluded]
             try:
                 pruned = prune(candidates, step.objective, self.config.prune_threshold, self.embedder)

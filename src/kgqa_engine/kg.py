@@ -2,8 +2,9 @@
 
 Both adapters answer the same two questions -- ``neighbors(entity)`` and
 ``label(id)`` -- so the executor never knows which one it is talking to.
-Neighbor lists are sorted by (relation, entity, direction) so candidate
-ordering, and therefore whole traces, are reproducible.
+It reads any store through ``CheckedGraph``, the one place that checks a
+store's answers.  Neighbor lists are sorted by (relation, entity, direction)
+so candidate ordering, and therefore whole traces, are reproducible.
 
 The SPARQL adapter answers one ``neighbors`` call with at most two
 round-trips: one edge query (the UNION of both directions) and one batched
@@ -29,7 +30,7 @@ from urllib.parse import urlencode
 import urllib3
 
 from .config import EngineConfig
-from .errors import InvalidEntityId, KgUnavailable, MalformedResults, ParseError
+from .errors import EngineError, InvalidEntityId, KgUnavailable, MalformedResults, ParseError
 from .transport import Client, post
 from .triples import Direction
 
@@ -54,6 +55,69 @@ class GraphStore(Protocol):
     def neighbors(self, entity: str) -> list[Neighbor]: ...
 
     def label(self, entity_or_relation: str) -> str | None: ...
+
+
+class CheckedGraph:
+    """The one reader of a ``GraphStore``: any answer outside its contract raises ``MalformedResults``,
+    and a store exception that is no ``EngineError`` becomes ``KgUnavailable``.  ``label`` gives ``""`` for
+    ``None`` and asks the store once per id for the guard's lifetime, which is the executor's: one run."""
+
+    def __init__(self, store: GraphStore):
+        self.store = store
+        self._labels: dict[str, str] = {}
+
+    def neighbors(self, entity: str) -> list[Neighbor]:
+        """``(str, str, Direction constant)`` tuples with non-empty ids, never a store's equal ``str`` subclass."""
+        checked = []
+        try:
+            for relation, other, direction in self.store.neighbors(entity):
+                if direction == Direction.OUTGOING:
+                    direction = Direction.OUTGOING
+                elif direction == Direction.INCOMING:
+                    direction = Direction.INCOMING
+                else:
+                    raise MalformedResults(f"direction of {relation!r} at {entity!r} is {direction!r}, "
+                                           f"not {Direction.OUTGOING!r} or {Direction.INCOMING!r}")
+                if not (isinstance(relation, str) and isinstance(other, str)):
+                    raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {entity!r} has an id that is not str")
+                if not (relation and other):
+                    raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {entity!r} has an empty id")
+                checked.append((relation, other, direction))
+        except EngineError:
+            raise
+        except Exception as exc:  # a store that raises, or lists something that is no triple
+            raise KgUnavailable(f"graph store failed: {exc!r}") from exc
+        return checked
+
+    def label(self, entity_or_relation: str) -> str:
+        text = self._labels.get(entity_or_relation)
+        if text is None:
+            try:
+                text = self.store.label(entity_or_relation)
+            except EngineError:
+                raise
+            except Exception as exc:
+                raise KgUnavailable(f"graph store failed: {exc!r}") from exc
+            if text is None:
+                text = ""
+            elif not isinstance(text, str):
+                raise MalformedResults(f"label of {entity_or_relation!r} is {type(text).__name__}, not str")
+            self._labels[entity_or_relation] = text
+        return text
+
+    def entity_with_label(self, text: str) -> str | None:
+        """A non-empty ``str`` or ``None``; call it only when the store has ``entity_with_label``."""
+        try:
+            entity = self.store.entity_with_label(text)
+        except EngineError:
+            raise
+        except Exception as exc:
+            raise KgUnavailable(f"graph store failed: {exc!r}") from exc
+        if entity is not None and not isinstance(entity, str):
+            raise MalformedResults(f"entity with label {text!r} is {type(entity).__name__}, not str")
+        if entity == "":
+            raise MalformedResults(f"entity with label {text!r} is empty")
+        return entity
 
 
 class SparqlTemplate(str, Enum):

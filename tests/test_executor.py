@@ -266,10 +266,11 @@ class TestLabelLookups:
         executor.explore("hub", memory.current_step(), memory)
         assert store.neighbor_calls == neighbor_calls
         assert set(store.label_calls.values()) == {1}
-        # a new step cycle looks every id up once again
+        # a new step cycle reads the neighbours again, but the labels are the run's
         memory.step_cycle.clear()
         executor.explore("hub", memory.current_step(), memory)
-        assert set(store.label_calls.values()) == {2}
+        assert store.neighbor_calls == {entity: 2 * calls for entity, calls in neighbor_calls.items()}
+        assert set(store.label_calls.values()) == {1}
 
 
 class TestReExplore:
@@ -425,15 +426,25 @@ class TestStoreFaults:
             make_executor(store).explore("e1", memory.current_step(), memory)
 
     def test_mediator_leg_that_is_not_outgoing_is_skipped(self):
-        store = make_store([("e1", "r1", "m"), ("m", "r2", "e2")], {"e1": "One", "e2": "Two"})
-        neighbors = store.neighbors
-        store.neighbors = lambda entity: [
-            (relation, other, "sideways" if entity == "m" else direction)
-            for relation, other, direction in neighbors(entity)
-        ]
+        # m is an unlabeled mediator whose legs are all incoming: the one from e1 and one from e3
+        store = make_store([("e1", "r1", "m"), ("e3", "r2", "m")], {"e1": "One", "e3": "Three"})
         memory = make_memory(topic=("e1",))
         observation = make_executor(store, expand_unlabeled=True).explore("e1", memory.current_step(), memory)
         assert [c.key() for c in observation.candidates] == [("e1", "r1", "m", "outgoing")]
+
+    @pytest.mark.parametrize("leg, message", [
+        (("r2", "e2", "sideways"), "direction of 'r2' at 'm' is 'sideways', not 'outgoing' or 'incoming'"),
+        ((5, "e2", "incoming"), "neighbor (5, 'e2') of 'm' has an id that is not str"),
+        (("r2", "", "incoming"), "neighbor ('r2', '') of 'm' has an empty id"),
+    ], ids=["sideways", "int-relation", "empty-entity"])
+    def test_malformed_mediator_leg_is_malformed(self, leg, message):
+        # a mediator's legs meet the rule a first hop meets, whichever their direction
+        store = make_store([("e1", "r1", "m"), ("m", "r3", "e3")], {"e1": "One", "e3": "Three"})
+        neighbors = store.neighbors
+        store.neighbors = lambda e: [*neighbors(e), leg] if e == "m" else neighbors(e)
+        memory = make_memory(topic=("e1",))
+        with pytest.raises(MalformedResults, match=re.escape(message)):
+            make_executor(store, expand_unlabeled=True).explore("e1", memory.current_step(), memory)
 
     def test_label_lookup_fault_becomes_kg_unavailable(self):
         memory = make_memory(question="Where is the Eiffel Tower?", topic=())
@@ -449,6 +460,14 @@ class TestStoreFaults:
         executor = make_executor(store, StageBackend({"extract": "ENTITY: One"}))
         kind = type(bad).__name__
         with pytest.raises(MalformedResults, match=re.escape(f"entity with label 'One' is {kind}, not str")):
+            executor.resolve_frontier(memory)
+        assert memory.strategic.topic_entities == []
+
+    def test_empty_label_lookup_is_malformed(self, store):
+        store.entity_with_label = lambda text: ""
+        memory = make_memory(topic=())
+        executor = make_executor(store, StageBackend({"extract": "ENTITY: One"}))
+        with pytest.raises(MalformedResults, match=re.escape("entity with label 'One' is empty")):
             executor.resolve_frontier(memory)
         assert memory.strategic.topic_entities == []
 

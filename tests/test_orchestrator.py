@@ -339,14 +339,15 @@ class TestEmbedderFaults:
 
 # What a faulty port does on one call: raise, answer None or an int,
 # (``label`` only) answer bytes, or (``neighbors`` only) list a neighbour
-# that is a 1-tuple, has no valid direction, or has an id that is no str or empty.
+# that is a 1-tuple, has no valid direction, or has an id that is no str or empty,
+# or (``entity_with_label`` only) answer an empty id.
 RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError}
 PORT_FAULTS = {
     "backend.complete": [*RAISED, "None", "int"],
     "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction", "int-relation", "None-entity",
                      "empty-entity"],
     "kg.label": [*RAISED, "None", "int", "bytes"],
-    "kg.entity_with_label": [*RAISED, "None", "int"],
+    "kg.entity_with_label": [*RAISED, "None", "int", "empty"],
 }
 
 
@@ -367,7 +368,8 @@ class FaultAt:
             raise RAISED[self.fault]("injected")
         faults = {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)],
                   "bad-direction": [("r", "m.0nile", "sideways")], "int-relation": [(5, "m.x", "outgoing")],
-                  "None-entity": [("r", None, "outgoing")], "empty-entity": [("r", "", "outgoing")]}
+                  "None-entity": [("r", None, "outgoing")], "empty-entity": [("r", "", "outgoing")],
+                  "empty": ""}
         return faults[self.fault]
 
 
@@ -383,17 +385,30 @@ def happy_path_backend():
     })
 
 
+# store name -> a fresh store, its topic entity and that entity's label, and
+# the config to run it with.  Every happy_path entity is labelled; the other
+# store's mediator m (a -r1-> m -r2-> b) makes the run read past it.
+FAULT_STORES = {
+    "happy_path": lambda: (load_memory_store(FIXTURES / "happy_path" / "kg.tsv"), "m.0nile", "Nile", EngineConfig()),
+    "mediator": lambda: (
+        make_store([("a", "r1", "m"), ("m", "r2", "b"), ("a", "r3", "c"), ("b", "r4", "d")],
+                   labels={"a": "Alpha", "b": "Bravo", "c": "Charlie", "d": "Delta"}),
+        "a", "Alpha", EngineConfig(expand_unlabeled=True),
+    ),
+}
+
+
 class TestPortFaults:
-    @settings(max_examples=150)
-    @given(fault=PORT_FAULT, topic=st.sampled_from([["m.0nile"], []]))
-    def test_one_fault_anywhere_still_finishes(self, fault, topic):
+    @settings(max_examples=200)
+    @given(fault=PORT_FAULT, store_name=st.sampled_from(sorted(FAULT_STORES)), given_topic=st.booleans())
+    def test_one_fault_anywhere_still_finishes(self, fault, store_name, given_topic):
         port, at, kind = fault
+        store, topic, label, config = FAULT_STORES[store_name]()
         backend = happy_path_backend()
-        store = load_memory_store(FIXTURES / "happy_path" / "kg.tsv")
+        backend.responses["extract"] = f"ENTITY: {label}"
         owner, name = (backend, "complete") if port == "backend.complete" else (store, port[len("kg."):])
         setattr(owner, name, FaultAt(getattr(owner, name), at, kind))
-        config = EngineConfig()
-        result = Engine(backend, store, HashingEmbedder(), config).run("q?", topic)
+        result = Engine(backend, store, HashingEmbedder(), config).run("q?", [topic] if given_topic else [])
         assert result.trace[-1].stage is Stage.FINISH
         assert result.cycles <= config.max_total_cycles
         assert isinstance(result.answer, str)
