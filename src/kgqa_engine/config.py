@@ -83,7 +83,8 @@ class EngineConfig:
             raise ValueError(f"entity_id_pattern is not a regular expression: {exc}") from None
 
     def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
+        # every field is a scalar, so asdict's deep copy would copy nothing
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def _coerce(cls, name: str, raw: str, source: str):

@@ -50,8 +50,11 @@ class TraceEvent:
         }
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), built once
+
+
 def trace_to_jsonl(trace: list[TraceEvent]) -> str:
-    return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in trace)
+    return "".join(_ENCODE(e.to_dict()) + "\n" for e in trace)
 
 
 def is_plain_name(name: str) -> bool:

@@ -49,7 +49,9 @@ def _cosines(u: Vector, vectors: Iterable[Vector]) -> list[float]:
     raises ``PruningUnavailable``, so it can never rank first.  Components
     are not type-checked: ``None`` is skipped like a zero, so it reads as 0
     where the objective is zero and raises ``TypeError`` where it is not,
-    as any other non-number does.
+    as any other non-number does.  ``prune`` uses it for every embedder
+    but an exact ``HashingEmbedder``, which scores its own texts
+    (``HashingEmbedder.similarities``).
     """
     sqrt, isfinite = math.sqrt, math.isfinite
     dim = len(u)
@@ -91,24 +93,35 @@ def prune(
     """Keep the ``threshold`` candidates most relevant to the objective.
 
     Scores (cosine similarity) are populated on every candidate either
-    way, and ``rank`` makes the cut.  Unusable vectors, non-numeric
-    components included, raise ``PruningUnavailable``.
+    way, and ``rank`` makes the cut.  An embedder of exactly type
+    ``HashingEmbedder`` scores through ``similarities``, from token
+    buckets and bit for bit what ``embed`` and ``_cosines`` give; any
+    other embedder, a ``HashingEmbedder`` subclass or wrapper included,
+    is asked through ``embed``.  Unusable vectors, non-numeric
+    components included, raise ``PruningUnavailable``, as does any
+    failure of the embedder itself.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if not candidates:
         return []
     texts = [c.render() for c in candidates]
-    try:
-        vectors = embedder.embed([objective] + texts)
-    except Exception as exc:
-        raise PruningUnavailable(f"embedder failed: {exc}") from exc
-    if len(vectors) != len(texts) + 1:
-        raise PruningUnavailable(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
-    try:
-        scores = _cosines(vectors[0], vectors[1:])
-    except TypeError as exc:
-        raise PruningUnavailable(f"embedder returned a non-numeric vector: {exc}") from exc
+    if type(embedder) is HashingEmbedder:  # not a subclass or wrapper: those embed
+        try:
+            scores = embedder.similarities(objective, texts)
+        except Exception as exc:
+            raise PruningUnavailable(f"embedder failed: {exc}") from exc
+    else:
+        try:
+            vectors = embedder.embed([objective] + texts)
+        except Exception as exc:
+            raise PruningUnavailable(f"embedder failed: {exc}") from exc
+        if len(vectors) != len(texts) + 1:
+            raise PruningUnavailable(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
+        try:
+            scores = _cosines(vectors[0], vectors[1:])
+        except TypeError as exc:
+            raise PruningUnavailable(f"embedder returned a non-numeric vector: {exc}") from exc
     for cand, score in zip(candidates, scores):
         cand.score = score
     return rank(candidates, threshold, texts)
@@ -143,10 +156,15 @@ class HashingEmbedder:
     A token (``[a-z0-9]+``) never spans whitespace, so each whitespace
     chunk of the lowered text is looked up in a per-instance memo of its
     tokens' buckets; the regex runs on a chunk miss only, and md5 on a
-    token that is not in the memo as a chunk of its own.
+    token that is not in the memo as a chunk of its own.  A text's
+    vector counts its tokens per bucket; a token-free text counts one in
+    bucket 0.  ``similarities`` scores texts from those bucket lists
+    without building a vector per text.
     """
 
     def __init__(self, dim: int = 64):
+        if type(dim) is not int or dim < 1:  # a bool is not a dimension
+            raise ValueError(f"dim must be an int >= 1, not {dim!r}")
         self.dim = dim
         self._buckets: dict[str, tuple[int, ...]] = {}
 
@@ -170,8 +188,8 @@ class HashingEmbedder:
             self._buckets[chunk] = buckets
         return buckets
 
-    def _one(self, text: str) -> list[float]:
-        vec = [0.0] * self.dim
+    def _bag(self, text: str) -> list[int]:
+        """The bucket of each token of ``text``, in order; ``[0]`` if it has none."""
         memo = self._buckets
         buckets: list[int] = []
         for chunk in text.lower().split():
@@ -179,14 +197,46 @@ class HashingEmbedder:
                 buckets += memo[chunk]
             except KeyError:
                 buckets += self._chunk(chunk)
-        if not buckets:
-            vec[0] = 1.0  # token-free text still needs a nonzero vector
-        for bucket in buckets:
+        return buckets or [0]  # token-free text still needs a nonzero vector
+
+    def _one(self, text: str) -> list[float]:
+        vec = [0.0] * self.dim
+        for bucket in self._bag(text):
             vec[bucket] += 1.0
         return vec
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         return [self._one(t) for t in texts]
+
+    def similarities(self, objective: str, texts: list[str]) -> list[float]:
+        """Cosine similarity of ``objective`` with each text, as ``_cosines``
+        gives it over ``embed``'s vectors, bit for bit.
+
+        Only the objective gets a vector.  A text's dot product sums the
+        objective's components at the text's buckets, and its squared norm
+        is the sum of each bucket's count over the bucket list, which is
+        the sum of the squared counts.  Every component is a count, an
+        integer-valued float, so every sum is an integer below 2**53 and
+        exact in any order: the dot product, the norm and the quotient are
+        the dense path's, and so is the clamp, which fires on a text equal
+        to the objective (``3 / (sqrt(3) * sqrt(3)) > 1``).  The dense
+        path's per-vector checks cannot fail here: every bucket is below
+        ``dim``, every count is finite and no bucket list is empty.  The
+        objective's norm is checked once.
+        """
+        sqrt = math.sqrt
+        u = self._one(objective)
+        nu = sqrt(sum([a * a for a in u if a]))
+        if not math.isfinite(nu) or nu == 0.0:
+            raise PruningUnavailable("objective vector is zero or has a non-finite component")
+        weight = u.__getitem__
+        bag = self._bag
+        scores = []
+        for text in texts:
+            buckets = bag(text)
+            score = sum(map(weight, buckets)) / (nu * sqrt(sum(map(buckets.count, buckets))))
+            scores.append(1.0 if score > 1.0 else score)  # no count is negative
+        return scores
 
 
 class HttpEmbedder(Client):

@@ -22,6 +22,9 @@ from kgqa_engine.pruning import HttpEmbedder
 # must neither wander nor flake on a slow or contended machine.
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
+# the same, with many more examples: CI runs the bit-identity properties with
+# ``--hypothesis-profile=thorough``
+settings.register_profile("thorough", settings.get_profile("deterministic"), max_examples=2000)
 
 
 class StageBackend:

@@ -1,5 +1,6 @@
 """Dataset loading, exact match, batch evaluation, CLI surface."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -710,6 +711,13 @@ class TestCli:
 
 
 class TestConfig:
+    def test_snapshot_is_a_fresh_dict_equal_to_asdict(self):
+        config = EngineConfig(prune_threshold=5, expand_unlabeled=True, chat_model="m")
+        snapshot = config.snapshot()
+        assert list(snapshot.items()) == list(dataclasses.asdict(config).items())
+        snapshot["prune_threshold"] = 6
+        assert config.snapshot()["prune_threshold"] == config.prune_threshold == 5
+
     def test_file_env_flag_precedence(self, tmp_path):
         cfg = tmp_path / "engine.cfg"
         cfg.write_text("replan_limit = 4\nprune_threshold = 10\n# comment\n")

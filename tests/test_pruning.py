@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from conftest import JsonStub, StageBackend, make_http_embedder
 from kgqa_engine import pruning
+from kgqa_engine.cli import build_embedder
+from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import PruningUnavailable
 from kgqa_engine.orchestrator import Engine, Stage
 from kgqa_engine.pruning import (
@@ -410,18 +412,135 @@ class TestHashingEmbedder:
         def picks(worker):
             return [texts[(n * 7 + worker) % len(texts)] for n in range(500)]
 
+        def work(worker):
+            # half the workers score, so embedding and scoring share the memo
+            if worker % 2:
+                return embedder.similarities(texts[worker], picks(worker))
+            return embedder.embed(picks(worker))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(lambda w: embedder.embed(picks(w)), w) for w in range(6)]
+                futures = [pool.submit(work, w) for w in range(6)]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         expected = {t: self.reference(t) for t in texts}
-        for worker, vectors in enumerate(results):
-            assert vectors == [expected[t] for t in picks(worker)]
+        for worker, got in enumerate(results):
+            vectors = [expected[t] for t in picks(worker)]
+            if worker % 2:
+                assert got == pruning._cosines(expected[texts[worker]], vectors)
+            else:
+                assert got == vectors
         assert embedder._buckets.largest <= 8
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True, False, "64", None])
+    def test_invalid_dim_is_refused_at_construction(self, dim):
+        with pytest.raises(ValueError, match="dim must be an int >= 1"):
+            HashingEmbedder(dim=dim)
+
+
+def hexes(scores):
+    return [score.hex() for score in scores]
+
+
+class ForwardingEmbedder:
+    """Forwards ``embed`` only, as a tracing wrapper does: ``prune`` must take the dense path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def embed(self, texts):
+        return self.inner.embed(texts)
+
+
+class TestBucketScorer:
+    """``HashingEmbedder.similarities`` against the dense path, bit for bit."""
+
+    @given(unicode_text, st.lists(unicode_text, min_size=1, max_size=8), st.sampled_from([1, 7, 64]))
+    def test_equals_dense_cosines_bit_for_bit(self, objective, texts, dim):
+        texts = [*texts, objective]  # a text equal to the objective: the clamp fires
+        reference = TestHashingEmbedder.reference
+        expected = hexes(pruning._cosines(reference(objective, dim), [reference(t, dim) for t in texts]))
+        with mock.patch.object(pruning, "TOKEN_MEMO_SIZE", 3):  # the memo clears as it goes
+            embedder = HashingEmbedder(dim)
+            assert hexes(embedder.similarities(objective, texts)) == expected
+            assert hexes(pruning._cosines(embedder.embed([objective])[0], embedder.embed(texts))) == expected
+
+    def test_repeated_bucket_counts_twice_in_the_norm(self):
+        # 'vavino' twice: its bucket counts 2, so the squared norm is 1 + 4 + 1, not 4
+        embedder = HashingEmbedder()
+        text = "award.vavino.vavino_of"
+        assert embedder._bag(text).count(embedder._bag("vavino")[0]) == 2
+        scores = embedder.similarities("award", [text])
+        assert hexes(scores) == hexes([1 / math.sqrt(6)])
+        assert hexes(scores) == hexes(pruning._cosines(*embedder.embed(["award"]), embedder.embed([text])))
+
+    @pytest.mark.parametrize("text", ["", "--", " \u2014\u2192 ", "\u017f"])
+    def test_token_free_text_scores_as_bucket_zero(self, text):
+        embedder = HashingEmbedder(7)
+        assert embedder._bag(text) == [0]
+        # at dim 7, 'a' hashes to bucket 0 and 'b' to bucket 4
+        assert embedder.similarities("a", [text]) == [1.0]
+        assert embedder.similarities("b", [text]) == [0.0]
+        assert hexes(embedder.similarities("a b", [text])) == hexes([1 / math.sqrt(2)])
+
+    def test_a_text_equal_to_the_objective_is_clamped_to_one(self):
+        assert 3 / (math.sqrt(3) * math.sqrt(3)) > 1.0  # unclamped, three distinct buckets
+        embedder = HashingEmbedder()
+        assert len(set(embedder._bag("a b c"))) == 3
+        assert embedder.similarities("a b c", ["a b c", "c b a"]) == [1.0, 1.0]
+
+    @pytest.mark.parametrize("n, threshold", [(120, 70), (70, 70), (9, 3)])
+    def test_prune_keeps_what_the_dense_path_keeps(self, n, threshold):
+        objective = "the capital city of the river country"
+        exact = prune(make_candidates(n), objective, threshold, HashingEmbedder())
+        dense = prune(make_candidates(n), objective, threshold, ForwardingEmbedder(HashingEmbedder()))
+        assert len(exact) == min(n, threshold)
+        assert [c.key() for c in exact] == [c.key() for c in dense]
+        assert hexes(c.score for c in exact) == hexes(c.score for c in dense)
+
+
+class TestScoringPath:
+    def test_exact_hashing_embedder_never_embeds(self):
+        with mock.patch.object(HashingEmbedder, "embed", side_effect=AssertionError("embedded")):
+            kept = prune(make_candidates(100), "the capital", 5, HashingEmbedder())
+        assert len(kept) == 5
+
+    def test_subclass_and_wrapper_are_asked_through_embed(self):
+        class CountingEmbedder(HashingEmbedder):
+            calls = 0
+
+            def embed(self, texts):
+                self.calls += 1
+                return super().embed(texts)
+
+        subclass = CountingEmbedder()
+        wrapped = CountingEmbedder()
+        with mock.patch.object(HashingEmbedder, "similarities", side_effect=AssertionError("scored")):
+            prune(make_candidates(10), "the capital", 5, subclass)
+            prune(make_candidates(10), "the capital", 5, ForwardingEmbedder(wrapped))
+        assert subclass.calls == wrapped.calls == 1
+
+    def test_default_embedder_takes_the_bucket_scorer(self):
+        assert type(build_embedder(EngineConfig())) is HashingEmbedder
+
+    def test_failing_scorer_degrades_the_explore_as_a_failing_embed_does(self, store):
+        class BrokenEmbedder:
+            def embed(self, texts):
+                raise RuntimeError("boom")
+
+        def run(embedder):
+            trace = Engine(backend=StageBackend(), kg=store, embedder=embedder).run("q?", ["e1"]).trace
+            return [(e.stage, e.payload) for e in trace]
+
+        with mock.patch.object(HashingEmbedder, "similarities", side_effect=RuntimeError("boom")):
+            scored = run(HashingEmbedder())
+        embedded = run(BrokenEmbedder())
+        assert scored == embedded
+        observe = next(payload for stage, payload in scored if stage is Stage.OBSERVE)
+        assert observe["observation"]["rationale"] == "attempt abandoned, pruning unavailable: embedder failed: boom"
 
 
 def embeddings(*vectors):
