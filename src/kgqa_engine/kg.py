@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import re
 import threading
+from collections import OrderedDict
 from collections.abc import Iterable
 from enum import Enum
 from typing import Protocol
@@ -255,7 +256,7 @@ class SparqlGraphStore(Client):
 
     def __init__(self, config: EngineConfig):
         self.config = config
-        self._labels: dict[str, str | None] = {}
+        self._labels: OrderedDict[str, str | None] = OrderedDict()  # oldest first; an update keeps its place
         self._lock = threading.Lock()
 
     def _execute(self, query: str) -> list[dict[str, str]]:
@@ -270,7 +271,7 @@ class SparqlGraphStore(Client):
         with self._lock:
             self._labels.update(labels)
             while len(self._labels) > LABEL_CACHE_SIZE:
-                del self._labels[next(iter(self._labels))]
+                self._labels.popitem(last=False)
 
     def _fetch_labels(self, ids: Iterable[str]) -> dict[str, str | None]:
         """One batched query for the grammatical ``ids``; caches and returns what it fetched."""

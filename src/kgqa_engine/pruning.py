@@ -25,7 +25,7 @@ from .triples import CandidateTriple
 
 Vector = Sequence[float]
 
-# Chunk -> buckets entries one HashingEmbedder keeps; past this it starts over.
+# Entries each memo of a HashingEmbedder keeps; past this it starts over.
 TOKEN_MEMO_SIZE = 8_192
 _TOKEN = re.compile(r"[a-z0-9]+")
 _MEMO_LOCK = threading.Lock()  # taken on memo misses only
@@ -94,24 +94,25 @@ def prune(
 
     Scores (cosine similarity) are populated on every candidate either
     way, and ``rank`` makes the cut.  An embedder of exactly type
-    ``HashingEmbedder`` scores through ``similarities``, from token
-    buckets and bit for bit what ``embed`` and ``_cosines`` give; any
-    other embedder, a ``HashingEmbedder`` subclass or wrapper included,
-    is asked through ``embed``.  Unusable vectors, non-numeric
-    components included, raise ``PruningUnavailable``, as does any
-    failure of the embedder itself.
+    ``HashingEmbedder`` scores through ``similarities``, from each
+    candidate's ``parts()`` and bit for bit what ``embed`` and
+    ``_cosines`` give for its rendered text; any other embedder, a
+    ``HashingEmbedder`` subclass or wrapper included, is asked through
+    ``embed``.  Unusable vectors, non-numeric components included, raise
+    ``PruningUnavailable``, as does any failure of the embedder itself.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if not candidates:
         return []
-    texts = [c.render() for c in candidates]
+    texts = None  # the bucket scorer renders nothing: rank does, above the threshold only
     if type(embedder) is HashingEmbedder:  # not a subclass or wrapper: those embed
         try:
-            scores = embedder.similarities(objective, texts)
+            scores = embedder.similarities(objective, [c.parts() for c in candidates])
         except Exception as exc:
             raise PruningUnavailable(f"embedder failed: {exc}") from exc
     else:
+        texts = [c.render() for c in candidates]
         try:
             vectors = embedder.embed([objective] + texts)
         except Exception as exc:
@@ -158,15 +159,20 @@ class HashingEmbedder:
     tokens' buckets; the regex runs on a chunk miss only, and md5 on a
     token that is not in the memo as a chunk of its own.  A text's
     vector counts its tokens per bucket; a token-free text counts one in
-    bucket 0.  ``similarities`` scores texts from those bucket lists
-    without building a vector per text.
+    bucket 0.  ``similarities`` scores texts given as tuples of parts,
+    each part's buckets memoised whole in a second memo, without building
+    a vector per text.
     """
 
     def __init__(self, dim: int = 64):
         if type(dim) is not int or dim < 1:  # a bool is not a dimension
             raise ValueError(f"dim must be an int >= 1, not {dim!r}")
         self.dim = dim
-        self._buckets: dict[str, tuple[int, ...]] = {}
+        self._buckets: dict[str, tuple[int, ...]] = {}  # chunk or token -> buckets
+        self._parts: dict[str, tuple[int, ...]] = {}  # part of a text to score -> buckets
+
+    def _hash(self, token: str) -> int:
+        return int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % self.dim
 
     def _chunk(self, chunk: str) -> tuple[int, ...]:
         # a token is a chunk of its own: its entry serves every chunk it is in
@@ -175,18 +181,15 @@ class HashingEmbedder:
         for token in _TOKEN.findall(chunk):
             known = memo.get(token)
             if known is None:
-                bucket = int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % self.dim
-                known = self._remember(token, (bucket,))
+                known = _remember(memo, token, (self._hash(token),))
             buckets += known
         # a chunk that is one lone token was remembered in the loop
-        return memo.get(chunk) or self._remember(chunk, tuple(buckets))
+        return memo.get(chunk) or _remember(memo, chunk, tuple(buckets))
 
-    def _remember(self, chunk: str, buckets: tuple[int, ...]) -> tuple[int, ...]:
-        with _MEMO_LOCK:
-            if len(self._buckets) >= TOKEN_MEMO_SIZE:
-                self._buckets.clear()
-            self._buckets[chunk] = buckets
-        return buckets
+    def _part(self, part: str) -> tuple[int, ...]:
+        # a memo of its own, and tokens hashed without entering the chunk memo:
+        # a hub-heavy graph's parts and tokens together outgrow one memo's bound
+        return _remember(self._parts, part, tuple(map(self._hash, _TOKEN.findall(part.lower()))))
 
     def _bag(self, text: str) -> list[int]:
         """The bucket of each token of ``text``, in order; ``[0]`` if it has none."""
@@ -208,9 +211,18 @@ class HashingEmbedder:
     def embed(self, texts: list[str]) -> list[list[float]]:
         return [self._one(t) for t in texts]
 
-    def similarities(self, objective: str, texts: list[str]) -> list[float]:
+    def similarities(self, objective: str, texts: list[tuple[str, ...]]) -> list[float]:
         """Cosine similarity of ``objective`` with each text, as ``_cosines``
         gives it over ``embed``'s vectors, bit for bit.
+
+        Each text is a tuple of parts, the text they make when joined by
+        separators holding no ``[a-z0-9]``: ``prune`` passes a candidate's
+        ``parts()``, which ``render()`` joins with `` —`` and ``→ ``, and a
+        whole text is a one-part tuple.  A text's buckets are its parts'
+        buckets, each part looked up whole in its memo, concatenated, or
+        ``[0]`` when no part has a token.  Lowering is context-free but for
+        the final sigma, and neither sigma is a token character, so these
+        are the buckets ``embed`` finds in the joined text.
 
         Only the objective gets a vector.  A text's dot product sums the
         objective's components at the text's buckets, and its squared norm
@@ -230,13 +242,29 @@ class HashingEmbedder:
         if not math.isfinite(nu) or nu == 0.0:
             raise PruningUnavailable("objective vector is zero or has a non-finite component")
         weight = u.__getitem__
-        bag = self._bag
+        memo, part = self._parts, self._part
         scores = []
         for text in texts:
-            buckets = bag(text)
+            buckets: list[int] = []
+            for p in text:
+                try:  # a token-free part is served too: its () is a hit
+                    buckets += memo[p]
+                except KeyError:
+                    buckets += part(p)
+            if not buckets:
+                buckets = [0]
             score = sum(map(weight, buckets)) / (nu * sqrt(sum(map(buckets.count, buckets))))
             scores.append(1.0 if score > 1.0 else score)  # no count is negative
         return scores
+
+
+def _remember(memo: dict[str, tuple[int, ...]], key: str, buckets: tuple[int, ...]) -> tuple[int, ...]:
+    """Enter ``key`` in one of a ``HashingEmbedder``'s memos, clearing it first when full."""
+    with _MEMO_LOCK:
+        if len(memo) >= TOKEN_MEMO_SIZE:
+            memo.clear()
+        memo[key] = buckets
+    return buckets
 
 
 class HttpEmbedder(Client):

@@ -43,10 +43,12 @@ class CandidateTriple:
     def key(self) -> TripleKey:
         return self._key
 
+    def parts(self) -> tuple[str, str, str]:
+        """(head, relation, tail) as displayed: each label, or its id where the label is empty."""
+        return self.head_label or self.head, self.relation_label or self.relation, self.tail_label or self.tail
+
     def render(self) -> str:
-        head = self.head_label or self.head
-        rel = self.relation_label or self.relation
-        tail = self.tail_label or self.tail
+        head, rel, tail = self.parts()
         return f"{head} —{rel}→ {tail}"
 
     def to_dict(self) -> dict:

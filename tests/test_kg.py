@@ -232,6 +232,21 @@ class TestSparqlGraphStore:
         _StubHandler.responses = [label_batch([("m.0paris", "Paris")])]
         assert make_sparql_store(stub_server, http_retries=0).label("m.0paris") == "Paris"
 
+    def test_label_cache_evicts_oldest_first(self, stub_server, monkeypatch):
+        monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 3)
+        store = make_sparql_store(stub_server, http_retries=0)
+        store._remember({"m.0a": "A", "m.0b": "B", "m.0c": "C"})
+        store._remember({"m.0a": "A2"})  # an update keeps its place: still the oldest
+        assert list(store._labels.items()) == [("m.0a", "A2"), ("m.0b", "B"), ("m.0c", "C")]
+        store._remember({"m.0d": "D", "m.0e": None})
+        assert list(store._labels) == ["m.0c", "m.0d", "m.0e"]
+        assert store.label("m.0e") is None and store.label("m.0c") == "C"
+        assert _StubHandler.seen == []  # both served from the cache
+        _StubHandler.responses = [label_batch([("m.0a", "A3")])]
+        assert store.label("m.0a") == "A3"  # evicted, so asked again
+        assert len(_StubHandler.seen) == 1
+        assert list(store._labels) == ["m.0d", "m.0e", "m.0a"]
+
     def test_unavailable_endpoint_raises_through_session(self):
         client = transport.Client()
         try:

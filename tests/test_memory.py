@@ -337,6 +337,18 @@ class TestTripleKey:
         assert key == (head, relation, tail, direction)
         assert type(key[3]) is str
 
+    @pytest.mark.parametrize("labels, parts", [
+        (("", "", ""), ("m.h", "r.x/r.y", "m.t")),  # no label: each part is its id
+        (("Head", "", "Tail"), ("Head", "r.x/r.y", "Tail")),
+        (("Head", "won / in", ""), ("Head", "won / in", "m.t")),  # a mediator compound
+    ])
+    def test_render_joins_the_parts(self, labels, parts):
+        head_label, relation_label, tail_label = labels
+        cand = triple("m.h", "r.x/r.y", "m.t", head_label=head_label, relation_label=relation_label,
+                      tail_label=tail_label)
+        assert cand.parts() == parts
+        assert cand.render() == "{} —{}→ {}".format(*cand.parts())
+
 
 NAMES = st.text(alphabet="ab.", max_size=3)
 KEYS = st.tuples(NAMES, NAMES, NAMES, st.sampled_from(DIRECTIONS))

@@ -407,15 +407,17 @@ class TestHashingEmbedder:
         monkeypatch.setattr(pruning, "TOKEN_MEMO_SIZE", 8)
         embedder = HashingEmbedder()
         embedder._buckets = SizeWatchingDict()
+        embedder._parts = SizeWatchingDict()
         texts = [f"t{i} t{i + 1} t{i * 7 % 40}" for i in range(40)]
 
         def picks(worker):
             return [texts[(n * 7 + worker) % len(texts)] for n in range(500)]
 
         def work(worker):
-            # half the workers score, so embedding and scoring share the memo
+            # half the workers score, each text as its three parts, so
+            # embedding and scoring share the chunk memo and scorers the part memo
             if worker % 2:
-                return embedder.similarities(texts[worker], picks(worker))
+                return embedder.similarities(texts[worker], [tuple(t.split()) for t in picks(worker)])
             return embedder.embed(picks(worker))
 
         interval = sys.getswitchinterval()
@@ -434,6 +436,7 @@ class TestHashingEmbedder:
             else:
                 assert got == vectors
         assert embedder._buckets.largest <= 8
+        assert 0 < embedder._parts.largest <= 8
 
     @pytest.mark.parametrize("dim", [0, -1, 2.5, True, False, "64", None])
     def test_invalid_dim_is_refused_at_construction(self, dim):
@@ -455,6 +458,25 @@ class ForwardingEmbedder:
         return self.inner.embed(texts)
 
 
+# label parts as the executor builds them: ids, empty labels (the id shows),
+# awkward letters and whitespace, and mediator compounds joined by " / "
+label_part = st.lists(
+    st.one_of(awkward, st.sampled_from(["\u03c2", " / "]), st.text(alphabet="aZ09", min_size=1, max_size=4)),
+    max_size=6,
+).map("".join)
+entity_id = st.text(alphabet="abm._09", min_size=1, max_size=6)
+scored_candidate = st.builds(
+    CandidateTriple,
+    head=entity_id,
+    relation=entity_id,
+    tail=entity_id,
+    direction=st.sampled_from([Direction.OUTGOING, Direction.INCOMING]),
+    head_label=label_part,
+    relation_label=st.one_of(label_part, st.builds("{} / {}".format, label_part, label_part)),
+    tail_label=label_part,
+)
+
+
 class TestBucketScorer:
     """``HashingEmbedder.similarities`` against the dense path, bit for bit."""
 
@@ -465,7 +487,7 @@ class TestBucketScorer:
         expected = hexes(pruning._cosines(reference(objective, dim), [reference(t, dim) for t in texts]))
         with mock.patch.object(pruning, "TOKEN_MEMO_SIZE", 3):  # the memo clears as it goes
             embedder = HashingEmbedder(dim)
-            assert hexes(embedder.similarities(objective, texts)) == expected
+            assert hexes(embedder.similarities(objective, [(t,) for t in texts])) == expected
             assert hexes(pruning._cosines(embedder.embed([objective])[0], embedder.embed(texts))) == expected
 
     def test_repeated_bucket_counts_twice_in_the_norm(self):
@@ -473,7 +495,7 @@ class TestBucketScorer:
         embedder = HashingEmbedder()
         text = "award.vavino.vavino_of"
         assert embedder._bag(text).count(embedder._bag("vavino")[0]) == 2
-        scores = embedder.similarities("award", [text])
+        scores = embedder.similarities("award", [(text,)])
         assert hexes(scores) == hexes([1 / math.sqrt(6)])
         assert hexes(scores) == hexes(pruning._cosines(*embedder.embed(["award"]), embedder.embed([text])))
 
@@ -482,15 +504,35 @@ class TestBucketScorer:
         embedder = HashingEmbedder(7)
         assert embedder._bag(text) == [0]
         # at dim 7, 'a' hashes to bucket 0 and 'b' to bucket 4
-        assert embedder.similarities("a", [text]) == [1.0]
-        assert embedder.similarities("b", [text]) == [0.0]
-        assert hexes(embedder.similarities("a b", [text])) == hexes([1 / math.sqrt(2)])
+        assert embedder.similarities("a", [(text,)]) == [1.0]
+        assert embedder.similarities("b", [(text,)]) == [0.0]
+        assert hexes(embedder.similarities("a b", [(text,)])) == hexes([1 / math.sqrt(2)])
 
     def test_a_text_equal_to_the_objective_is_clamped_to_one(self):
         assert 3 / (math.sqrt(3) * math.sqrt(3)) > 1.0  # unclamped, three distinct buckets
         embedder = HashingEmbedder()
         assert len(set(embedder._bag("a b c"))) == 3
-        assert embedder.similarities("a b c", ["a b c", "c b a"]) == [1.0, 1.0]
+        assert embedder.similarities("a b c", [("a b c",), ("c b a",)]) == [1.0, 1.0]
+
+    @given(unicode_text, st.lists(scored_candidate, min_size=1, max_size=8), st.sampled_from([1, 7, 64]))
+    def test_parts_score_as_the_rendered_text_bit_for_bit(self, objective, cands, dim):
+        with mock.patch.object(pruning, "TOKEN_MEMO_SIZE", 3):  # the memos clear as they go
+            embedder = HashingEmbedder(dim)
+            rendered = embedder.embed([c.render() for c in cands])
+            expected = hexes(pruning._cosines(embedder.embed([objective])[0], rendered))
+            parts = [c.parts() for c in cands]
+            assert hexes(embedder.similarities(objective, parts)) == expected
+            assert hexes(embedder.similarities(objective, parts)) == expected  # parts seen before
+
+    def test_token_free_parts_are_served_from_the_memo(self):
+        embedder = HashingEmbedder()
+        texts = [("\u2014", "\u6771\u4eac", ""), ("",)]
+        first = embedder.similarities("a", texts)
+        regex = mock.Mock(findall=mock.Mock(side_effect=AssertionError("regex ran")))
+        with mock.patch.object(pruning, "_TOKEN", regex), \
+                mock.patch.object(pruning.hashlib, "md5", side_effect=AssertionError("md5 ran")):
+            assert embedder.similarities("a", texts) == first
+        assert embedder._parts == {"\u2014": (), "\u6771\u4eac": (), "": ()}
 
     @pytest.mark.parametrize("n, threshold", [(120, 70), (70, 70), (9, 3)])
     def test_prune_keeps_what_the_dense_path_keeps(self, n, threshold):
