@@ -25,7 +25,7 @@ from .triples import CandidateTriple
 
 Vector = Sequence[float]
 
-# Entries each memo of a HashingEmbedder keeps; past this it starts over.
+# Entries a HashingEmbedder's memo keeps; past this it starts over.
 TOKEN_MEMO_SIZE = 8_192
 _TOKEN = re.compile(r"[a-z0-9]+")
 _MEMO_LOCK = threading.Lock()  # taken on memo misses only
@@ -49,7 +49,8 @@ def _cosines(u: Vector, vectors: Iterable[Vector]) -> list[float]:
     raises ``PruningUnavailable``, so it can never rank first.  Components
     are not type-checked: ``None`` is skipped like a zero, so it reads as 0
     where the objective is zero and raises ``TypeError`` where it is not,
-    as any other non-number does.  ``prune`` uses it for every embedder
+    as any other non-number does; an int too large for a float raises
+    ``OverflowError``.  ``prune`` uses it for every embedder
     but an exact ``HashingEmbedder``, which scores its own texts
     (``HashingEmbedder.similarities``).
     """
@@ -98,8 +99,9 @@ def prune(
     candidate's ``parts()`` and bit for bit what ``embed`` and
     ``_cosines`` give for its rendered text; any other embedder, a
     ``HashingEmbedder`` subclass or wrapper included, is asked through
-    ``embed``.  Unusable vectors, non-numeric components included, raise
-    ``PruningUnavailable``, as does any failure of the embedder itself.
+    ``embed``.  Unusable vectors (non-numeric components, ints too large
+    for a float) raise ``PruningUnavailable``, as does any failure of the
+    embedder itself, an answer with no length such as ``None`` included.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -115,14 +117,17 @@ def prune(
         texts = [c.render() for c in candidates]
         try:
             vectors = embedder.embed([objective] + texts)
+            count = len(vectors)  # None or a generator has none: the embedder failed
         except Exception as exc:
             raise PruningUnavailable(f"embedder failed: {exc}") from exc
-        if len(vectors) != len(texts) + 1:
-            raise PruningUnavailable(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
+        if count != len(texts) + 1:
+            raise PruningUnavailable(f"embedder returned {count} vectors for {len(texts) + 1} texts")
         try:
             scores = _cosines(vectors[0], vectors[1:])
         except TypeError as exc:
             raise PruningUnavailable(f"embedder returned a non-numeric vector: {exc}") from exc
+        except OverflowError as exc:  # an int too large for a float, such as a 200-digit JSON number
+            raise PruningUnavailable(f"embedder returned a component too large for a float: {exc}") from exc
     for cand, score in zip(candidates, scores):
         cand.score = score
     return rank(candidates, threshold, texts)
@@ -154,57 +159,37 @@ def rank(
 class HashingEmbedder:
     """Deterministic token-hash bag-of-words embedder for offline runs.
 
-    A token (``[a-z0-9]+``) never spans whitespace, so each whitespace
-    chunk of the lowered text is looked up in a per-instance memo of its
-    tokens' buckets; the regex runs on a chunk miss only, and md5 on a
-    token that is not in the memo as a chunk of its own.  A text's
-    vector counts its tokens per bucket; a token-free text counts one in
-    bucket 0.  ``similarities`` scores texts given as tuples of parts,
-    each part's buckets memoised whole in a second memo, without building
-    a vector per text.
+    A text's vector counts its tokens (``[a-z0-9]+`` in the lowered text)
+    per bucket; a token-free text counts one in bucket 0.  One
+    per-instance memo maps a string to its tokens' buckets (``()`` for a
+    token-free one).  ``embed`` looks up each whitespace chunk of a text,
+    since no token spans whitespace, and ``similarities`` each part of a
+    text given as parts; only a miss (``_part``) lowers the string and runs
+    the regex and md5.  ``similarities`` builds no vector per text.
     """
 
     def __init__(self, dim: int = 64):
         if type(dim) is not int or dim < 1:  # a bool is not a dimension
             raise ValueError(f"dim must be an int >= 1, not {dim!r}")
         self.dim = dim
-        self._buckets: dict[str, tuple[int, ...]] = {}  # chunk or token -> buckets
-        self._parts: dict[str, tuple[int, ...]] = {}  # part of a text to score -> buckets
+        self._parts: dict[str, tuple[int, ...]] = {}  # whitespace chunk or label part -> buckets
 
     def _hash(self, token: str) -> int:
         return int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % self.dim
 
-    def _chunk(self, chunk: str) -> tuple[int, ...]:
-        # a token is a chunk of its own: its entry serves every chunk it is in
-        memo = self._buckets
-        buckets: list[int] = []
-        for token in _TOKEN.findall(chunk):
-            known = memo.get(token)
-            if known is None:
-                known = _remember(memo, token, (self._hash(token),))
-            buckets += known
-        # a chunk that is one lone token was remembered in the loop
-        return memo.get(chunk) or _remember(memo, chunk, tuple(buckets))
-
     def _part(self, part: str) -> tuple[int, ...]:
-        # a memo of its own, and tokens hashed without entering the chunk memo:
-        # a hub-heavy graph's parts and tokens together outgrow one memo's bound
         return _remember(self._parts, part, tuple(map(self._hash, _TOKEN.findall(part.lower()))))
 
-    def _bag(self, text: str) -> list[int]:
-        """The bucket of each token of ``text``, in order; ``[0]`` if it has none."""
-        memo = self._buckets
+    def _one(self, text: str) -> list[float]:
+        memo, part = self._parts, self._part
         buckets: list[int] = []
-        for chunk in text.lower().split():
-            try:
+        for chunk in text.split():
+            try:  # a token-free chunk is served too: its () is a hit
                 buckets += memo[chunk]
             except KeyError:
-                buckets += self._chunk(chunk)
-        return buckets or [0]  # token-free text still needs a nonzero vector
-
-    def _one(self, text: str) -> list[float]:
+                buckets += part(chunk)
         vec = [0.0] * self.dim
-        for bucket in self._bag(text):
+        for bucket in buckets or [0]:  # token-free text still needs a nonzero vector
             vec[bucket] += 1.0
         return vec
 
@@ -219,7 +204,7 @@ class HashingEmbedder:
         separators holding no ``[a-z0-9]``: ``prune`` passes a candidate's
         ``parts()``, which ``render()`` joins with `` —`` and ``→ ``, and a
         whole text is a one-part tuple.  A text's buckets are its parts'
-        buckets, each part looked up whole in its memo, concatenated, or
+        buckets, each part looked up whole in the memo, concatenated, or
         ``[0]`` when no part has a token.  Lowering is context-free but for
         the final sigma, and neither sigma is a token character, so these
         are the buckets ``embed`` finds in the joined text.
@@ -259,7 +244,7 @@ class HashingEmbedder:
 
 
 def _remember(memo: dict[str, tuple[int, ...]], key: str, buckets: tuple[int, ...]) -> tuple[int, ...]:
-    """Enter ``key`` in one of a ``HashingEmbedder``'s memos, clearing it first when full."""
+    """Enter ``key`` in a ``HashingEmbedder``'s memo, clearing it first when full."""
     with _MEMO_LOCK:
         if len(memo) >= TOKEN_MEMO_SIZE:
             memo.clear()

@@ -253,8 +253,8 @@ class TestTraceRoundTrip:
 class FaultyEmbedder:
     """HashingEmbedder whose output is corrupted on every ``every``-th call."""
 
-    FAULTS = ("zero", "short", "long", "nan", "inf", "-inf", "none", "str", "fewer", "more")
-    BAD_COMPONENTS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "str": "1.0"}
+    FAULTS = ("zero", "short", "long", "nan", "inf", "-inf", "none", "str", "huge", "fewer", "more", "not-a-list")
+    BAD_COMPONENTS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "str": "1.0", "huge": 10**200}
 
     def __init__(self, fault, position, every):
         self.fault = fault
@@ -281,6 +281,8 @@ class FaultyEmbedder:
             vecs[i][nonzero[self.position % len(nonzero)]] = None
         elif self.fault == "fewer":
             del vecs[i]
+        elif self.fault == "not-a-list":
+            return None
         else:
             vecs.append(vecs[i])
         return vecs
@@ -311,7 +313,7 @@ class TestEmbedderFaults:
         assert not (result.error_note or "").startswith("exploration failed")
         assert_trace_grammar(result.trace)
 
-    @pytest.mark.parametrize("fault", ["zero", "short", "nan", "none", "str"])
+    @pytest.mark.parametrize("fault", ["zero", "short", "nan", "none", "str", "huge", "not-a-list"])
     def test_bad_vector_abandons_the_attempt(self, fault):
         store, entities = random_kg(random.Random(2))
         engine = Engine(

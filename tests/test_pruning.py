@@ -194,14 +194,15 @@ class TestPrune:
 
     @pytest.mark.parametrize(
         "tamper",
-        [lambda vecs: vecs[:-1], lambda vecs: vecs[:-3], lambda vecs: vecs + vecs[:1]],
-        ids=["one_short", "three_short", "one_extra"],
+        [lambda vecs: vecs[:-1], lambda vecs: vecs[:-3], lambda vecs: vecs + vecs[:1], lambda vecs: None,
+         lambda vecs: (v for v in vecs)],
+        ids=["one_short", "three_short", "one_extra", "none", "generator"],
     )
     def test_wrong_vector_count_becomes_pruning_unavailable(self, tamper):
         with pytest.raises(PruningUnavailable):
             prune(make_candidates(3), "o", 5, TamperedEmbedder(tamper))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**200])  # 10**200: no float holds it
     @pytest.mark.parametrize("where", ["candidate", "objective"])
     def test_non_finite_component_never_ranks(self, bad, where):
         def corrupt(vecs):
@@ -387,7 +388,7 @@ class TestHashingEmbedder:
         embedder = HashingEmbedder()
         texts = [f"token{i} shared" for i in range(40)]
         assert embedder.embed(texts) == [self.reference(t) for t in texts]
-        assert len(embedder._buckets) <= 5
+        assert len(embedder._parts) <= 5
 
     def test_token_memo_shared_across_threads(self, monkeypatch):
         class SizeWatchingDict(dict):
@@ -406,7 +407,6 @@ class TestHashingEmbedder:
 
         monkeypatch.setattr(pruning, "TOKEN_MEMO_SIZE", 8)
         embedder = HashingEmbedder()
-        embedder._buckets = SizeWatchingDict()
         embedder._parts = SizeWatchingDict()
         texts = [f"t{i} t{i + 1} t{i * 7 % 40}" for i in range(40)]
 
@@ -415,7 +415,7 @@ class TestHashingEmbedder:
 
         def work(worker):
             # half the workers score, each text as its three parts, so
-            # embedding and scoring share the chunk memo and scorers the part memo
+            # embedding and scoring share the one memo
             if worker % 2:
                 return embedder.similarities(texts[worker], [tuple(t.split()) for t in picks(worker)])
             return embedder.embed(picks(worker))
@@ -435,7 +435,6 @@ class TestHashingEmbedder:
                 assert got == pruning._cosines(expected[texts[worker]], vectors)
             else:
                 assert got == vectors
-        assert embedder._buckets.largest <= 8
         assert 0 < embedder._parts.largest <= 8
 
     @pytest.mark.parametrize("dim", [0, -1, 2.5, True, False, "64", None])
@@ -494,7 +493,8 @@ class TestBucketScorer:
         # 'vavino' twice: its bucket counts 2, so the squared norm is 1 + 4 + 1, not 4
         embedder = HashingEmbedder()
         text = "award.vavino.vavino_of"
-        assert embedder._bag(text).count(embedder._bag("vavino")[0]) == 2
+        [vector], [vavino] = embedder.embed([text]), embedder.embed(["vavino"])
+        assert vector[vavino.index(1.0)] == 2.0
         scores = embedder.similarities("award", [(text,)])
         assert hexes(scores) == hexes([1 / math.sqrt(6)])
         assert hexes(scores) == hexes(pruning._cosines(*embedder.embed(["award"]), embedder.embed([text])))
@@ -502,7 +502,7 @@ class TestBucketScorer:
     @pytest.mark.parametrize("text", ["", "--", " \u2014\u2192 ", "\u017f"])
     def test_token_free_text_scores_as_bucket_zero(self, text):
         embedder = HashingEmbedder(7)
-        assert embedder._bag(text) == [0]
+        assert embedder.embed([text]) == [[1.0] + [0.0] * 6]
         # at dim 7, 'a' hashes to bucket 0 and 'b' to bucket 4
         assert embedder.similarities("a", [(text,)]) == [1.0]
         assert embedder.similarities("b", [(text,)]) == [0.0]
@@ -511,7 +511,7 @@ class TestBucketScorer:
     def test_a_text_equal_to_the_objective_is_clamped_to_one(self):
         assert 3 / (math.sqrt(3) * math.sqrt(3)) > 1.0  # unclamped, three distinct buckets
         embedder = HashingEmbedder()
-        assert len(set(embedder._bag("a b c"))) == 3
+        assert embedder.embed(["a b c"])[0].count(1.0) == 3
         assert embedder.similarities("a b c", [("a b c",), ("c b a",)]) == [1.0, 1.0]
 
     @given(unicode_text, st.lists(scored_candidate, min_size=1, max_size=8), st.sampled_from([1, 7, 64]))
@@ -532,7 +532,20 @@ class TestBucketScorer:
         with mock.patch.object(pruning, "_TOKEN", regex), \
                 mock.patch.object(pruning.hashlib, "md5", side_effect=AssertionError("md5 ran")):
             assert embedder.similarities("a", texts) == first
-        assert embedder._parts == {"\u2014": (), "\u6771\u4eac": (), "": ()}
+        assert embedder._parts == {"a": (embedder._hash("a"),), "\u2014": (), "\u6771\u4eac": (), "": ()}
+
+    def test_one_memo_serves_embed_and_the_scorer(self):
+        # after one embed, the same chunks as vectors, objective or parts are all hits
+        embedder = HashingEmbedder()
+        objective, text = "capital of Japan", "Tokyo \u2014capital.of\u2192 \u6771\u4eac Japan"
+        first = embedder.embed([objective, text])
+        regex = mock.Mock(findall=mock.Mock(side_effect=AssertionError("regex ran")))
+        with mock.patch.object(pruning, "_TOKEN", regex), \
+                mock.patch.object(pruning.hashlib, "md5", side_effect=AssertionError("md5 ran")):
+            assert embedder.embed([objective, text]) == first
+            scores = embedder.similarities(objective, [tuple(text.split()), tuple(objective.split())])
+        assert hexes(scores) == hexes(pruning._cosines(first[0], [first[1], first[0]]))
+        assert embedder._parts["\u6771\u4eac"] == ()
 
     @pytest.mark.parametrize("n, threshold", [(120, 70), (70, 70), (9, 3)])
     def test_prune_keeps_what_the_dense_path_keeps(self, n, threshold):
