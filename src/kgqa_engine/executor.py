@@ -57,19 +57,19 @@ class Executor:
     # -- exploration ----------------------------------------------------------
 
     def _retrieve_candidates(self, frontier: str, memory: IntegratedMemory) -> list[CandidateTriple]:
-        """Every edge at the frontier as a candidate recorded as explored; ``explore`` asks once per step and frontier."""
-        kg, label = self.kg, self.kg.label
+        """Every edge at the frontier as a candidate recorded as explored; ``explore`` asks once per step and frontier.
 
-        def candidate(near: str, relation: str, other: str, direction: str) -> CandidateTriple:
-            head, tail = (near, other) if direction == Direction.OUTGOING else (other, near)
-            cand = CandidateTriple(head, relation, tail, direction, label(head), label(relation), label(tail))
-            memory.record_explored(cand)
-            return cand
-
+        Each edge is labelled head, relation, tail and its key recorded at once, so a label fault
+        leaves exactly the edges before it explored.
+        """
+        kg, labels, explore = self.kg, self.kg.labels, memory.knowledge.explore
+        expand, outgoing = self.config.expand_unlabeled, Direction.OUTGOING
         candidates: list[CandidateTriple] = []
-        for relation, other, direction in kg.neighbors(frontier):
-            first = candidate(frontier, relation, other, direction)
-            if not (self.config.expand_unlabeled and direction == Direction.OUTGOING and not first.tail_label):
+        for relation, other, direction in kg.neighbors(frontier):  # directions are the constants
+            head, tail = (frontier, other) if direction is outgoing else (other, frontier)
+            first = CandidateTriple(head, relation, tail, direction, labels[head], labels[relation], labels[tail])
+            explore(first.key())
+            if not (expand and direction is outgoing and not first.tail_label):
                 candidates.append(first)
                 continue
             # Hop once more through an unlabeled (CVT-style) node: Freebase
@@ -77,11 +77,12 @@ class Executor:
             # presented as one compound candidate whose relation joins both legs.
             compounds = []
             for onward, end, leg in kg.neighbors(other):
-                if leg != Direction.OUTGOING or end == frontier:
+                if leg is not outgoing or end == frontier:
                     continue
-                second = candidate(other, onward, end, leg)
+                second = CandidateTriple(other, onward, end, leg, labels[other], labels[onward], labels[end])
+                explore(second.key())
                 compounds.append(CandidateTriple(
-                    frontier, f"{relation}/{onward}", end, Direction.OUTGOING, first.head_label,
+                    frontier, f"{relation}/{onward}", end, outgoing, first.head_label,
                     f"{first.relation_label or relation} / {second.relation_label or onward}",
                     second.tail_label,
                 ))

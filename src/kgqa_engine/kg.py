@@ -58,14 +58,39 @@ class GraphStore(Protocol):
     def label(self, entity_or_relation: str) -> str | None: ...
 
 
+class _LabelMemo(dict):
+    """Label per id, asking ``store`` on a miss: a hit is a plain subscript, with no Python frame."""
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: GraphStore):
+        super().__init__()
+        self.store = store
+
+    def __missing__(self, entity_or_relation: str) -> str:
+        try:
+            text = self.store.label(entity_or_relation)
+        except EngineError:
+            raise
+        except Exception as exc:
+            raise KgUnavailable(f"graph store failed: {exc!r}") from exc
+        if text is None:
+            text = ""
+        elif not isinstance(text, str):
+            raise MalformedResults(f"label of {entity_or_relation!r} is {type(text).__name__}, not str")
+        self[entity_or_relation] = text
+        return text
+
+
 class CheckedGraph:
     """The one reader of a ``GraphStore``: any answer outside its contract raises ``MalformedResults``,
-    and a store exception that is no ``EngineError`` becomes ``KgUnavailable``.  ``label`` gives ``""`` for
-    ``None`` and asks the store once per id for the guard's lifetime, which is the executor's: one run."""
+    and a store exception that is no ``EngineError`` becomes ``KgUnavailable``.  ``labels[id]`` gives
+    ``""`` for ``None``; it is a ``dict`` whose ``__missing__`` asks the store, so each id is asked once
+    for the guard's lifetime, which is the executor's: one run, and every later lookup is a subscript."""
 
     def __init__(self, store: GraphStore):
         self.store = store
-        self._labels: dict[str, str] = {}
+        self.labels = _LabelMemo(store)
 
     def neighbors(self, entity: str) -> list[Neighbor]:
         """``(str, str, Direction constant)`` tuples with non-empty ids, never a store's equal ``str`` subclass."""
@@ -91,20 +116,7 @@ class CheckedGraph:
         return checked
 
     def label(self, entity_or_relation: str) -> str:
-        text = self._labels.get(entity_or_relation)
-        if text is None:
-            try:
-                text = self.store.label(entity_or_relation)
-            except EngineError:
-                raise
-            except Exception as exc:
-                raise KgUnavailable(f"graph store failed: {exc!r}") from exc
-            if text is None:
-                text = ""
-            elif not isinstance(text, str):
-                raise MalformedResults(f"label of {entity_or_relation!r} is {type(text).__name__}, not str")
-            self._labels[entity_or_relation] = text
-        return text
+        return self.labels[entity_or_relation]
 
     def entity_with_label(self, text: str) -> str | None:
         """A non-empty ``str`` or ``None``; call it only when the store has ``entity_with_label``."""

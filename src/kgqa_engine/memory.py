@@ -10,13 +10,17 @@
   not memory, records each cycle's prediction, observation and error
   signal.
 * Knowledge layer: everything learned from the graph; it only grows,
-  including across replans.
+  including across replans.  Its one writer, ``explore``, adds a key to
+  the explored set and appends it, if new, to a list of the same keys,
+  which ``sorted_explored`` sorts in place: the sorted prefix and the new
+  tail merge in linear time, so the planner context and the trace read a
+  sorted view without sorting the whole set each time.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import filterfalse, islice
 
 from .config import EngineConfig
 from .errors import ReplanBudgetExhausted
@@ -28,11 +32,6 @@ class StepStatus:
     IN_PROGRESS = "in_progress"
     COMPLETED = "completed"
     ABANDONED = "abandoned"
-
-
-# ``heapq.nsmallest`` loops in Python; below about this many keys per key
-# wanted, sorting the whole set in C is faster (measured on 4-string keys).
-_HEAP_MIN_RATIO = 12
 
 
 @dataclass
@@ -134,8 +133,25 @@ class StepCycleMemory:
 
 @dataclass
 class KnowledgeMemory:
+    """Explored keys and the accepted chain; ``explore`` is the one writer of the explored keys."""
+
     explored_triples: set[TripleKey] = field(default_factory=set)
     reasoning_chain: list[CandidateTriple] = field(default_factory=list)
+    # the keys of ``explored_triples``, each once: a sorted prefix, then the keys explored since
+    _explored_order: list[TripleKey] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._explored_order = sorted(self.explored_triples)
+
+    def explore(self, key: TripleKey) -> None:
+        if key not in self.explored_triples:
+            self.explored_triples.add(key)
+            self._explored_order.append(key)
+
+    def sorted_explored(self) -> list[TripleKey]:
+        """Every explored key in sorted order; the list is the memory's own, so do not change it."""
+        self._explored_order.sort()  # Timsort merges the sorted prefix with the new tail
+        return self._explored_order
 
 
 @dataclass
@@ -201,10 +217,10 @@ class IntegratedMemory:
         self.step_cycle.thought = None
 
     def record_explored(self, triple: CandidateTriple) -> None:
-        self.knowledge.explored_triples.add(triple.key())
+        self.knowledge.explore(triple.key())
 
     def accept_triple(self, triple: CandidateTriple) -> None:
-        self.knowledge.explored_triples.add(triple.key())
+        self.knowledge.explore(triple.key())
         self.knowledge.reasoning_chain.append(triple)
 
     # -- context rendering --------------------------------------------------
@@ -248,16 +264,10 @@ class IntegratedMemory:
             lines.append("Accepted knowledge:")
             lines.extend(f"  {c}" for c in chain)
         # accepted chain stays separate from raw exploration knowledge, but
-        # a replanning planner still gets to see everything gathered so far.
-        # The first ``limit`` unaccepted keys in sorted order lie among the
-        # ``wanted`` smallest; keys are distinct, so heap and sort agree.
+        # a replanning planner still gets to see everything gathered so far:
+        # the first ``limit`` unaccepted keys in sorted order.
         accepted = {t.key() for t in self.knowledge.reasoning_chain}
-        keys, wanted = self.knowledge.explored_triples, limit + len(accepted)
-        if len(keys) > _HEAP_MIN_RATIO * wanted:
-            smallest = heapq.nsmallest(wanted, keys)
-        else:
-            smallest = sorted(keys)[:wanted]
-        explored = [key for key in smallest if key not in accepted][:limit]
+        explored = list(islice(filterfalse(accepted.__contains__, self.knowledge.sorted_explored()), limit))
         if explored:
             lines.append("Explored so far:")
             lines.extend(f"  {h} —{r}→ {t} ({d})" for h, r, t, d in explored)

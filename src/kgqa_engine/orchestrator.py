@@ -125,7 +125,7 @@ class _Run:
         )
 
     def _explored_snapshot(self) -> list[list[str]]:
-        return [list(t) for t in sorted(self.memory.knowledge.explored_triples)]
+        return [list(t) for t in self.memory.knowledge.sorted_explored()]
 
     # -- terminal states --------------------------------------------------------
 

@@ -273,6 +273,120 @@ class TestLabelLookups:
         assert set(store.label_calls.values()) == {1}
 
 
+class RecordingStore:
+    """Graph store that logs each ``neighbors`` and ``label`` call in order; it fails the ``fail_at``-th distinct label."""
+
+    def __init__(self, inner, fail_at=None):
+        self.inner = inner
+        self.fail_at = fail_at
+        self.log = []
+        self.asked = set()
+
+    def neighbors(self, entity):
+        self.log.append(("neighbors", entity))
+        return self.inner.neighbors(entity)
+
+    def label(self, entity_or_relation):
+        self.log.append(("label", entity_or_relation))
+        self.asked.add(entity_or_relation)
+        if len(self.asked) == self.fail_at:
+            raise RuntimeError("label lookup failed")
+        return self.inner.label(entity_or_relation)
+
+
+def explore_walk(store, frontier, expand):
+    """The store calls one explore makes, in order, with ``("key", key)`` once an edge's labels are in.
+
+    Every edge is labelled head, relation, tail; a mediator's legs are
+    labelled after its ``neighbors`` call.  Ids already labelled in the run
+    repeat here; the executor asks the store for each id once.
+    """
+    walk = [("neighbors", frontier)]
+    for relation, other, direction in store.neighbors(frontier):
+        head, tail = (frontier, other) if direction == Direction.OUTGOING else (other, frontier)
+        walk += [("label", head), ("label", relation), ("label", tail), ("key", (head, relation, tail, direction))]
+        if expand and direction == Direction.OUTGOING and not store.label(other):
+            walk.append(("neighbors", other))
+            for onward, end, leg in store.neighbors(other):
+                if leg == Direction.OUTGOING and end != frontier:
+                    walk += [("label", other), ("label", onward), ("label", end), ("key", (other, onward, end, leg))]
+    return walk
+
+
+def store_calls(walk, asked):
+    """The walk's calls as the store sees them: each id not yet in ``asked`` labelled once, then added to it."""
+    calls = []
+    for kind, item in walk:
+        if kind == "label":
+            if item in asked:
+                continue
+            asked.add(item)
+        if kind != "key":
+            calls.append((kind, item))
+    return calls
+
+
+class TestLabelOrder:
+    """The store is asked for labels in a fixed order, each id once per run, so faults land the same."""
+
+    def build(self):
+        return make_store(
+            [("f", "rel.named", "n1"), ("f", "rel.via", "cvt1"), ("cvt1", "leg.year", "y1"),
+             ("cvt1", "leg.raw", "w1"), ("cvt1", "leg.back", "f"), ("x1", "leg.in", "cvt1"),
+             ("i1", "rel.in", "f"), ("n1", "rel.named", "y1"), ("n1", "rel.via", "cvt1")],
+            {"f": "Frontier", "n1": "Named", "y1": "1999", "w1": "Work", "i1": "Inbound",
+             "rel.named": "named", "rel.via": "via", "leg.year": "year"},
+        )
+
+    @pytest.mark.parametrize("expand", [False, True])
+    def test_head_relation_tail_per_edge_each_id_once(self, expand):
+        store = RecordingStore(self.build())
+        memory = make_memory(topic=("f",))
+        executor = make_executor(store, expand_unlabeled=expand)
+        asked = set()
+        executor.explore("f", memory.current_step(), memory)
+        assert store.log == store_calls(explore_walk(store.inner, "f", expand), asked)
+        # a later step's explore asks only for ids the run has not labelled yet
+        memory.step_cycle.clear()
+        del store.log[:]
+        executor.explore("n1", memory.current_step(), memory)
+        assert store.log == store_calls(explore_walk(store.inner, "n1", expand), asked)
+        assert len(store.asked) == len(asked)
+
+    @given(seed=st.integers(0, 2**32 - 1), fail_at=st.integers(1, 40), expand=st.booleans())
+    def test_label_fault_leaves_the_edges_labelled_before_it(self, seed, fail_at, expand):
+        rng = random.Random(seed)
+        entities = [f"e{i}" for i in range(12)]
+        triples = [tuple(rng.sample(entities, 2)) for _ in range(30)] + [("e0", e) for e in rng.sample(entities[1:], 4)]
+        store = make_store(
+            [(head, f"r{rng.randrange(5)}", tail) for head, tail in triples],
+            {key: key.upper() for key in rng.sample(entities + [f"r{i}" for i in range(5)], 9)},
+        )
+        recording = RecordingStore(store, fail_at)
+        memory = make_memory(topic=("e0",))
+        walk = explore_walk(store, "e0", expand)
+        calls = store_calls(walk, set())
+        labelled = [i for i, (kind, _) in enumerate(calls) if kind == "label"]
+        # the keys of the edges whose labels all come before the fail_at-th distinct id
+        asked, expected = set(), set()
+        for kind, item in walk:
+            if kind == "key":
+                expected.add(item)
+            elif kind == "label":
+                asked.add(item)
+                if len(asked) == fail_at:
+                    break
+        executor = make_executor(recording, expand_unlabeled=expand)
+        if fail_at <= len(labelled):
+            with pytest.raises(KgUnavailable, match=re.escape("RuntimeError('label lookup failed')")):
+                executor.explore("e0", memory.current_step(), memory)
+            calls = calls[:labelled[fail_at - 1] + 1]
+        else:
+            executor.explore("e0", memory.current_step(), memory)
+        assert memory.knowledge.explored_triples == expected
+        assert recording.log == calls
+
+
 class TestReExplore:
     """A re-explore of the step's frontier re-ranks the first explore's scored candidates."""
 

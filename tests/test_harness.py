@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import random
+import re
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from kgqa_engine import pruning
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import BackendUnavailable, ParseError
 from kgqa_engine.harness import (
@@ -18,8 +23,8 @@ from kgqa_engine.harness import (
 from kgqa_engine.orchestrator import Engine, write_trace
 from kgqa_engine.pruning import HashingEmbedder
 
-from conftest import JsonStub, StageBackend, make_store
-from scenarios import FIXTURES, SCENARIOS, build_engine, load_meta
+from conftest import JsonStub, StageBackend, make_store, random_kg
+from scenarios import FIXTURES, SCENARIOS, build_engine, load_meta, strip_timestamps
 
 HAPPY = FIXTURES / "happy_path"
 # ids that are not one plain file name: a trace named after them would land
@@ -266,6 +271,34 @@ class TestEvaluateRun:
         assert [r.to_dict() | {"trace_path": None} for r in serial.results] == [
             r.to_dict() | {"trace_path": None} for r in threaded.results
         ]
+
+    def test_concurrency_changes_no_trace_of_a_shared_engine(self, tmp_path, monkeypatch):
+        # a small memo clears while other threads score through it
+        monkeypatch.setattr(pruning, "TOKEN_MEMO_SIZE", 16)
+        store, entities = random_kg(random.Random(7), n_entities=40)
+
+        def plan(prompt):
+            question = re.search(r"Question: (.*)", prompt).group(1)
+            return "\n".join(f"STEP: {word} {question} | hop {i}" for i, word in enumerate(("find", "then", "last")))
+
+        backend = StageBackend({"decompose": plan})
+        engine = Engine(backend, store, HashingEmbedder(), EngineConfig(prune_threshold=3))
+        examples = [QaExample(f"q{i}", f"r{i % 12} of Entity e{i}", [(entity, "")], ["x"])
+                    for i, entity in enumerate(entities)]
+        traces = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads take turns within a run, not only between runs
+        try:
+            for concurrency in (4, 1):
+                report = evaluate_run(examples, lambda example: engine, concurrency=concurrency,
+                                      trace_dir=str(tmp_path / str(concurrency)))
+                assert all(r.error is None for r in report.results)
+                traces[concurrency] = [strip_timestamps(Path(r.trace_path).read_text(encoding="utf-8"))
+                                       for r in report.results]
+        finally:
+            sys.setswitchinterval(switch)
+        assert traces[4] == traces[1]
+        assert sum(trace.count('"frontier_entity"') for trace in traces[1]) > len(examples)
 
 
 class TestCli:

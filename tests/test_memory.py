@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kgqa_engine.config import EngineConfig
 from kgqa_engine.errors import ReplanBudgetExhausted
 from kgqa_engine.memory import (
     IntegratedMemory,
     PlanStep,
     StepStatus,
 )
+from kgqa_engine.orchestrator import Engine, _Run
+from kgqa_engine.pruning import HashingEmbedder
 from kgqa_engine.triples import CandidateTriple, Direction
 
-from conftest import make_memory
+from conftest import StageBackend, make_memory, make_store
 
 DIRECTIONS = [Direction.OUTGOING, Direction.INCOMING]
 
@@ -352,6 +355,15 @@ class TestTripleKey:
 
 NAMES = st.text(alphabet="ab.", max_size=3)
 KEYS = st.tuples(NAMES, NAMES, NAMES, st.sampled_from(DIRECTIONS))
+# a mediator's compound: the key the chain accepts, beside its two explored legs
+COMPOUND_KEYS = st.tuples(NAMES, NAMES, NAMES, NAMES).map(
+    lambda names: (names[0], f"{names[1]}/{names[2]}", names[3], Direction.OUTGOING))
+MEMORY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("explore"), KEYS),
+    st.tuples(st.just("accept"), st.one_of(KEYS, COMPOUND_KEYS)),
+    st.just(("planner", None)),
+    st.just(("snapshot", None)),
+), max_size=60)
 
 
 def random_key(rng):
@@ -368,7 +380,6 @@ class TestExploredContext:
         n_explored=st.integers(0, 150),
         seed=st.integers(0, 2**16),
         accepted=st.lists(st.one_of(st.integers(0, 7), KEYS), max_size=6),
-        # small limits against large sets take the heap path, the rest a sort
         limit=st.one_of(st.integers(0, 3), st.integers(0, 25)),
     )
     def test_lines_equal_sorted_prefix(self, n_explored, seed, accepted, limit):
@@ -392,3 +403,26 @@ class TestExploredContext:
             assert text.endswith("\n" + block)
         else:
             assert "Explored so far:" not in text
+
+    @given(ops=MEMORY_OPS, limit=st.integers(0, 6))
+    def test_reads_between_explores_equal_a_full_sort(self, ops, limit):
+        config = EngineConfig(context_chain_limit=limit)
+        run = _Run(Engine(StageBackend(), make_store([]), HashingEmbedder(), config), "q?", ["e1"])
+        memory, knowledge = run.memory, run.memory.knowledge
+        for op, key in ops:
+            if op == "explore":
+                memory.record_explored(triple(*key))
+                continue
+            if op == "accept":
+                memory.accept_triple(triple(*key))
+                continue
+            chain = {t.key() for t in knowledge.reasoning_chain}
+            if op == "planner":
+                text = memory.render_context("planner")
+                block = text.split("Explored so far:\n")[1].split("\n") if "Explored so far:" in text else []
+                expected = sorted(knowledge.explored_triples - chain)[:limit]
+                assert block == [f"  {h} —{r}→ {t} ({d})" for h, r, t, d in expected]
+            else:
+                assert run._explored_snapshot() == [list(k) for k in sorted(knowledge.explored_triples)]
+            order = knowledge._explored_order
+            assert len(order) == len(set(order)) == len(knowledge.explored_triples)
