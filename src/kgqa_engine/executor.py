@@ -159,8 +159,7 @@ class Executor:
         index = self._parse_index(fields.get("CHOICE", "") or raw)
         if index is not None and 1 <= index <= len(pruned):
             return pruned[index - 1], rationale or f"backend chose candidate {index}"
-        fallback = min(pruned, key=lambda c: (-(c.score or 0.0), c.render(), c.key()))
-        return fallback, "fallback: highest-relevance candidate (backend choice unusable)"
+        return rank(pruned, 1)[0], "fallback: highest-relevance candidate (backend choice unusable)"
 
     @staticmethod
     def _parse_index(text: str) -> int | None:

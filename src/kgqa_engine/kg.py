@@ -63,8 +63,7 @@ class _LabelMemo(dict):
 
     __slots__ = ("store",)
 
-    def __init__(self, store: GraphStore):
-        super().__init__()
+    def __init__(self, store: GraphStore):  # dict.__new__ made it empty: no dict.__init__ to run
         self.store = store
 
     def __missing__(self, entity_or_relation: str) -> str:
@@ -114,9 +113,6 @@ class CheckedGraph:
         except Exception as exc:  # a store that raises, or lists something that is no triple
             raise KgUnavailable(f"graph store failed: {exc!r}") from exc
         return checked
-
-    def label(self, entity_or_relation: str) -> str:
-        return self.labels[entity_or_relation]
 
     def entity_with_label(self, text: str) -> str | None:
         """A non-empty ``str`` or ``None``; call it only when the store has ``entity_with_label``."""
@@ -243,8 +239,6 @@ def _field(row: dict[str, str], var: str) -> str:
         raise MalformedResults(f"result row lacks ?{var}: {sorted(row)}") from None
 
 
-_UNCACHED = object()
-
 # The variable naming an edge's far end in a NEIGHBORS row -> the edge's
 # direction and the query for that direction alone.
 _ENDS = {
@@ -286,15 +280,16 @@ class SparqlGraphStore(Client):
                 self._labels.popitem(last=False)
 
     def _fetch_labels(self, ids: Iterable[str]) -> dict[str, str | None]:
-        """One batched query for the grammatical ``ids``; caches and returns what it fetched."""
+        """Every id's label, cached: one batched query for the grammatical ``ids``, ``None`` for the others."""
         pattern = self.config.entity_id_pattern
-        missing = [i for i in dict.fromkeys(ids) if re.fullmatch(pattern, i)]
-        if not missing:
-            return {}
-        found: dict[str, str] = {}
-        for row in self._execute(render_sparql(SparqlTemplate.LABELS, missing, self.config)):
-            found.setdefault(self._localize(_field(row, "x")), _field(row, "label"))
-        fetched = {i: found.get(i) for i in missing}
+        fetched: dict[str, str | None] = dict.fromkeys(ids)
+        missing = [i for i in fetched if re.fullmatch(pattern, i)]
+        if missing:
+            found: dict[str, str] = {}
+            for row in self._execute(render_sparql(SparqlTemplate.LABELS, missing, self.config)):
+                found.setdefault(self._localize(_field(row, "x")), _field(row, "label"))
+            for i in missing:
+                fetched[i] = found.get(i)
         self._remember(fetched)
         return fetched
 
@@ -325,14 +320,12 @@ class SparqlGraphStore(Client):
         return neighbors
 
     def label(self, entity_or_relation: str) -> str | None:
-        """The cached label, else one query; ``None`` with no query for an id outside the grammar."""
-        cached = self._labels.get(entity_or_relation, _UNCACHED)
-        if cached is not _UNCACHED:
-            return cached
-        fetched = self._fetch_labels([entity_or_relation])
-        if not fetched:  # outside the grammar, a relation id say: remembered as unlabelled
-            self._remember({entity_or_relation: None})
-        return fetched.get(entity_or_relation)
+        """The cached label, else one query; ``None``, cached too, for an id with no label or outside the
+        grammar (a relation id, say), which is never sent."""
+        try:
+            return self._labels[entity_or_relation]
+        except KeyError:
+            return self._fetch_labels([entity_or_relation])[entity_or_relation]
 
 
 class InMemoryGraphStore:

@@ -14,7 +14,7 @@ import math
 import re
 import threading
 from operator import itemgetter, mul
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import urllib3
 
@@ -97,7 +97,8 @@ def prune(
     way, and ``rank`` makes the cut.  An embedder of exactly type
     ``HashingEmbedder`` scores through ``similarities``, from each
     candidate's ``parts()`` and bit for bit what ``embed`` and
-    ``_cosines`` give for its rendered text; any other embedder, a
+    ``_cosines`` give for its rendered text, each part a subscript of its
+    memo, whose ``__missing__`` hashes a new part; any other embedder, a
     ``HashingEmbedder`` subclass or wrapper included, is asked through
     ``embed``.  Unusable vectors (non-numeric components, ints too large
     for a float) raise ``PruningUnavailable``, as does any failure of the
@@ -161,33 +162,28 @@ class HashingEmbedder:
 
     A text's vector counts its tokens (``[a-z0-9]+`` in the lowered text)
     per bucket; a token-free text counts one in bucket 0.  One
-    per-instance memo maps a string to its tokens' buckets (``()`` for a
-    token-free one).  ``embed`` looks up each whitespace chunk of a text,
-    since no token spans whitespace, and ``similarities`` each part of a
-    text given as parts; only a miss (``_part``) lowers the string and runs
-    the regex and md5.  ``similarities`` builds no vector per text.
+    per-instance memo (``_BucketMemo``) maps a string to its tokens'
+    buckets (``()`` for a token-free one).  ``embed`` looks up each
+    whitespace chunk of a text, since no token spans whitespace, and
+    ``similarities`` each part of a text given as parts; only a miss, the
+    memo's ``__missing__``, lowers the string and runs the regex and md5.
+    ``similarities`` builds no vector per text.
     """
 
     def __init__(self, dim: int = 64):
         if type(dim) is not int or dim < 1:  # a bool is not a dimension
             raise ValueError(f"dim must be an int >= 1, not {dim!r}")
         self.dim = dim
-        self._parts: dict[str, tuple[int, ...]] = {}  # whitespace chunk or label part -> buckets
+        self._parts = _BucketMemo(self._hash)  # whitespace chunk or label part -> buckets
 
     def _hash(self, token: str) -> int:
         return int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % self.dim
 
-    def _part(self, part: str) -> tuple[int, ...]:
-        return _remember(self._parts, part, tuple(map(self._hash, _TOKEN.findall(part.lower()))))
-
     def _one(self, text: str) -> list[float]:
-        memo, part = self._parts, self._part
+        memo = self._parts
         buckets: list[int] = []
         for chunk in text.split():
-            try:  # a token-free chunk is served too: its () is a hit
-                buckets += memo[chunk]
-            except KeyError:
-                buckets += part(chunk)
+            buckets += memo[chunk]
         vec = [0.0] * self.dim
         for bucket in buckets or [0]:  # token-free text still needs a nonzero vector
             vec[bucket] += 1.0
@@ -227,15 +223,12 @@ class HashingEmbedder:
         if not math.isfinite(nu) or nu == 0.0:
             raise PruningUnavailable("objective vector is zero or has a non-finite component")
         weight = u.__getitem__
-        memo, part = self._parts, self._part
+        memo = self._parts
         scores = []
         for text in texts:
             buckets: list[int] = []
             for p in text:
-                try:  # a token-free part is served too: its () is a hit
-                    buckets += memo[p]
-                except KeyError:
-                    buckets += part(p)
+                buckets += memo[p]
             if not buckets:
                 buckets = [0]
             score = sum(map(weight, buckets)) / (nu * sqrt(sum(map(buckets.count, buckets))))
@@ -243,13 +236,22 @@ class HashingEmbedder:
         return scores
 
 
-def _remember(memo: dict[str, tuple[int, ...]], key: str, buckets: tuple[int, ...]) -> tuple[int, ...]:
-    """Enter ``key`` in a ``HashingEmbedder``'s memo, clearing it first when full."""
-    with _MEMO_LOCK:
-        if len(memo) >= TOKEN_MEMO_SIZE:
-            memo.clear()
-        memo[key] = buckets
-    return buckets
+class _BucketMemo(dict):
+    """Buckets per string, for one ``HashingEmbedder``: a hit is a plain subscript, with no Python frame;
+    ``__missing__`` enters a new string, clearing the memo first when it holds ``TOKEN_MEMO_SIZE``."""
+
+    __slots__ = ("hash",)
+
+    def __init__(self, hash: Callable[[str], int]):  # dict.__new__ made it empty: no dict.__init__ to run
+        self.hash = hash
+
+    def __missing__(self, part: str) -> tuple[int, ...]:
+        buckets = tuple(map(self.hash, _TOKEN.findall(part.lower())))
+        with _MEMO_LOCK:
+            if len(self) >= TOKEN_MEMO_SIZE:
+                self.clear()
+            self[part] = buckets
+        return buckets
 
 
 class HttpEmbedder(Client):

@@ -20,7 +20,7 @@ import requests.utils
 import urllib3
 from urllib3.util import Retry, make_headers
 
-BACKOFF_S = 0.5  # first retry delay; each further retry waits twice as long
+BACKOFF_S = 0.5  # first retry delay; each further retry waits twice as long, at most the timeout
 MAX_REDIRECTS = 30  # per attempt, as many as requests follows
 JSON_HEADERS = {"Content-Type": "application/json"}
 
@@ -106,8 +106,9 @@ def post(
     when set and non-empty, sent as an ``Authorization: Bearer`` header.
 
     Transport errors, HTTP 5xx and 429, and a ``parse`` that raises
-    ``error`` are retried ``retries`` times, sleeping ``BACKOFF_S * 2**attempt``
-    and logging each retry at INFO on ``log``; then ``error`` is raised.
+    ``error`` are retried ``retries`` times, sleeping ``BACKOFF_S``, then
+    twice the last wait, capped at ``timeout``, and logging each retry at
+    INFO on ``log``; then ``error`` is raised.
     Any other 4xx, and a ``url`` that is not ``http://`` or ``https://``,
     raise ``error`` at once, and any other exception from ``parse``
     propagates.
@@ -119,6 +120,7 @@ def post(
     if token:
         headers = {**headers, "Authorization": f"Bearer {token}"}
     last_error: Exception | None = None
+    delay = min(BACKOFF_S, timeout)
     try:
         for attempt in range(retries + 1):
             try:
@@ -139,10 +141,10 @@ def post(
                 else:
                     last_error = error(f"HTTP {status}")
             if attempt < retries:
-                delay = BACKOFF_S * 2**attempt
                 log.info("attempt %d of %d failed (%s); retrying in %.3g s",
                          attempt + 1, retries + 1, last_error, delay)
                 time.sleep(delay)
+                delay = min(2 * delay, timeout)  # capped, so no attempt count overflows
     finally:
         if session is None:
             client.close()

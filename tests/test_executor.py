@@ -1,5 +1,6 @@
 """Executor: frontier resolution, exploration bookkeeping, selection."""
 
+import copy
 import random
 import re
 from collections import Counter
@@ -594,6 +595,20 @@ class TestStoreFaults:
             make_executor(store, StageBackend({"extract": down})).resolve_frontier(memory)
 
 
+# few ids, labels and scores, so equal scores, equal renderings of different ids and equal candidates are common
+scored_candidate = st.builds(
+    CandidateTriple,
+    head=st.sampled_from(["h1", "h2"]),
+    relation=st.sampled_from(["r1", "r2"]),
+    tail=st.sampled_from(["t1", "t2"]),
+    direction=st.sampled_from([Direction.OUTGOING, Direction.INCOMING]),
+    head_label=st.sampled_from(["", "Alpha", "Beta"]),
+    relation_label=st.sampled_from(["", "rel"]),
+    tail_label=st.sampled_from(["", "Alpha"]),
+    score=st.one_of(st.sampled_from([0.5, 0.0, -0.0, -0.25]), st.floats(-1.0, 1.0)),
+)
+
+
 class TestSelectEntity:
     def candidates(self, n=3):
         cands = [
@@ -653,6 +668,21 @@ class TestSelectEntity:
             backend = StageBackend({"select": text})
             chosen, _ = make_executor(store, backend).select_entity(self.candidates(), step, "")
             assert chosen is not None
+
+    @given(
+        pool=st.lists(scored_candidate, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        reply=st.sampled_from(["", "no usable index here", "CHOICE: 0", "CHOICE: 99", "7" * 4301]),
+    )
+    def test_fallback_is_the_first_of_the_best(self, pool, picks, reply):
+        # each pick is a copy of its own, so a repeated pick is an equal but distinct candidate
+        cands = [copy.copy(pool[i % len(pool)]) for i in picks]
+        backend = StageBackend({"select": reply})
+        chosen, rationale = make_executor(make_store([]), backend).select_entity(
+            cands, make_memory().current_step(), ""
+        )
+        assert chosen is min(cands, key=lambda c: (-(c.score or 0.0), c.render(), c.key()))
+        assert "fallback" in rationale
 
     def test_empty_list_rejected(self, store):
         with pytest.raises(ValueError):

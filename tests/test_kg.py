@@ -317,7 +317,7 @@ class TestRoundTrips:
         assert len(_StubHandler.seen) == 3
         assert store.label("m.0t") is None  # cached as unlabelled by the first batch
 
-    def test_ungrammatical_neighbour_never_sent(self, stub_server):
+    def test_ungrammatical_neighbour_never_sent(self, stub_server, monkeypatch):
         ns = FREEBASE_PREFIX
         _StubHandler.responses = [
             (200, sparql_json(
@@ -329,6 +329,8 @@ class TestRoundTrips:
         store = make_sparql_store(stub_server, http_retries=0)
         store.neighbors("m.0x")
         assert "VALUES ?x { ns:m.0x }" in _StubHandler.seen[1]
+        # neighbors() cached both as unlabelled: label() reads the cache alone
+        monkeypatch.setattr(store, "_fetch_labels", None)
         assert store.label("M.0BAD") is None and store.label("http://example.org/x y") is None
         assert len(_StubHandler.seen) == 2
 

@@ -391,7 +391,7 @@ class TestHashingEmbedder:
         assert len(embedder._parts) <= 5
 
     def test_token_memo_shared_across_threads(self, monkeypatch):
-        class SizeWatchingDict(dict):
+        class SizeWatchingDict(pruning._BucketMemo):
             """Records its largest size; yields the thread after every size check."""
 
             largest = 0
@@ -407,7 +407,7 @@ class TestHashingEmbedder:
 
         monkeypatch.setattr(pruning, "TOKEN_MEMO_SIZE", 8)
         embedder = HashingEmbedder()
-        embedder._parts = SizeWatchingDict()
+        embedder._parts = SizeWatchingDict(embedder._hash)  # misses still go through __missing__
         texts = [f"t{i} t{i + 1} t{i * 7 % 40}" for i in range(40)]
 
         def picks(worker):

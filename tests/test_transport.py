@@ -118,3 +118,11 @@ def test_url_without_an_http_scheme_is_rejected_at_once(sleeps, url):
         with pytest.raises(KgUnavailable, match="http:// or https://"):
             execute(url, QUERY, retries=2)
     assert sleeps == []
+
+
+def test_retry_wait_is_capped_at_the_timeout(json_stub, sleeps):
+    JsonStub.responses = [(503, b"busy")]
+    with pytest.raises(KgUnavailable, match="HTTP 503"):
+        execute(json_stub, QUERY, retries=12, timeout=2)
+    assert len(JsonStub.wire) == 13
+    assert sleeps == [0.5, 1.0] + [2.0] * 10  # doubled, then held at the timeout
