@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .errors import ParseError, ScriptMismatch
@@ -166,15 +166,7 @@ class ExampleResult:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "answer": self.answer,
-            "hit": self.hit,
-            "cycles": self.cycles,
-            "replans": self.replans,
-            "trace_path": self.trace_path,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass

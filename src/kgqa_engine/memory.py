@@ -135,13 +135,10 @@ class StepCycleMemory:
 class KnowledgeMemory:
     """Explored keys and the accepted chain; ``explore`` is the one writer of the explored keys."""
 
-    explored_triples: set[TripleKey] = field(default_factory=set)
+    explored_triples: set[TripleKey] = field(init=False, default_factory=set)
     reasoning_chain: list[CandidateTriple] = field(default_factory=list)
     # the keys of ``explored_triples``, each once: a sorted prefix, then the keys explored since
-    _explored_order: list[TripleKey] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._explored_order = sorted(self.explored_triples)
+    _explored_order: list[TripleKey] = field(init=False, repr=False, compare=False, default_factory=list)
 
     def explore(self, key: TripleKey) -> None:
         if key not in self.explored_triples:
@@ -215,9 +212,6 @@ class IntegratedMemory:
         self.step_cycle.failed.add(triple.key())
         self.step_cycle.attempt_counter += 1
         self.step_cycle.thought = None
-
-    def record_explored(self, triple: CandidateTriple) -> None:
-        self.knowledge.explore(triple.key())
 
     def accept_triple(self, triple: CandidateTriple) -> None:
         self.knowledge.explore(triple.key())

@@ -13,8 +13,7 @@ import logging
 import math
 import re
 import threading
-from operator import itemgetter, mul
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import urllib3
 
@@ -43,24 +42,17 @@ def _cosines(u: Vector, vectors: Iterable[Vector]) -> list[float]:
 
     Only nonzero components enter the sums, in ascending index order and
     from ``0``: skipping exact zeros leaves every float sum bit for bit
-    unchanged.  With two or more nonzeros in ``u``, one ``itemgetter``
-    picks a vector's components at their indices (with one, it would pick
-    a scalar, so the products are listed instead).  A non-finite component
-    raises ``PruningUnavailable``, so it can never rank first.  Components
-    are not type-checked: ``None`` is skipped like a zero, so it reads as 0
-    where the objective is zero and raises ``TypeError`` where it is not,
-    as any other non-number does; an int too large for a float raises
-    ``OverflowError``.  ``prune`` uses it for every embedder
-    but an exact ``HashingEmbedder``, which scores its own texts
-    (``HashingEmbedder.similarities``).
+    unchanged.  A non-finite component raises ``PruningUnavailable``, so it
+    can never rank first.  Components are not type-checked: ``None`` is
+    skipped like a zero, so it reads as 0 where the objective is zero and
+    raises ``TypeError`` where it is not, as any other non-number does; an
+    int too large for a float raises ``OverflowError``.  ``prune`` uses it
+    for every embedder but an exact ``HashingEmbedder``, which scores its
+    own texts (``HashingEmbedder.similarities``).
     """
     sqrt, isfinite = math.sqrt, math.isfinite
     dim = len(u)
     nonzeros = [(i, a) for i, a in enumerate(u) if a]
-    pick = None
-    if len(nonzeros) > 1:
-        indices, weights = zip(*nonzeros)
-        pick = itemgetter(*indices)
     nu = sqrt(sum([a * a for _, a in nonzeros]))
     if not isfinite(nu):
         raise PruningUnavailable("objective vector has a non-finite component")
@@ -68,9 +60,8 @@ def _cosines(u: Vector, vectors: Iterable[Vector]) -> list[float]:
     for v in vectors:
         if len(v) != dim:
             raise PruningUnavailable(f"dimensions differ: {dim} vs {len(v)}")
-        nonzero = [*filter(None, v)]
-        nv = sqrt(sum(map(mul, nonzero, nonzero)))
-        dot = sum(map(mul, weights, pick(v))) if pick else sum([a * v[i] for i, a in nonzeros])
+        nv = sqrt(sum([b * b for b in v if b]))
+        dot = sum([a * v[i] for i, a in nonzeros])
         if not isfinite(dot + nv):  # inf or NaN in either
             raise PruningUnavailable("vector has a non-finite component")
         if nu == 0.0 or nv == 0.0:
@@ -108,7 +99,6 @@ def prune(
         raise ValueError("threshold must be >= 1")
     if not candidates:
         return []
-    texts = None  # the bucket scorer renders nothing: rank does, above the threshold only
     if type(embedder) is HashingEmbedder:  # not a subclass or wrapper: those embed
         try:
             scores = embedder.similarities(objective, [c.parts() for c in candidates])
@@ -131,25 +121,22 @@ def prune(
             raise PruningUnavailable(f"embedder returned a component too large for a float: {exc}") from exc
     for cand, score in zip(candidates, scores):
         cand.score = score
-    return rank(candidates, threshold, texts)
+    return rank(candidates, threshold)
 
 
-def rank(
-    candidates: list[CandidateTriple], threshold: int, texts: list[str] | None = None
-) -> list[CandidateTriple]:
+def rank(candidates: list[CandidateTriple], threshold: int) -> list[CandidateTriple]:
     """Pruning's cut of candidates whose scores are already set.
 
     At or below the threshold the input list comes back unchanged; above
     it, the top ``threshold`` are returned sorted score-descending, ties
-    broken by rendering (``texts``, rendered here if not given), then by
-    key, then by input order.  Dropping candidates from a ranked list
-    leaves the order of the rest unchanged, so a subset of candidates
-    scored once ranks the same without embedding them again.
+    broken by rendering, then by key, then by input order.  Dropping
+    candidates from a ranked list leaves the order of the rest unchanged,
+    so a subset of candidates scored once ranks the same without embedding
+    them again.
     """
     if len(candidates) <= threshold:
         return candidates
-    if texts is None:
-        texts = [c.render() for c in candidates]
+    texts = [c.render() for c in candidates]
     # the trailing index keeps full ties in input order and never lets
     # two candidates be compared
     keys = [c.key() for c in candidates]
@@ -174,10 +161,7 @@ class HashingEmbedder:
         if type(dim) is not int or dim < 1:  # a bool is not a dimension
             raise ValueError(f"dim must be an int >= 1, not {dim!r}")
         self.dim = dim
-        self._parts = _BucketMemo(self._hash)  # whitespace chunk or label part -> buckets
-
-    def _hash(self, token: str) -> int:
-        return int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % self.dim
+        self._parts = _BucketMemo(dim)  # whitespace chunk or label part -> buckets
 
     def _one(self, text: str) -> list[float]:
         memo = self._parts
@@ -240,13 +224,14 @@ class _BucketMemo(dict):
     """Buckets per string, for one ``HashingEmbedder``: a hit is a plain subscript, with no Python frame;
     ``__missing__`` enters a new string, clearing the memo first when it holds ``TOKEN_MEMO_SIZE``."""
 
-    __slots__ = ("hash",)
+    __slots__ = ("dim",)
 
-    def __init__(self, hash: Callable[[str], int]):  # dict.__new__ made it empty: no dict.__init__ to run
-        self.hash = hash
+    def __init__(self, dim: int):  # dict.__new__ made it empty: no dict.__init__ to run
+        self.dim = dim
 
     def __missing__(self, part: str) -> tuple[int, ...]:
-        buckets = tuple(map(self.hash, _TOKEN.findall(part.lower())))
+        tokens = _TOKEN.findall(part.lower())
+        buckets = tuple([int(hashlib.md5(t.encode("utf-8")).hexdigest(), 16) % self.dim for t in tokens])
         with _MEMO_LOCK:
             if len(self) >= TOKEN_MEMO_SIZE:
                 self.clear()

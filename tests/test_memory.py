@@ -163,7 +163,7 @@ class TestResetForReplan:
     def test_knowledge_persists(self):
         memory = make_memory()
         for i in range(5):
-            memory.record_explored(triple(head=f"h{i}"))
+            memory.knowledge.explore(triple(head=f"h{i}").key())
         before = set(memory.knowledge.explored_triples)
         memory.reset_for_replan()
         assert memory.knowledge.explored_triples == before
@@ -228,7 +228,7 @@ class TestStepState:
             else:
                 op, tail = op
                 if op == "explore":
-                    memory.record_explored(triple(tail=tail))
+                    memory.knowledge.explore(triple(tail=tail).key())
                 elif op == "accept":
                     memory.accept_triple(triple(tail=tail))
                 else:
@@ -255,7 +255,7 @@ class TestKnowledgeMonotonicity:
         for _ in range(200):
             op = rng.choice(["explore", "accept", "fail", "replan"])
             if op == "explore":
-                memory.record_explored(triple(head=f"h{rng.randrange(20)}", tail=f"t{rng.randrange(20)}"))
+                memory.knowledge.explore(triple(head=f"h{rng.randrange(20)}", tail=f"t{rng.randrange(20)}").key())
             elif op == "accept":
                 memory.accept_triple(triple(head=f"h{rng.randrange(20)}"))
             elif op == "fail":
@@ -299,7 +299,7 @@ class TestRenderContext:
         def build():
             memory = make_memory(plan_objectives=("a", "b"))
             for i in (3, 1, 2):
-                memory.record_explored(triple(head=f"h{i}"))
+                memory.knowledge.explore(triple(head=f"h{i}").key())
                 memory.accept_triple(triple(head=f"h{i}"))
             return memory
 
@@ -387,7 +387,7 @@ class TestExploredContext:
         memory = make_memory(context_chain_limit=limit)
         triples = [triple(*random_key(rng)) for _ in range(n_explored)]
         for t in triples:
-            memory.record_explored(t)
+            memory.knowledge.explore(t.key())
         ranked = sorted(triples, key=CandidateTriple.key)
         for pick in accepted:  # one of the smallest explored keys, or a fresh one
             if isinstance(pick, int):
@@ -411,7 +411,7 @@ class TestExploredContext:
         memory, knowledge = run.memory, run.memory.knowledge
         for op, key in ops:
             if op == "explore":
-                memory.record_explored(triple(*key))
+                memory.knowledge.explore(triple(*key).key())
                 continue
             if op == "accept":
                 memory.accept_triple(triple(*key))

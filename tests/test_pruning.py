@@ -1,5 +1,6 @@
 """Cosine similarity and candidate pruning, checked against a sort oracle."""
 
+import gc
 import hashlib
 import json
 import logging
@@ -8,6 +9,7 @@ import random
 import re
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -390,6 +392,17 @@ class TestHashingEmbedder:
         assert embedder.embed(texts) == [self.reference(t) for t in texts]
         assert len(embedder._parts) <= 5
 
+    def test_dropped_embedder_is_freed_without_the_cyclic_collector(self):
+        embedder = HashingEmbedder()
+        embedder.similarities("capital of France", [("Paris", "capital.of", "France")])
+        ref = weakref.ref(embedder)
+        gc.disable()
+        try:
+            del embedder
+            assert ref() is None  # no reference cycle keeps it alive
+        finally:
+            gc.enable()
+
     def test_token_memo_shared_across_threads(self, monkeypatch):
         class SizeWatchingDict(pruning._BucketMemo):
             """Records its largest size; yields the thread after every size check."""
@@ -407,7 +420,7 @@ class TestHashingEmbedder:
 
         monkeypatch.setattr(pruning, "TOKEN_MEMO_SIZE", 8)
         embedder = HashingEmbedder()
-        embedder._parts = SizeWatchingDict(embedder._hash)  # misses still go through __missing__
+        embedder._parts = SizeWatchingDict(embedder.dim)  # misses still go through __missing__
         texts = [f"t{i} t{i + 1} t{i * 7 % 40}" for i in range(40)]
 
         def picks(worker):
@@ -532,7 +545,8 @@ class TestBucketScorer:
         with mock.patch.object(pruning, "_TOKEN", regex), \
                 mock.patch.object(pruning.hashlib, "md5", side_effect=AssertionError("md5 ran")):
             assert embedder.similarities("a", texts) == first
-        assert embedder._parts == {"a": (embedder._hash("a"),), "\u2014": (), "\u6771\u4eac": (), "": ()}
+        bucket = int(hashlib.md5(b"a").hexdigest(), 16) % embedder.dim
+        assert embedder._parts == {"a": (bucket,), "\u2014": (), "\u6771\u4eac": (), "": ()}
 
     def test_one_memo_serves_embed_and_the_scorer(self):
         # after one embed, the same chunks as vectors, objective or parts are all hits
