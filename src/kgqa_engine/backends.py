@@ -122,11 +122,11 @@ class RecordingBackend:
 
     Every backend call of a run passes through here: an exception that is
     neither an ``EngineError`` nor a ``ScriptMismatch`` becomes
-    ``BackendUnavailable``, and a non-``str`` response becomes
-    ``MalformedBackendOutput``.  A call logs {stage, response}, or
-    {stage, error, message} for the ``EngineError`` it raised, so
-    ``ScriptedBackend`` can replay either; a ``ScriptMismatch`` is not
-    logged.
+    ``BackendUnavailable``, a non-``str`` response becomes
+    ``MalformedBackendOutput``, and a ``str`` subclass becomes a plain
+    ``str``.  A call logs {stage, response}, or {stage, error, message}
+    for the ``EngineError`` it raised, so ``ScriptedBackend`` can replay
+    either; a ``ScriptMismatch`` is not logged.
     """
 
     def __init__(self, inner: ReasoningBackend):
@@ -138,6 +138,7 @@ class RecordingBackend:
             response = self.inner.complete(prompt, stage)
             if not isinstance(response, str):
                 raise MalformedBackendOutput(f"backend returned {type(response).__name__}, not str")
+            response = str.__str__(response)  # a plain copy of a str subclass: none of its methods run
         except ScriptMismatch:
             raise
         except EngineError as exc:

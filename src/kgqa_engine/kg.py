@@ -69,14 +69,16 @@ class _LabelMemo(dict):
     def __missing__(self, entity_or_relation: str) -> str:
         try:
             text = self.store.label(entity_or_relation)
+            if text is None:
+                text = ""
+            elif type(text) is not str:  # a plain str, the common case, costs this one test
+                if not isinstance(text, str):
+                    raise MalformedResults(f"label of {entity_or_relation!r} is {type(text).__name__}, not str")
+                text = str.__str__(text)  # a plain copy of a str subclass: none of its methods run
         except EngineError:
             raise
         except Exception as exc:
             raise KgUnavailable(f"graph store failed: {exc!r}") from exc
-        if text is None:
-            text = ""
-        elif not isinstance(text, str):
-            raise MalformedResults(f"label of {entity_or_relation!r} is {type(text).__name__}, not str")
         self[entity_or_relation] = text
         return text
 
@@ -103,8 +105,11 @@ class CheckedGraph:
                 else:
                     raise MalformedResults(f"direction of {relation!r} at {entity!r} is {direction!r}, "
                                            f"not {Direction.OUTGOING!r} or {Direction.INCOMING!r}")
-                if not (isinstance(relation, str) and isinstance(other, str)):
-                    raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {entity!r} has an id that is not str")
+                if not (type(relation) is str and type(other) is str):  # as for labels
+                    if not (isinstance(relation, str) and isinstance(other, str)):
+                        raise MalformedResults(
+                            f"neighbor ({relation!r}, {other!r}) of {entity!r} has an id that is not str")
+                    relation, other = str.__str__(relation), str.__str__(other)
                 if not (relation and other):
                     raise MalformedResults(f"neighbor ({relation!r}, {other!r}) of {entity!r} has an empty id")
                 checked.append((relation, other, direction))
@@ -118,13 +123,16 @@ class CheckedGraph:
         """A non-empty ``str`` or ``None``; call it only when the store has ``entity_with_label``."""
         try:
             entity = self.store.entity_with_label(text)
+            if entity is None:
+                return None
+            if not isinstance(entity, str):
+                raise MalformedResults(f"entity with label {text!r} is {type(entity).__name__}, not str")
+            entity = str.__str__(entity)  # as for labels
         except EngineError:
             raise
         except Exception as exc:
             raise KgUnavailable(f"graph store failed: {exc!r}") from exc
-        if entity is not None and not isinstance(entity, str):
-            raise MalformedResults(f"entity with label {text!r} is {type(entity).__name__}, not str")
-        if entity == "":
+        if not entity:
             raise MalformedResults(f"entity with label {text!r} is empty")
         return entity
 

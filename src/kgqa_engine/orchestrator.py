@@ -113,7 +113,7 @@ class _Run:
     # -- tracing --------------------------------------------------------------
 
     def emit(self, stage: Stage, payload: dict) -> None:
-        payload = dict(payload)
+        """Append an event; ``payload``, a fresh dict from each caller, takes the drained backend calls."""
         payload["backend_calls"] = self.backend.drain()
         self.trace.append(
             TraceEvent(

@@ -16,14 +16,7 @@ from typing import Callable, TypeVar
 from .backends import ReasoningBackend
 from .config import MAX_PLAN_STEPS, EngineConfig
 from .errors import EngineError, MalformedBackendOutput
-from .memory import (
-    ErrorLevel,
-    ErrorSignal,
-    IntegratedMemory,
-    Observation,
-    PlanStep,
-    Prediction,
-)
+from .memory import ErrorLevel, ErrorSignal, IntegratedMemory, Observation, PlanStep, Prediction
 
 T = TypeVar("T")
 
@@ -67,16 +60,70 @@ def parse_plan_steps(text: str) -> list[PlanStep]:
     steps: list[PlanStep] = []
     for line in text.splitlines():
         line = line.strip()
-        if not line.upper().startswith("STEP:"):
+        if line[:5].upper() != "STEP:":  # not line.upper(): a ligature such as "\ufb06" uppercases to two letters
             continue
-        body = line[len("STEP:"):].strip()
-        objective, _, description = body.partition("|")
+        objective, _, description = line[5:].partition("|")
         objective = objective.strip()
         if objective:
             steps.append(PlanStep(index=len(steps), objective=objective, description=description.strip()))
     if not 1 <= len(steps) <= MAX_PLAN_STEPS:
         raise MalformedBackendOutput(f"expected 1-{MAX_PLAN_STEPS} plan steps, parsed {len(steps)}")
     return steps
+
+
+def _prediction(raw: str) -> Prediction:
+    fields = parse_fields(raw)
+    outcome = fields.get("OUTCOME", "")
+    if not outcome:
+        raise MalformedBackendOutput("prediction needs a non-empty OUTCOME")
+    return Prediction(
+        expected_outcome=outcome,
+        expected_entity_kind=fields.get("ENTITY_KIND") or None,
+        confidence_note=fields.get("CONFIDENCE", ""),
+    )
+
+
+def _error_signal(raw: str) -> ErrorSignal:
+    fields = parse_fields(raw)
+    level = fields.get("LEVEL", "").lower()
+    if level not in (ErrorLevel.FULFILLED, ErrorLevel.PARTIAL, ErrorLevel.MISMATCH):
+        raise MalformedBackendOutput(f"unknown error level: {fields.get('LEVEL')!r}")
+    return ErrorSignal(level, fields.get("DETAIL", ""))
+
+
+def _reflection(raw: str) -> str:
+    text = raw.strip()
+    if not text:
+        raise MalformedBackendOutput("reflection must be non-empty")
+    return text
+
+
+# a DECISION word, lowered and without "-" or "_" -> its kind
+_DECISION_KINDS = {
+    "proceed": DecisionKind.PROCEED,
+    "pathcorrect": DecisionKind.PATH_CORRECT,
+    "replan": DecisionKind.REPLAN,
+    "finish": DecisionKind.FINISH,
+}
+
+
+def _decision(raw: str) -> Decision:
+    fields = parse_fields(raw)
+    kind = _DECISION_KINDS.get(fields.get("DECISION", "").lower().replace("-", "").replace("_", ""))
+    if kind is None:
+        raise MalformedBackendOutput(f"unknown decision: {fields.get('DECISION')!r}")
+    answer = fields.get("ANSWER", "")
+    if kind == DecisionKind.FINISH and not answer:
+        raise MalformedBackendOutput("Finish decision requires ANSWER")
+    return Decision(kind=kind, rationale=fields.get("RATIONALE", ""),
+                    answer=answer if kind == DecisionKind.FINISH else "")
+
+
+def _answer(raw: str) -> str:
+    answer = parse_fields(raw).get("ANSWER", "")
+    if not answer:
+        raise MalformedBackendOutput("synthesis needs a non-empty ANSWER")
+    return answer
 
 
 def best_effort_answer(memory: IntegratedMemory) -> str:
@@ -93,71 +140,37 @@ class Planner:
         self.backend = backend
         self.config = config or EngineConfig()
 
-    def _complete_parsed(self, stage: str, prompt: str, parser: Callable[[str], T]) -> T:
+    def _ask(self, stage: str, parse: Callable[[str], T], **fields: str) -> T:
+        """``parse`` of the answer to the ``stage`` prompt; a backend error is raised at once, never retried."""
+        prompt = load_prompt(stage).format(**fields)
+        attempts = self.config.parse_retries + 1
         last_error: Exception | None = None
-        for _ in range(self.config.parse_retries + 1):
+        for _ in range(attempts):
             raw = self.backend.complete(prompt, stage)
             try:
-                return parser(raw)
+                return parse(raw)
             except MalformedBackendOutput as exc:
                 last_error = exc
-        raise MalformedBackendOutput(
-            f"stage {stage!r} unparseable after {self.config.parse_retries + 1} attempts: {last_error}"
-        )
+        raise MalformedBackendOutput(f"stage {stage!r} unparseable after {attempts} attempts: {last_error}")
 
     # -- operations ---------------------------------------------------------
 
     def decompose(self, question: str, context: str) -> list[PlanStep]:
         if not question:
             raise ValueError("question must be non-empty")
-        prompt = load_prompt("decompose").format(context=context)
-        return self._complete_parsed("decompose", prompt, parse_plan_steps)
+        return self._ask("decompose", parse_plan_steps, context=context)
 
     def predict(self, step: PlanStep, context: str) -> Prediction:
-        prompt = load_prompt("predict").format(context=context, objective=step.objective)
-
-        def parser(raw: str) -> Prediction:
-            fields = parse_fields(raw)
-            outcome = fields.get("OUTCOME", "")
-            if not outcome:
-                raise MalformedBackendOutput("prediction needs a non-empty OUTCOME")
-            return Prediction(
-                expected_outcome=outcome,
-                expected_entity_kind=fields.get("ENTITY_KIND") or None,
-                confidence_note=fields.get("CONFIDENCE", ""),
-            )
-
-        return self._complete_parsed("predict", prompt, parser)
+        return self._ask("predict", _prediction, context=context, objective=step.objective)
 
     def compute_error_signal(self, prediction: Prediction, observation: Observation) -> ErrorSignal:
         if observation.chosen is None:
             return ErrorSignal(ErrorLevel.EMPTY_RESULT, "no candidate triples survived exploration")
-        prompt = load_prompt("classify").format(
-            prediction=prediction.expected_outcome,
-            chosen=observation.chosen.render(),
-        )
-
-        def parser(raw: str) -> ErrorSignal:
-            fields = parse_fields(raw)
-            level = fields.get("LEVEL", "").lower()
-            if level not in (ErrorLevel.FULFILLED, ErrorLevel.PARTIAL, ErrorLevel.MISMATCH):
-                raise MalformedBackendOutput(f"unknown error level: {fields.get('LEVEL')!r}")
-            return ErrorSignal(level, fields.get("DETAIL", ""))
-
-        return self._complete_parsed("classify", prompt, parser)
+        return self._ask("classify", _error_signal,
+                         prediction=prediction.expected_outcome, chosen=observation.chosen.render())
 
     def think(self, error_signal: ErrorSignal, context: str) -> str:
-        prompt = load_prompt("think").format(
-            context=context, level=error_signal.level, detail=error_signal.detail
-        )
-
-        def parser(raw: str) -> str:
-            text = raw.strip()
-            if not text:
-                raise MalformedBackendOutput("reflection must be non-empty")
-            return text
-
-        return self._complete_parsed("think", prompt, parser)
+        return self._ask("think", _reflection, context=context, level=error_signal.level, detail=error_signal.detail)
 
     def evaluate(self, observation: Observation, memory: IntegratedMemory) -> Decision:
         """Decide the next move, then apply engine overrides.
@@ -169,31 +182,9 @@ class Planner:
         """
         if observation.chosen is None:
             decision = Decision(DecisionKind.REPLAN, "no viable candidates for this step", coerced=True)
-            return self._apply_overrides(decision, memory)
-        prompt = load_prompt("evaluate").format(
-            context=memory.render_context("planner"),
-            thought=memory.step_cycle.thought or "",
-        )
-
-        def parser(raw: str) -> Decision:
-            fields = parse_fields(raw)
-            decision = fields.get("DECISION", "").lower().replace("-", "").replace("_", "")
-            mapping = {
-                "proceed": DecisionKind.PROCEED,
-                "pathcorrect": DecisionKind.PATH_CORRECT,
-                "replan": DecisionKind.REPLAN,
-                "finish": DecisionKind.FINISH,
-            }
-            if decision not in mapping:
-                raise MalformedBackendOutput(f"unknown decision: {fields.get('DECISION')!r}")
-            kind = mapping[decision]
-            answer = fields.get("ANSWER", "")
-            if kind == DecisionKind.FINISH and not answer:
-                raise MalformedBackendOutput("Finish decision requires ANSWER")
-            return Decision(kind=kind, rationale=fields.get("RATIONALE", ""),
-                            answer=answer if kind == DecisionKind.FINISH else "")
-
-        decision = self._complete_parsed("evaluate", prompt, parser)
+        else:
+            decision = self._ask("evaluate", _decision, context=memory.render_context("planner"),
+                                 thought=memory.step_cycle.thought or "")
         return self._apply_overrides(decision, memory)
 
     def _apply_overrides(self, decision: Decision, memory: IntegratedMemory) -> Decision:
@@ -220,15 +211,7 @@ class Planner:
 
     def synthesize_answer(self, memory: IntegratedMemory) -> str:
         """Final answer synthesis. Total: backend failures fall back."""
-        prompt = load_prompt("answer").format(context=memory.render_context("planner"))
-
-        def parser(raw: str) -> str:
-            answer = parse_fields(raw).get("ANSWER", "")
-            if not answer:
-                raise MalformedBackendOutput("synthesis needs a non-empty ANSWER")
-            return answer
-
         try:
-            return self._complete_parsed("answer", prompt, parser)
+            return self._ask("answer", _answer, context=memory.render_context("planner"))
         except EngineError:
             return best_effort_answer(memory)

@@ -92,8 +92,9 @@ def prune(
     memo, whose ``__missing__`` hashes a new part; any other embedder, a
     ``HashingEmbedder`` subclass or wrapper included, is asked through
     ``embed``.  Unusable vectors (non-numeric components, ints too large
-    for a float) raise ``PruningUnavailable``, as does any failure of the
-    embedder itself, an answer with no length such as ``None`` included.
+    for a float, anything that fails to be indexed or multiplied) raise
+    ``PruningUnavailable``, as does any failure of the embedder itself, an
+    answer with no length such as ``None`` included.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -115,10 +116,10 @@ def prune(
             raise PruningUnavailable(f"embedder returned {count} vectors for {len(texts) + 1} texts")
         try:
             scores = _cosines(vectors[0], vectors[1:])
-        except TypeError as exc:
-            raise PruningUnavailable(f"embedder returned a non-numeric vector: {exc}") from exc
-        except OverflowError as exc:  # an int too large for a float, such as a 200-digit JSON number
-            raise PruningUnavailable(f"embedder returned a component too large for a float: {exc}") from exc
+        except PruningUnavailable:
+            raise
+        except Exception as exc:  # a non-number, an int too large for a float, a vector it cannot index or multiply
+            raise PruningUnavailable(f"embedder returned an unusable vector: {exc}") from exc
     for cand, score in zip(candidates, scores):
         cand.score = score
     return rank(candidates, threshold)

@@ -16,7 +16,7 @@ from kgqa_engine.backends import ChatCompletionBackend
 from kgqa_engine.config import EngineConfig
 from kgqa_engine.kg import InMemoryGraphStore, SparqlGraphStore
 from kgqa_engine.memory import IntegratedMemory, PlanStep
-from kgqa_engine.pruning import HttpEmbedder
+from kgqa_engine.pruning import HashingEmbedder, HttpEmbedder
 
 # Same examples on every run, and no per-example deadline: property tests
 # must neither wander nor flake on a slow or contended machine.
@@ -89,6 +89,16 @@ class RedirectedStore:
 
     def label(self, entity_or_relation):
         return self.inner.label(entity_or_relation)
+
+
+class TamperedEmbedder:
+    """HashingEmbedder output passed through ``tamper`` before it is returned."""
+
+    def __init__(self, tamper):
+        self.tamper = tamper
+
+    def embed(self, texts):
+        return self.tamper(HashingEmbedder().embed(texts))
 
 
 def plain(text: str) -> str:

@@ -20,7 +20,7 @@ from kgqa_engine.kg import load_memory_store
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl, write_trace
 from kgqa_engine.pruning import HashingEmbedder
 
-from conftest import RedirectedStore, StageBackend, make_store, plain, random_kg
+from conftest import RedirectedStore, StageBackend, TamperedEmbedder, make_store, plain, random_kg
 from scenarios import (
     FIXTURES,
     SCENARIOS,
@@ -400,6 +400,72 @@ FAULT_STORES = {
 }
 
 
+class HostileStr(str):
+    """A ``str`` subclass whose own methods raise: only a plain copy of it is safe to read."""
+
+    def _raise(self, *args):
+        raise RuntimeError("hostile str")
+
+    __hash__ = __format__ = splitlines = _raise
+
+
+class HostileFloat(float):
+    def __mul__(self, other):
+        raise RuntimeError("hostile float")
+
+
+class HostileVectors:
+    """As many vectors as texts by ``len``, but every subscript raises."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, index):
+        raise RuntimeError("hostile vectors")
+
+
+def _wrap(owner, name, wrap):
+    setattr(owner, name, wrap(getattr(owner, name)))
+
+
+def _hostile(value):
+    return HostileStr(value) if isinstance(value, str) else value
+
+
+def _hostile_backend(backend, store):
+    _wrap(backend, "complete", lambda complete: lambda prompt, stage: _hostile(complete(prompt, stage)))
+
+
+def _hostile_ids(backend, store):
+    _wrap(store, "neighbors", lambda neighbors: lambda entity: [
+        (HostileStr(relation), HostileStr(other), direction) for relation, other, direction in neighbors(entity)])
+
+
+def _hostile_labels(backend, store):
+    _wrap(store, "label", lambda label: lambda key: _hostile(label(key)))
+
+
+def _hostile_entity(backend, store):
+    _wrap(store, "entity_with_label", lambda find: lambda text: _hostile(find(text)))
+
+
+# Answers that once raised out of Engine.run.  Each entry changes the
+# backend or store it is given, or returns the embedder to run with.
+PORT_ESCAPES = {
+    "embedder: a sized answer whose subscript raises": lambda *_: TamperedEmbedder(lambda v: HostileVectors(len(v))),
+    "embedder: a float subclass whose * raises":
+        lambda *_: TamperedEmbedder(lambda vecs: [[HostileFloat(a) for a in v] for v in vecs]),
+    "embedder: a sized answer with no index 0": lambda *_: TamperedEmbedder(lambda vecs: dict(enumerate(vecs, 1))),
+    "backend: a str subclass response": _hostile_backend,
+    "graph: str subclass neighbor ids": _hostile_ids,
+    "graph: a str subclass label": _hostile_labels,
+    "graph: a str subclass entity_with_label answer": _hostile_entity,
+}
+
+
 class TestPortFaults:
     @settings(max_examples=200)
     @given(fault=PORT_FAULT, store_name=st.sampled_from(sorted(FAULT_STORES)), given_topic=st.booleans())
@@ -430,6 +496,24 @@ class TestPortFaults:
             code = main(["replay", "--trace", write_trace(result.trace, out_dir, "run"), "--kg-file", kg_file])
         assert code == 0, err.getvalue()
         assert out.getvalue() == result.answer + "\n"
+
+    @pytest.mark.parametrize("escape", PORT_ESCAPES)
+    def test_an_answer_that_once_escaped_finishes_the_run(self, escape):
+        def run(hostile):
+            backend, store = happy_path_backend(), load_memory_store(FIXTURES / "happy_path" / "kg.tsv")
+            embedder = hostile(backend, store) if hostile else None
+            return Engine(backend, store, embedder or HashingEmbedder(), EngineConfig()).run("q?", [])
+
+        result = run(PORT_ESCAPES[escape])
+        assert result.trace[-1].stage is Stage.FINISH
+        assert_trace_grammar(result.trace)
+        if escape.startswith("embedder"):
+            observation = events_by_stage(result.trace, "observe")[0].payload["observation"]
+            assert observation["rationale"].startswith(
+                "attempt abandoned, pruning unavailable: embedder returned an unusable vector: ")
+        else:  # read as the plain str it equals
+            plain_run = run(None)
+            assert strip_timestamps(trace_to_jsonl(result.trace)) == strip_timestamps(trace_to_jsonl(plain_run.trace))
 
 
 class TestForeignDirections:

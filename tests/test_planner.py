@@ -72,6 +72,13 @@ class TestDecompose:
         with pytest.raises(MalformedBackendOutput):
             parse_plan_steps(text)
 
+    def test_a_ligature_is_no_step_prefix(self):
+        # "\ufb06ep:" uppercases to "STEP:" only by growing a letter, so it is no step line
+        assert [s.objective for s in parse_plan_steps("\ufb06ep: find the city\nstep: find the river")] == [
+            "find the river"]
+        with pytest.raises(MalformedBackendOutput):
+            parse_plan_steps("\ufb06ep: find the city")
+
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
             Planner(scripted()).decompose("", "")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import JsonStub, StageBackend, make_http_embedder
+from conftest import JsonStub, StageBackend, TamperedEmbedder, make_http_embedder
 from kgqa_engine import pruning
 from kgqa_engine.cli import build_embedder
 from kgqa_engine.config import EngineConfig
@@ -256,16 +256,6 @@ class ConstantEmbedder:
 
     def embed(self, texts):
         return [[1.0, 2.0]] * len(texts)
-
-
-class TamperedEmbedder:
-    """HashingEmbedder output passed through ``tamper`` before it is returned."""
-
-    def __init__(self, tamper):
-        self.tamper = tamper
-
-    def embed(self, texts):
-        return self.tamper(HashingEmbedder().embed(texts))
 
 
 class FixedEmbedder:
