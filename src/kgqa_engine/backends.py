@@ -16,7 +16,7 @@ import urllib3
 
 from . import errors
 from .config import EngineConfig
-from .errors import BackendUnavailable, EngineError, MalformedBackendOutput, ScriptMismatch
+from .errors import BackendUnavailable, EngineError, MalformedBackendOutput, ScriptMismatch, describe
 from .transport import JSON_HEADERS, Client, post
 
 log = logging.getLogger(__name__)
@@ -145,14 +145,14 @@ class RecordingBackend:
             self._log_error(stage, exc)
             raise
         except Exception as exc:
-            error = BackendUnavailable(f"backend failed: {exc!r}")
+            error = BackendUnavailable(f"backend failed: {describe(exc)}")
             self._log_error(stage, error)
             raise error from exc
         self.buffer.append({"stage": stage, "response": response})
         return response
 
     def _log_error(self, stage: str, exc: EngineError) -> None:
-        self.buffer.append({"stage": stage, "error": type(exc).__name__, "message": str(exc)})
+        self.buffer.append({"stage": stage, "error": type(exc).__name__, "message": describe(exc, str)})
 
     def drain(self) -> list[dict]:
         calls, self.buffer = self.buffer, []

@@ -84,11 +84,20 @@ def _engine(config: EngineConfig, backend, args) -> Engine:
 
 
 def _answer(engine: Engine, question: str, topic_entities: list[str], out_dir: str | None, name: str) -> RunResult:
-    """Run one question, print its answer and, given ``out_dir``, write its trace there."""
+    """Run one question and, given ``out_dir``, write its trace there; then print its answer.
+
+    A character of the answer that stdout cannot encode, such as a lone
+    surrogate, is printed as a backslash escape.
+    """
     result = engine.run(question, topic_entities)
-    print(result.answer)
-    if out_dir:
-        print(f"trace: {write_trace(result.trace, out_dir, name)}", file=sys.stderr)
+    path = write_trace(result.trace, out_dir, name) if out_dir else None
+    try:
+        print(result.answer)
+    except UnicodeEncodeError:  # raised before anything is written
+        encoding = sys.stdout.encoding
+        print(result.answer.encode(encoding, "backslashreplace").decode(encoding))
+    if path:
+        print(f"trace: {path}", file=sys.stderr)
     return result
 
 

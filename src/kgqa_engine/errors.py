@@ -7,6 +7,19 @@ surface as a test failure, never as a degraded answer.
 """
 
 
+def describe(exc: BaseException, text=repr) -> str:
+    """``text(exc)`` as a plain ``str``; ``<unprintable {class name} object>`` where formatting ``exc`` raises.
+
+    A handler that turns a port's exception into an engine error names it
+    through here, so an exception whose ``__str__`` or ``__repr__`` raises
+    (or recurses) cannot escape from the handler meant to absorb it.
+    """
+    try:
+        return str.__str__(text(exc))  # a plain copy of a str subclass: none of its methods run
+    except Exception:
+        return f"<unprintable {type(exc).__name__} object>"
+
+
 class EngineError(Exception):
     """Base class for recoverable engine failures."""
 

@@ -11,7 +11,7 @@ import re
 
 from .backends import ReasoningBackend
 from .config import EngineConfig
-from .errors import MalformedBackendOutput, NoFrontier, PruningUnavailable
+from .errors import MalformedBackendOutput, NoFrontier, PruningUnavailable, describe
 from .kg import CheckedGraph, GraphStore
 from .memory import IntegratedMemory, Observation, PlanStep
 from .planner import load_prompt, parse_fields
@@ -123,7 +123,7 @@ class Executor:
             try:
                 pruned = prune(candidates, step.objective, self.config.prune_threshold, self.embedder)
             except PruningUnavailable as exc:
-                rationale = f"attempt abandoned, pruning unavailable: {exc}"
+                rationale = f"attempt abandoned, pruning unavailable: {describe(exc, str)}"
                 return Observation(frontier_entity=frontier, candidates_total=0, chosen=None, rationale=rationale)
             memory.step_cycle.scored = (frontier, step.objective, candidates)
         if pruned:

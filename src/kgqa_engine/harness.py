@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .errors import ParseError, ScriptMismatch
+from .errors import ParseError, ScriptMismatch, describe
 from .orchestrator import Engine, is_plain_name, write_trace
 
 
@@ -225,7 +225,7 @@ def evaluate_run(
             raise
         except Exception as exc:  # per-example isolation: record, keep going
             return ExampleResult(
-                id=example.id, answer="", hit=0, cycles=0, replans=0, error=str(exc)
+                id=example.id, answer="", hit=0, cycles=0, replans=0, error=describe(exc, str)
             )
 
     if concurrency > 1:

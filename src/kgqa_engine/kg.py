@@ -31,7 +31,7 @@ from urllib.parse import urlencode
 import urllib3
 
 from .config import EngineConfig
-from .errors import EngineError, InvalidEntityId, KgUnavailable, MalformedResults, ParseError
+from .errors import EngineError, InvalidEntityId, KgUnavailable, MalformedResults, ParseError, describe
 from .transport import Client, post
 from .triples import Direction
 
@@ -78,7 +78,7 @@ class _LabelMemo(dict):
         except EngineError:
             raise
         except Exception as exc:
-            raise KgUnavailable(f"graph store failed: {exc!r}") from exc
+            raise KgUnavailable(f"graph store failed: {describe(exc)}") from exc
         self[entity_or_relation] = text
         return text
 
@@ -116,7 +116,7 @@ class CheckedGraph:
         except EngineError:
             raise
         except Exception as exc:  # a store that raises, or lists something that is no triple
-            raise KgUnavailable(f"graph store failed: {exc!r}") from exc
+            raise KgUnavailable(f"graph store failed: {describe(exc)}") from exc
         return checked
 
     def entity_with_label(self, text: str) -> str | None:
@@ -131,7 +131,7 @@ class CheckedGraph:
         except EngineError:
             raise
         except Exception as exc:
-            raise KgUnavailable(f"graph store failed: {exc!r}") from exc
+            raise KgUnavailable(f"graph store failed: {describe(exc)}") from exc
         if not entity:
             raise MalformedResults(f"entity with label {text!r} is empty")
         return entity

@@ -100,7 +100,7 @@ class Observation:
             "candidates_after_pruning": len(self.candidates),
             "chosen": self.chosen.to_dict() if self.chosen else None,
             "rationale": self.rationale,
-            "candidates": [list(c.key()) for c in self.candidates],
+            "candidates": [c.key() for c in self.candidates],
         }
 
 

@@ -15,12 +15,13 @@ from pathlib import Path
 
 from .backends import ReasoningBackend, RecordingBackend
 from .config import EngineConfig
-from .errors import EngineError
+from .errors import EngineError, describe
 from .executor import Executor
 from .kg import GraphStore
 from .memory import IntegratedMemory
 from .planner import Decision, DecisionKind, Planner, best_effort_answer
 from .pruning import Embedder
+from .triples import TripleKey
 
 
 class Stage(str, Enum):
@@ -124,8 +125,9 @@ class _Run:
             )
         )
 
-    def _explored_snapshot(self) -> list[list[str]]:
-        return [list(t) for t in self.memory.knowledge.sorted_explored()]
+    def _explored_snapshot(self) -> list[TripleKey]:
+        """The explored keys, sorted: a copy of memory's list, which keeps growing, holding its own key tuples."""
+        return list(self.memory.knowledge.sorted_explored())
 
     # -- terminal states --------------------------------------------------------
 
@@ -167,7 +169,7 @@ class _Run:
         try:
             steps = self.planner.decompose(strategic.question, context)
         except EngineError as exc:
-            self.emit(Stage.DECOMPOSE, {**header, "error": str(exc)})
+            self.emit(Stage.DECOMPOSE, {**header, "error": describe(exc, str)})
             return False
         self.memory.install_plan(steps)
         self.emit(Stage.DECOMPOSE, {**header, "steps": [s.to_dict(strategic.cursor) for s in steps]})
@@ -218,7 +220,7 @@ class _Run:
                 failure = "evaluate failed"
                 decision = self.planner.evaluate(observation, self.memory)
             except EngineError as exc:
-                return self.degrade(f"{failure}: {exc}")
+                return self.degrade(f"{failure}: {describe(exc, str)}")
             self.emit(
                 Stage.EVALUATE,
                 {

@@ -18,7 +18,7 @@ from typing import Iterable, Protocol, Sequence
 import urllib3
 
 from .config import EngineConfig
-from .errors import PruningUnavailable
+from .errors import PruningUnavailable, describe
 from .transport import JSON_HEADERS, Client, post
 from .triples import CandidateTriple
 
@@ -104,14 +104,14 @@ def prune(
         try:
             scores = embedder.similarities(objective, [c.parts() for c in candidates])
         except Exception as exc:
-            raise PruningUnavailable(f"embedder failed: {exc}") from exc
+            raise PruningUnavailable(f"embedder failed: {describe(exc, str)}") from exc
     else:
         texts = [c.render() for c in candidates]
         try:
             vectors = embedder.embed([objective] + texts)
             count = len(vectors)  # None or a generator has none: the embedder failed
         except Exception as exc:
-            raise PruningUnavailable(f"embedder failed: {exc}") from exc
+            raise PruningUnavailable(f"embedder failed: {describe(exc, str)}") from exc
         if count != len(texts) + 1:
             raise PruningUnavailable(f"embedder returned {count} vectors for {len(texts) + 1} texts")
         try:
@@ -119,7 +119,7 @@ def prune(
         except PruningUnavailable:
             raise
         except Exception as exc:  # a non-number, an int too large for a float, a vector it cannot index or multiply
-            raise PruningUnavailable(f"embedder returned an unusable vector: {exc}") from exc
+            raise PruningUnavailable(f"embedder returned an unusable vector: {describe(exc, str)}") from exc
     for cand, score in zip(candidates, scores):
         cand.score = score
     return rank(candidates, threshold)

@@ -20,7 +20,7 @@ from kgqa_engine.harness import (
     load_dataset,
     normalize_answer,
 )
-from kgqa_engine.orchestrator import Engine, write_trace
+from kgqa_engine.orchestrator import Engine, load_trace_jsonl, write_trace
 from kgqa_engine.pruning import HashingEmbedder
 
 from conftest import JsonStub, StageBackend, make_store, random_kg
@@ -224,6 +224,22 @@ class TestEvaluateRun:
         by_id = {r.id: r for r in report.results}
         assert by_id["q1"].hit == 0 and "exploded" in by_id["q1"].error
         assert by_id["q0"].hit == 1 and by_id["q2"].hit == 1
+
+    def test_unprintable_failure_isolated(self, tmp_path):
+        class Unprintable(RuntimeError):
+            def __str__(self):
+                raise ValueError("cannot format")
+
+        examples = self.dataset(tmp_path, 2)
+
+        def factory(example):
+            if example.id == "q1":
+                raise Unprintable()
+            return self.scripted_engine_factory({"q0": "gold0"})(example)
+
+        by_id = {r.id: r for r in evaluate_run(examples, engine_factory=factory).results}
+        assert by_id["q1"].error == "<unprintable Unprintable object>"
+        assert by_id["q0"].hit == 1
 
     @pytest.mark.parametrize("fault", ["score", "trace"])
     def test_unscorable_or_untraceable_example_isolated(self, tmp_path, fault):
@@ -674,6 +690,46 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.strip() == f"replay diverged: event {observe['sequence']} (observe) differs"
+
+    def test_answer_stdout_cannot_encode_is_escaped_after_the_trace(self, tmp_path, capsys):
+        from kgqa_engine.cli import main
+
+        records = json.loads((HAPPY / "script.json").read_text(encoding="utf-8"))
+        for record in records:
+            if record["expect_stage"] == "answer":
+                record["response"] = "ANSWER: Ca\ud800iro"
+        script = tmp_path / "surrogate.json"
+        script.write_text(json.dumps(records), encoding="utf-8")
+        argv = ["--kg-file", str(HAPPY / "kg.tsv"), "--out-dir", str(tmp_path)]
+        meta = load_meta("happy_path")
+        code = main(["run", "--question", meta["question"], "--topic-entity", "m.0nile", "--script", str(script),
+                     *argv])
+        captured = capsys.readouterr()  # capsys encodes stdout as strict UTF-8
+        assert code == 0, captured.err
+        assert captured.out == "Ca\\ud800iro\n"
+        assert captured.err == f"trace: {tmp_path / 'run.trace.jsonl'}\n"
+        trace = load_trace_jsonl(tmp_path / "run.trace.jsonl")
+        assert trace[-1]["payload"]["answer"] == "Ca\ud800iro"
+        code = main(["replay", "--trace", str(tmp_path / "run.trace.jsonl"), *argv])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out == "Ca\\ud800iro\n"
+        assert (tmp_path / "replay.trace.jsonl").read_bytes() != b""
+
+    def test_answer_stdout_can_encode_is_printed_as_it_is(self, tmp_path, capsys):
+        from kgqa_engine.cli import main
+
+        records = json.loads((HAPPY / "script.json").read_text(encoding="utf-8"))
+        for record in records:
+            if record["expect_stage"] == "answer":
+                record["response"] = "ANSWER: Caïro \\ud800"
+        script = tmp_path / "accented.json"
+        script.write_text(json.dumps(records), encoding="utf-8")
+        code = main(["run", "--question", load_meta("happy_path")["question"], "--topic-entity", "m.0nile",
+                     "--script", str(script), "--kg-file", str(HAPPY / "kg.tsv")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out == "Caïro \\ud800\n"
 
     def test_failed_decompose_trace_replays(self, tmp_path, capsys):
         from kgqa_engine.cli import main

@@ -16,7 +16,7 @@ from kgqa_engine.memory import (
     PlanStep,
     StepStatus,
 )
-from kgqa_engine.orchestrator import Engine, _Run
+from kgqa_engine.orchestrator import Engine, Stage, TraceEvent, _Run, trace_to_jsonl
 from kgqa_engine.pruning import HashingEmbedder
 from kgqa_engine.triples import CandidateTriple, Direction
 
@@ -423,6 +423,57 @@ class TestExploredContext:
                 expected = sorted(knowledge.explored_triples - chain)[:limit]
                 assert block == [f"  {h} —{r}→ {t} ({d})" for h, r, t, d in expected]
             else:
-                assert run._explored_snapshot() == [list(k) for k in sorted(knowledge.explored_triples)]
+                assert run._explored_snapshot() == sorted(knowledge.explored_triples)
             order = knowledge._explored_order
             assert len(order) == len(set(order)) == len(knowledge.explored_triples)
+
+
+def as_lists(value):
+    """``value`` with every tuple in it, nested ones too, made a list."""
+    if isinstance(value, (list, tuple)):
+        return [as_lists(v) for v in value]
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    return value
+
+
+class TestTracePayloadsShareKeys:
+    """Trace payloads hold the engine's own key tuples, not copies of them."""
+
+    def test_snapshots_and_candidates_are_the_engine_keys(self):
+        # m is an unlabeled mediator between a and b
+        store = make_store(
+            [("a", "r1", "m"), ("m", "r2", "b"), ("a", "r3", "c"), ("b", "r4", "d")],
+            labels={"a": "Alpha", "b": "Bravo", "c": "Charlie", "d": "Delta"},
+        )
+        config = EngineConfig(expand_unlabeled=True, replan_limit=1)
+        backend = StageBackend({"evaluate": "DECISION: Replan"})
+        run = _Run(Engine(backend, store, HashingEmbedder(), config), "q?", ["a"])
+        observations, explore = [], run.executor.explore
+
+        def recorded_explore(*args):
+            observations.append(explore(*args))
+            return observations[-1]
+
+        run.executor.explore = recorded_explore
+        trace = run.execute().trace
+
+        order = run.memory.knowledge._explored_order
+        own = {id(key) for key in order}
+        snapshots = [e.payload["explored_triples"] for e in trace if e.stage in (Stage.REPLAN, Stage.FINISH)]
+        assert [e.stage for e in trace if e.stage in (Stage.REPLAN, Stage.FINISH)] == [Stage.REPLAN, Stage.FINISH]
+        assert all(snapshots)
+        for snapshot in snapshots:
+            assert snapshot is not order
+            assert all(id(key) in own for key in snapshot)
+        assert run._explored_snapshot() is not order
+
+        observed = [e.payload["observation"]["candidates"] for e in trace if e.stage is Stage.OBSERVE]
+        assert len(observed) == len(observations) == 2
+        for keys, observation in zip(observed, observations):
+            assert keys
+            assert len(keys) == len(observation.candidates)
+            assert all(key is c.key() for key, c in zip(keys, observation.candidates))
+
+        listed = [TraceEvent(e.sequence, e.timestamp, e.stage, as_lists(e.payload)) for e in trace]
+        assert trace_to_jsonl(listed) == trace_to_jsonl(trace)

@@ -9,13 +9,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgqa_engine.backends import ScriptedBackend
 from kgqa_engine.cli import _read_trace, main
 from kgqa_engine.config import EngineConfig
-from kgqa_engine.errors import BackendUnavailable
+from kgqa_engine.errors import BackendUnavailable, KgUnavailable, PruningUnavailable
 from kgqa_engine.kg import load_memory_store
 from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl, write_trace
 from kgqa_engine.pruning import HashingEmbedder
@@ -101,7 +101,7 @@ class TestScenarios:
         assert [e.payload["decision"] for e in evaluates] == ["path_correct", "finish"]
         observes = events_by_stage(result.trace, "observe")
         failed_key = observes[0].payload["observation"]["chosen"]
-        failed = [failed_key["head"], failed_key["relation"], failed_key["tail"], failed_key["direction"]]
+        failed = (failed_key["head"], failed_key["relation"], failed_key["tail"], failed_key["direction"])
         assert failed not in observes[1].payload["observation"]["candidates"]
 
     def test_replan_scenario(self):
@@ -339,18 +339,57 @@ class TestEmbedderFaults:
         )
 
 
-# What a faulty port does on one call: raise, answer None or an int,
-# (``label`` only) answer bytes, or (``neighbors`` only) list a neighbour
-# that is a 1-tuple, has no valid direction, or has an id that is no str or empty,
-# or (``entity_with_label`` only) answer an empty id.
-RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError}
+def _cannot_format(self):
+    raise ValueError("cannot format this exception")
+
+
+class StrRaises(RuntimeError):
+    __str__ = _cannot_format
+
+
+class ReprRaises(RuntimeError):
+    __repr__ = _cannot_format
+
+
+class BothRaise(RuntimeError):
+    __str__ = __repr__ = _cannot_format
+
+
+class ReprRecurses(RuntimeError):
+    def __repr__(self):
+        return repr(self)
+
+
+# Exceptions that cannot be formatted: the handler that absorbs one must not raise while naming it.
+UNPRINTABLE = {"str-raises": StrRaises, "repr-raises": ReprRaises, "both-raise": BothRaise,
+               "repr-recurses": ReprRecurses}
+
+# What a faulty port does on one call: raise (an exception that may not
+# format), answer None or an int, (``label`` only) answer bytes, or
+# (``neighbors`` only) list a neighbour that is a 1-tuple, has no valid
+# direction, or has an id that is no str or empty, or (``entity_with_label``
+# only) answer an empty id.  The embedder, the engine's own
+# ``HashingEmbedder``, only raises.
+RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError,
+          **UNPRINTABLE}
 PORT_FAULTS = {
     "backend.complete": [*RAISED, "None", "int"],
     "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction", "int-relation", "None-entity",
                      "empty-entity"],
     "kg.label": [*RAISED, "None", "int", "bytes"],
     "kg.entity_with_label": [*RAISED, "None", "int", "empty"],
+    "embedder.similarities": [*RAISED],
 }
+
+
+class UnprintableEngineError(KgUnavailable):
+    __str__ = __repr__ = _cannot_format
+
+
+# what FaultAt can raise beyond RAISED: an engine error that cannot be
+# formatted, and the two exceptions that must reach the caller of Engine.run
+EXCEPTIONS = {**RAISED, "unprintable-engine-error": UnprintableEngineError,
+              "KeyboardInterrupt": KeyboardInterrupt, "SystemExit": SystemExit}
 
 
 class FaultAt:
@@ -366,8 +405,8 @@ class FaultAt:
         self.calls += 1
         if self.calls - 1 != self.at:
             return self.method(*args)
-        if self.fault in RAISED:
-            raise RAISED[self.fault]("injected")
+        if self.fault in EXCEPTIONS:
+            raise EXCEPTIONS[self.fault]("injected")
         faults = {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)],
                   "bad-direction": [("r", "m.0nile", "sideways")], "int-relation": [(5, "m.x", "outgoing")],
                   "None-entity": [("r", None, "outgoing")], "empty-entity": [("r", "", "outgoing")],
@@ -466,22 +505,70 @@ PORT_ESCAPES = {
 }
 
 
+def fault_at(port, at, kind, backend, store, embedder):
+    """Make ``port`` (``"<owner>.<method>"``) of the backend, store or embedder show ``kind`` on call ``at``."""
+    owner, name = port.split(".")
+    owner = {"backend": backend, "kg": store, "embedder": embedder}[owner]
+    setattr(owner, name, FaultAt(getattr(owner, name), at, kind))
+
+
 class TestPortFaults:
-    @settings(max_examples=200)
+    # at least 200 examples, and the profile's count where it asks for more
+    @settings(max_examples=max(200, settings.default.max_examples))
     @given(fault=PORT_FAULT, store_name=st.sampled_from(sorted(FAULT_STORES)), given_topic=st.booleans())
+    @example(fault=("embedder.similarities", 0, "str-raises"), store_name="happy_path", given_topic=True)
+    @example(fault=("kg.neighbors", 0, "repr-raises"), store_name="happy_path", given_topic=True)
+    @example(fault=("backend.complete", 1, "both-raise"), store_name="happy_path", given_topic=True)
+    @example(fault=("kg.label", 0, "repr-recurses"), store_name="mediator", given_topic=True)
     def test_one_fault_anywhere_still_finishes(self, fault, store_name, given_topic):
         port, at, kind = fault
         store, topic, label, config = FAULT_STORES[store_name]()
-        backend = happy_path_backend()
+        backend, embedder = happy_path_backend(), HashingEmbedder()
         backend.responses["extract"] = f"ENTITY: {label}"
-        owner, name = (backend, "complete") if port == "backend.complete" else (store, port[len("kg."):])
-        setattr(owner, name, FaultAt(getattr(owner, name), at, kind))
-        result = Engine(backend, store, HashingEmbedder(), config).run("q?", [topic] if given_topic else [])
+        fault_at(port, at, kind, backend, store, embedder)
+        result = Engine(backend, store, embedder, config).run("q?", [topic] if given_topic else [])
         assert result.trace[-1].stage is Stage.FINISH
         assert result.cycles <= config.max_total_cycles
         assert isinstance(result.answer, str)
         assert all(isinstance(i, str) and i for key in result.trace[-1].payload["explored_triples"] for i in key)
         assert_trace_grammar(result.trace)
+        assert trace_to_jsonl(result.trace).count("\n") == len(result.trace)
+
+    @pytest.mark.parametrize("port", sorted(PORT_FAULTS))
+    def test_an_unprintable_engine_error_is_named_in_the_trace(self, port):
+        store, _, _, config = FAULT_STORES["happy_path"]()
+        backend, embedder = happy_path_backend(), HashingEmbedder()
+        fault_at(port, 0, "unprintable-engine-error", backend, store, embedder)
+        result = Engine(backend, store, embedder, config).run("q?", [])
+        assert result.trace[-1].stage is Stage.FINISH
+        assert_trace_grammar(result.trace)
+        assert "<unprintable UnprintableEngineError object>" in trace_to_jsonl(result.trace)
+
+    def test_an_unprintable_pruning_error_from_a_vector_is_named(self):
+        # a component's * may raise the engine's own PruningUnavailable, which prune lets through
+        class UnprintablePruning(PruningUnavailable):
+            __str__ = __repr__ = _cannot_format
+
+        class Component(float):
+            def __mul__(self, other):
+                raise UnprintablePruning()
+
+        embedder = TamperedEmbedder(lambda vecs: [[Component(a) for a in v] for v in vecs])
+        store, topic, _, config = FAULT_STORES["happy_path"]()
+        result = Engine(happy_path_backend(), store, embedder, config).run("q?", [topic])
+        assert_trace_grammar(result.trace)
+        observation = events_by_stage(result.trace, "observe")[0].payload["observation"]
+        assert observation["rationale"] == (
+            "attempt abandoned, pruning unavailable: <unprintable UnprintablePruning object>")
+
+    @pytest.mark.parametrize("port", sorted(PORT_FAULTS))
+    @pytest.mark.parametrize("raised", ["KeyboardInterrupt", "SystemExit"])
+    def test_an_interrupt_from_any_port_propagates(self, port, raised):
+        store, _, _, config = FAULT_STORES["happy_path"]()
+        backend, embedder = happy_path_backend(), HashingEmbedder()
+        fault_at(port, 0, raised, backend, store, embedder)
+        with pytest.raises(EXCEPTIONS[raised]):
+            Engine(backend, store, embedder, config).run("q?", [])
 
     @settings(max_examples=60)
     @given(at=st.integers(0, 24), kind=st.sampled_from(PORT_FAULTS["backend.complete"]),
@@ -737,7 +824,7 @@ BUDGET_EFFECTS = {
         lambda trace, calls: not any("Accepted knowledge:" in prompt for _, prompt in calls),
     ),
     "expand_unlabeled": (
-        True, {}, lambda trace, calls: ["a", "r1/r2", "b", "outgoing"] in _observed(trace, "candidates")[0]
+        True, {}, lambda trace, calls: ("a", "r1/r2", "b", "outgoing") in _observed(trace, "candidates")[0]
     ),
     "prune_threshold": (1, {}, lambda trace, calls: _observed(trace, "candidates_after_pruning")[0] == 1),
     "max_path_corrections": (
