@@ -125,8 +125,8 @@ class RecordingBackend:
     ``BackendUnavailable``, a non-``str`` response becomes
     ``MalformedBackendOutput``, and a ``str`` subclass becomes a plain
     ``str``.  A call logs {stage, response}, or {stage, error, message}
-    for the ``EngineError`` it raised, so ``ScriptedBackend`` can replay
-    either; a ``ScriptMismatch`` is not logged.
+    for the ``EngineError`` it raised, named by its nearest ``errors`` class,
+    so ``ScriptedBackend`` can replay either; a ``ScriptMismatch`` is not logged.
     """
 
     def __init__(self, inner: ReasoningBackend):
@@ -152,7 +152,8 @@ class RecordingBackend:
         return response
 
     def _log_error(self, stage: str, exc: EngineError) -> None:
-        self.buffer.append({"stage": stage, "error": type(exc).__name__, "message": describe(exc, str)})
+        error = next(c.__name__ for c in type(exc).__mro__ if _engine_error(c.__name__) is c)
+        self.buffer.append({"stage": stage, "error": error, "message": describe(exc, str)})
 
     def drain(self) -> list[dict]:
         calls, self.buffer = self.buffer, []

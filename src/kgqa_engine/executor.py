@@ -79,12 +79,11 @@ class Executor:
             for onward, end, leg in kg.neighbors(other):
                 if leg is not outgoing or end == frontier:
                     continue
-                second = CandidateTriple(other, onward, end, leg, labels[other], labels[onward], labels[end])
-                explore(second.key())
+                onward_label, end_label = labels[onward], labels[end]  # labels[other] is in the memo
+                explore((other, onward, end, leg))
                 compounds.append(CandidateTriple(
                     frontier, f"{relation}/{onward}", end, outgoing, first.head_label,
-                    f"{first.relation_label or relation} / {second.relation_label or onward}",
-                    second.tail_label,
+                    f"{first.relation_label or relation} / {onward_label or onward}", end_label,
                 ))
             candidates.extend(compounds or [first])
         return candidates

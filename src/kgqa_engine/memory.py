@@ -111,9 +111,12 @@ class StrategicMemory:
     plan: list[PlanStep] = field(default_factory=list)
     # the index of the step in progress; past the last step once all are done
     cursor: int = 0
-    replan_counter: int = 0
-    # each abandoned plan with the cursor it was abandoned at
+    # each abandoned plan with the cursor it was abandoned at: one per replan
     prior_plans: list[tuple[list[PlanStep], int]] = field(default_factory=list)
+
+    @property
+    def replan_counter(self) -> int:
+        return len(self.prior_plans)
 
 
 @dataclass
@@ -199,12 +202,9 @@ class IntegratedMemory:
         """
         strategic = self.strategic
         if strategic.replan_counter >= self.config.replan_limit:
-            raise ReplanBudgetExhausted(
-                f"replan counter already at limit {self.config.replan_limit}"
-            )
+            raise ReplanBudgetExhausted(f"replan counter already at limit {self.config.replan_limit}")
         strategic.prior_plans.append((strategic.plan, strategic.cursor))
         strategic.plan = []
-        strategic.replan_counter += 1
         self.step_cycle.clear()
 
     def mark_failed_path(self, triple: CandidateTriple) -> None:

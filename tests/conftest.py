@@ -92,13 +92,17 @@ class RedirectedStore:
 
 
 class TamperedEmbedder:
-    """HashingEmbedder output passed through ``tamper`` before it is returned."""
+    """``inner``'s vectors (a HashingEmbedder's by default) passed through ``tamper`` before they are returned.
 
-    def __init__(self, tamper):
+    It is no ``HashingEmbedder``, so ``prune`` asks it through ``embed``, as it asks any wrapper.
+    """
+
+    def __init__(self, tamper=lambda vectors: vectors, inner=None):
         self.tamper = tamper
+        self.inner = inner or HashingEmbedder()
 
     def embed(self, texts):
-        return self.tamper(HashingEmbedder().embed(texts))
+        return self.tamper(self.inner.embed(texts))
 
 
 def plain(text: str) -> str:

@@ -169,13 +169,6 @@ class TestResetForReplan:
         assert memory.knowledge.explored_triples == before
         assert len(before) == 5
 
-    def test_counter_matches_prior_plans(self):
-        memory = make_memory(replan_limit=3)
-        for _ in range(3):
-            memory.reset_for_replan()
-            memory.install_plan([PlanStep(0, "o", "")])
-            assert memory.strategic.replan_counter == len(memory.strategic.prior_plans)
-
 
 class TestFailedPaths:
     def test_mark_failed_path(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 import tempfile
@@ -250,95 +251,6 @@ class TestTraceRoundTrip:
         assert strip_timestamps(trace_to_jsonl(replayed.trace)) == strip_timestamps(trace_to_jsonl(result.trace))
 
 
-class FaultyEmbedder:
-    """HashingEmbedder whose output is corrupted on every ``every``-th call."""
-
-    FAULTS = ("zero", "short", "long", "nan", "inf", "-inf", "none", "str", "huge", "fewer", "more", "not-a-list")
-    BAD_COMPONENTS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "str": "1.0", "huge": 10**200}
-
-    def __init__(self, fault, position, every):
-        self.fault = fault
-        self.position = position
-        self.every = every
-        self.calls = 0
-
-    def embed(self, texts):
-        vecs = HashingEmbedder().embed(texts)
-        self.calls += 1
-        if self.calls % self.every:
-            return vecs
-        i = self.position % len(vecs)  # 0 is the objective
-        if self.fault == "zero":
-            vecs[i] = [0.0] * len(vecs[i])
-        elif self.fault == "short":
-            vecs[i] = vecs[i][:-1]
-        elif self.fault == "long":
-            vecs[i] = vecs[i] + [1.0]
-        elif self.fault in self.BAD_COMPONENTS:
-            vecs[i][self.position % len(vecs[i])] = self.BAD_COMPONENTS[self.fault]
-        elif self.fault == "none":  # where the objective is nonzero: elsewhere None reads as 0
-            nonzero = [j for j, a in enumerate(vecs[0]) if a]
-            vecs[i][nonzero[self.position % len(nonzero)]] = None
-        elif self.fault == "fewer":
-            del vecs[i]
-        elif self.fault == "not-a-list":
-            return None
-        else:
-            vecs.append(vecs[i])
-        return vecs
-
-
-class TestEmbedderFaults:
-    @pytest.mark.parametrize("fault", FaultyEmbedder.FAULTS)
-    @settings(max_examples=60)
-    @given(
-        position=st.integers(0, 400),
-        every=st.integers(1, 3),
-        seed=st.integers(0, 2**16),
-        threshold=st.sampled_from([2, 70]),
-    )
-    def test_run_finishes_without_failed_exploration(self, fault, position, every, seed, threshold):
-        rng = random.Random(seed)
-        store, entities = random_kg(rng, n_entities=20)
-        config = EngineConfig(prune_threshold=threshold)
-        engine = Engine(
-            backend=StageBackend(),
-            kg=store,
-            embedder=FaultyEmbedder(fault, position, every),
-            config=config,
-        )
-        result = engine.run("q?", [rng.choice(entities)])
-        assert result.trace[-1].stage is Stage.FINISH
-        assert result.cycles <= config.max_total_cycles
-        assert not (result.error_note or "").startswith("exploration failed")
-        assert_trace_grammar(result.trace)
-
-    @pytest.mark.parametrize("fault", ["zero", "short", "nan", "none", "str", "huge", "not-a-list"])
-    def test_bad_vector_abandons_the_attempt(self, fault):
-        store, entities = random_kg(random.Random(2))
-        engine = Engine(
-            backend=StageBackend(),
-            kg=store,
-            embedder=FaultyEmbedder(fault, position=1, every=1),
-            config=EngineConfig(),
-        )
-        result = engine.run("q?", [entities[0]])
-        observe = events_by_stage(result.trace, "observe")[0]
-        assert "pruning unavailable" in observe.payload["observation"]["rationale"]
-        assert result.error_note is None or "exploration failed" not in result.error_note
-
-    @pytest.mark.parametrize("fault", ["fewer", "more"])
-    def test_wrong_vector_count_abandons_the_attempt(self, fault):
-        store, entities = random_kg(random.Random(2))
-        engine = Engine(StageBackend(), store, FaultyEmbedder(fault, position=1, every=1), EngineConfig())
-        result = engine.run("q?", [entities[0]])
-        rationale = events_by_stage(result.trace, "observe")[0].payload["observation"]["rationale"]
-        assert re.fullmatch(
-            r"attempt abandoned, pruning unavailable: embedder returned \d+ vectors for \d+ texts",
-            rationale,
-        )
-
-
 def _cannot_format(self):
     raise ValueError("cannot format this exception")
 
@@ -364,79 +276,9 @@ class ReprRecurses(RuntimeError):
 UNPRINTABLE = {"str-raises": StrRaises, "repr-raises": ReprRaises, "both-raise": BothRaise,
                "repr-recurses": ReprRecurses}
 
-# What a faulty port does on one call: raise (an exception that may not
-# format), answer None or an int, (``label`` only) answer bytes, or
-# (``neighbors`` only) list a neighbour that is a 1-tuple, has no valid
-# direction, or has an id that is no str or empty, or (``entity_with_label``
-# only) answer an empty id.  The embedder, the engine's own
-# ``HashingEmbedder``, only raises.
-RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError,
-          **UNPRINTABLE}
-PORT_FAULTS = {
-    "backend.complete": [*RAISED, "None", "int"],
-    "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction", "int-relation", "None-entity",
-                     "empty-entity"],
-    "kg.label": [*RAISED, "None", "int", "bytes"],
-    "kg.entity_with_label": [*RAISED, "None", "int", "empty"],
-    "embedder.similarities": [*RAISED],
-}
 
-
-class UnprintableEngineError(KgUnavailable):
-    __str__ = __repr__ = _cannot_format
-
-
-# what FaultAt can raise beyond RAISED: an engine error that cannot be
-# formatted, and the two exceptions that must reach the caller of Engine.run
-EXCEPTIONS = {**RAISED, "unprintable-engine-error": UnprintableEngineError,
-              "KeyboardInterrupt": KeyboardInterrupt, "SystemExit": SystemExit}
-
-
-class FaultAt:
-    """Wraps one port method; its ``at``-th call (from 0) shows ``fault``."""
-
-    def __init__(self, method, at, fault):
-        self.method = method
-        self.at = at
-        self.fault = fault
-        self.calls = 0
-
-    def __call__(self, *args):
-        self.calls += 1
-        if self.calls - 1 != self.at:
-            return self.method(*args)
-        if self.fault in EXCEPTIONS:
-            raise EXCEPTIONS[self.fault]("injected")
-        faults = {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)],
-                  "bad-direction": [("r", "m.0nile", "sideways")], "int-relation": [(5, "m.x", "outgoing")],
-                  "None-entity": [("r", None, "outgoing")], "empty-entity": [("r", "", "outgoing")],
-                  "empty": ""}
-        return faults[self.fault]
-
-
-PORT_FAULT = st.sampled_from(sorted(PORT_FAULTS)).flatmap(
-    lambda port: st.tuples(st.just(port), st.integers(0, 24), st.sampled_from(PORT_FAULTS[port]))
-)
-
-
-def happy_path_backend():
-    return StageBackend({
-        "decompose": "STEP: mouth country | b\nSTEP: capital | d\nSTEP: country | f",
-        "extract": "ENTITY: Nile",
-    })
-
-
-# store name -> a fresh store, its topic entity and that entity's label, and
-# the config to run it with.  Every happy_path entity is labelled; the other
-# store's mediator m (a -r1-> m -r2-> b) makes the run read past it.
-FAULT_STORES = {
-    "happy_path": lambda: (load_memory_store(FIXTURES / "happy_path" / "kg.tsv"), "m.0nile", "Nile", EngineConfig()),
-    "mediator": lambda: (
-        make_store([("a", "r1", "m"), ("m", "r2", "b"), ("a", "r3", "c"), ("b", "r4", "d")],
-                   labels={"a": "Alpha", "b": "Bravo", "c": "Charlie", "d": "Delta"}),
-        "a", "Alpha", EngineConfig(expand_unlabeled=True),
-    ),
-}
+class Flaky(BackendUnavailable):
+    """A port's own subclass of an engine error, which a replay cannot import."""
 
 
 class HostileStr(str):
@@ -466,80 +308,194 @@ class HostileVectors:
         raise RuntimeError("hostile vectors")
 
 
-def _wrap(owner, name, wrap):
-    setattr(owner, name, wrap(getattr(owner, name)))
+def _hostile(answer):
+    """``answer`` with each ``str`` in it, or in a tuple of its list (``neighbors``), a ``HostileStr``."""
+    if isinstance(answer, str):
+        return HostileStr(answer)
+    if isinstance(answer, list):
+        return [tuple(map(_hostile, item)) for item in answer]
+    return answer
 
 
-def _hostile(value):
-    return HostileStr(value) if isinstance(value, str) else value
+def _first_candidate(change):
+    """Changes ``embed``'s answer: the first candidate's vector (vector 0 is the objective's) becomes ``change(vectors)``."""
+
+    def tamper(vectors):
+        vectors[1] = change(vectors)
+        return vectors
+
+    return tamper
 
 
-def _hostile_backend(backend, store):
-    _wrap(backend, "complete", lambda complete: lambda prompt, stage: _hostile(complete(prompt, stage)))
+def _component(value):
+    """Puts ``value`` in the first candidate's vector where the objective's first nonzero component is."""
+
+    def change(vectors):
+        j = next(j for j, a in enumerate(vectors[0]) if a)
+        return vectors[1][:j] + [value] + vectors[1][j + 1:]
+
+    return _first_candidate(change)
 
 
-def _hostile_ids(backend, store):
-    _wrap(store, "neighbors", lambda neighbors: lambda entity: [
-        (HostileStr(relation), HostileStr(other), direction) for relation, other, direction in neighbors(entity)])
-
-
-def _hostile_labels(backend, store):
-    _wrap(store, "label", lambda label: lambda key: _hostile(label(key)))
-
-
-def _hostile_entity(backend, store):
-    _wrap(store, "entity_with_label", lambda find: lambda text: _hostile(find(text)))
-
-
-# Answers that once raised out of Engine.run.  Each entry changes the
-# backend or store it is given, or returns the embedder to run with.
-PORT_ESCAPES = {
-    "embedder: a sized answer whose subscript raises": lambda *_: TamperedEmbedder(lambda v: HostileVectors(len(v))),
-    "embedder: a float subclass whose * raises":
-        lambda *_: TamperedEmbedder(lambda vecs: [[HostileFloat(a) for a in v] for v in vecs]),
-    "embedder: a sized answer with no index 0": lambda *_: TamperedEmbedder(lambda vecs: dict(enumerate(vecs, 1))),
-    "backend: a str subclass response": _hostile_backend,
-    "graph: str subclass neighbor ids": _hostile_ids,
-    "graph: a str subclass label": _hostile_labels,
-    "graph: a str subclass entity_with_label answer": _hostile_entity,
+# What a faulty port does on a call: raise (``RAISED``: an exception that may
+# not format, or a subclass of an engine error), answer in the port's place
+# (``ANSWERS``), or change the port's own answer (``TAMPERS``): each str in it
+# a ``HostileStr``, or ``embed``'s vectors corrupted.
+RAISED = {"RuntimeError": RuntimeError, "ValueError": ValueError, "KeyError": KeyError, "TypeError": TypeError,
+          **UNPRINTABLE, "Flaky": Flaky}
+ANSWERS = {"None": None, "int": 5, "bytes": b"injected", "1-tuple": [("r",)],
+           "bad-direction": [("r", "m.0nile", "sideways")], "int-relation": [(5, "m.x", "outgoing")],
+           "None-entity": [("r", None, "outgoing")], "empty-entity": [("r", "", "outgoing")], "empty": ""}
+TAMPERS = {
+    "hostile-str": _hostile,
+    "zero": _first_candidate(lambda vectors: [0.0] * len(vectors[1])),
+    "short": _first_candidate(lambda vectors: vectors[1][:-1]),
+    "long": _first_candidate(lambda vectors: vectors[1] + [1.0]),
+    **{kind: _component(value) for kind, value in
+       {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "none": None, "str": "1.0", "huge": 10**200}.items()},
+    "fewer": lambda vectors: vectors[1:],
+    "more": lambda vectors: vectors + vectors[1:2],
+    "hostile-vectors": lambda vectors: HostileVectors(len(vectors)),
+    "hostile-float": lambda vectors: [[HostileFloat(a) for a in v] for v in vectors],
+    "no-index-0": lambda vectors: dict(enumerate(vectors, 1)),
+}
+# The one fault menu: each port's kinds.  ``embed`` is asked of an embedder
+# that is no exact HashingEmbedder, ``similarities`` of the engine's own one.
+PORT_FAULTS = {
+    "backend.complete": [*RAISED, "None", "int", "hostile-str"],
+    "kg.neighbors": [*RAISED, "None", "int", "1-tuple", "bad-direction", "int-relation", "None-entity",
+                     "empty-entity", "hostile-str"],
+    "kg.label": [*RAISED, "None", "int", "bytes", "hostile-str"],
+    "kg.entity_with_label": [*RAISED, "None", "int", "empty", "hostile-str"],
+    "embedder.embed": [*RAISED, "None", "int", "zero", "short", "long", "nan", "inf", "-inf", "none", "str", "huge",
+                       "fewer", "more", "hostile-vectors", "hostile-float", "no-index-0"],
+    "embedder.similarities": [*RAISED],
+}
+# The pruning message of each embedder kind, after "attempt abandoned, pruning unavailable: ".
+PRUNING_MESSAGES = {
+    **dict.fromkeys([*RAISED, "None", "int"], "embedder failed: "),
+    "zero": "cosine similarity undefined for a zero vector$",
+    "short": "dimensions differ: 64 vs 63$",
+    "long": "dimensions differ: 64 vs 65$",
+    **dict.fromkeys(["nan", "inf", "-inf"], "vector has a non-finite component$"),
+    **dict.fromkeys(["fewer", "more"], r"embedder returned \d+ vectors for \d+ texts$"),
+    **dict.fromkeys(["none", "str", "huge", "hostile-vectors", "hostile-float", "no-index-0"],
+                    "embedder returned an unusable vector: "),
 }
 
 
-def fault_at(port, at, kind, backend, store, embedder):
-    """Make ``port`` (``"<owner>.<method>"``) of the backend, store or embedder show ``kind`` on call ``at``."""
-    owner, name = port.split(".")
-    owner = {"backend": backend, "kg": store, "embedder": embedder}[owner]
-    setattr(owner, name, FaultAt(getattr(owner, name), at, kind))
+class UnprintableEngineError(KgUnavailable):
+    __str__ = __repr__ = _cannot_format
+
+
+# what FaultAt can raise beyond RAISED: an engine error that cannot be
+# formatted, and the two exceptions that must reach the caller of Engine.run
+EXCEPTIONS = {**RAISED, "unprintable-engine-error": UnprintableEngineError,
+              "KeyboardInterrupt": KeyboardInterrupt, "SystemExit": SystemExit}
+
+
+class FaultAt:
+    """Wraps one port method; its ``at``-th call (from 0) shows ``fault``, and so does every ``every``-th
+    call after that one (none for 0)."""
+
+    def __init__(self, method, at, fault, every=0):
+        self.method = method
+        self.at = at
+        self.fault = fault
+        self.every = every
+        self.calls = 0
+
+    def __call__(self, *args):
+        since = self.calls - self.at
+        self.calls += 1
+        if not (since == 0 or since > 0 and self.every and since % self.every == 0):
+            return self.method(*args)
+        if self.fault in EXCEPTIONS:
+            raise EXCEPTIONS[self.fault]("injected")
+        if self.fault in ANSWERS:
+            return ANSWERS[self.fault]
+        return TAMPERS[self.fault](self.method(*args))
+
+
+PORT_FAULT = st.sampled_from(sorted(PORT_FAULTS)).flatmap(
+    lambda port: st.tuples(st.just(port), st.integers(0, 24), st.sampled_from(PORT_FAULTS[port]))
+)
+
+
+def happy_path_backend():
+    return StageBackend({
+        "decompose": "STEP: mouth country | b\nSTEP: capital | d\nSTEP: country | f",
+        "extract": "ENTITY: Nile",
+    })
+
+
+# store name -> a fresh store, its topic entity and that entity's label, and
+# the config to run it with.  Every happy_path entity is labelled; the other
+# store's mediator m (a -r1-> m -r2-> b) makes the run read past it.  Both
+# keep the default cycle budget.
+FAULT_STORES = {
+    "happy_path": lambda: (load_memory_store(FIXTURES / "happy_path" / "kg.tsv"), "m.0nile", "Nile", EngineConfig()),
+    "mediator": lambda: (
+        make_store([("a", "r1", "m"), ("m", "r2", "b"), ("a", "r3", "c"), ("b", "r4", "d")],
+                   labels={"a": "Alpha", "b": "Bravo", "c": "Charlie", "d": "Delta"}),
+        "a", "Alpha", EngineConfig(expand_unlabeled=True),
+    ),
+}
+
+
+def faulty_run(port=None, at=0, kind=None, every=0, store_name="happy_path", given_topic=False):
+    """A run on a ``FAULT_STORES`` store whose ``port`` (``"<owner>.<method>"``) shows ``kind`` as ``FaultAt``
+    makes it; with no port, the same run without a fault."""
+    store, topic, label, config = FAULT_STORES[store_name]()
+    backend = happy_path_backend()
+    backend.responses["extract"] = f"ENTITY: {label}"
+    embedder = TamperedEmbedder() if port == "embedder.embed" else HashingEmbedder()
+    if port:
+        owner, name = port.split(".")
+        owner = {"backend": backend, "kg": store, "embedder": embedder}[owner]
+        setattr(owner, name, FaultAt(getattr(owner, name), at, kind, every))
+    return Engine(backend, store, embedder, config).run("q?", [topic] if given_topic else [])
 
 
 class TestPortFaults:
     # at least 200 examples, and the profile's count where it asks for more
     @settings(max_examples=max(200, settings.default.max_examples))
-    @given(fault=PORT_FAULT, store_name=st.sampled_from(sorted(FAULT_STORES)), given_topic=st.booleans())
-    @example(fault=("embedder.similarities", 0, "str-raises"), store_name="happy_path", given_topic=True)
-    @example(fault=("kg.neighbors", 0, "repr-raises"), store_name="happy_path", given_topic=True)
-    @example(fault=("backend.complete", 1, "both-raise"), store_name="happy_path", given_topic=True)
-    @example(fault=("kg.label", 0, "repr-recurses"), store_name="mediator", given_topic=True)
-    def test_one_fault_anywhere_still_finishes(self, fault, store_name, given_topic):
+    @given(fault=PORT_FAULT, every=st.integers(0, 3), store_name=st.sampled_from(sorted(FAULT_STORES)),
+           given_topic=st.booleans())
+    @example(fault=("embedder.similarities", 0, "str-raises"), every=0, store_name="happy_path", given_topic=True)
+    @example(fault=("kg.neighbors", 0, "repr-raises"), every=0, store_name="happy_path", given_topic=True)
+    @example(fault=("backend.complete", 1, "both-raise"), every=0, store_name="happy_path", given_topic=True)
+    @example(fault=("kg.label", 0, "repr-recurses"), every=0, store_name="mediator", given_topic=True)
+    @example(fault=("backend.complete", 0, "hostile-str"), every=1, store_name="happy_path", given_topic=False)
+    @example(fault=("embedder.embed", 1, "nan"), every=2, store_name="mediator", given_topic=True)
+    def test_one_fault_anywhere_still_finishes(self, fault, every, store_name, given_topic):
         port, at, kind = fault
-        store, topic, label, config = FAULT_STORES[store_name]()
-        backend, embedder = happy_path_backend(), HashingEmbedder()
-        backend.responses["extract"] = f"ENTITY: {label}"
-        fault_at(port, at, kind, backend, store, embedder)
-        result = Engine(backend, store, embedder, config).run("q?", [topic] if given_topic else [])
+        result = faulty_run(port, at, kind, every, store_name, given_topic)
         assert result.trace[-1].stage is Stage.FINISH
-        assert result.cycles <= config.max_total_cycles
-        assert isinstance(result.answer, str)
-        assert all(isinstance(i, str) and i for key in result.trace[-1].payload["explored_triples"] for i in key)
+        assert result.cycles <= EngineConfig().max_total_cycles
+        assert type(result.answer) is str
+        assert all(type(i) is str and i for key in result.trace[-1].payload["explored_triples"] for i in key)
         assert_trace_grammar(result.trace)
         assert trace_to_jsonl(result.trace).count("\n") == len(result.trace)
+        if port.startswith("embedder"):  # it abandons an attempt, never the exploration
+            assert not (result.error_note or "").startswith("exploration failed")
+
+    @pytest.mark.parametrize("port, kind", [(port, kind) for port in PORT_FAULTS for kind in PORT_FAULTS[port]])
+    def test_kind_at_first_call(self, port, kind):
+        result = faulty_run(port, 0, kind)
+        assert result.trace[-1].stage is Stage.FINISH
+        assert_trace_grammar(result.trace)
+        if kind == "hostile-str":  # read as the plain str it equals
+            assert strip_timestamps(trace_to_jsonl(result.trace)) == strip_timestamps(trace_to_jsonl(faulty_run().trace))
+        elif port.startswith("embedder"):  # the first explore abandons its attempt and says why
+            rationale = events_by_stage(result.trace, "observe")[0].payload["observation"]["rationale"]
+            assert re.match("attempt abandoned, pruning unavailable: " + PRUNING_MESSAGES[kind], rationale), rationale
+        elif (port, kind) != ("kg.label", "None"):  # a label of None reads as no label
+            assert result.error_note
 
     @pytest.mark.parametrize("port", sorted(PORT_FAULTS))
     def test_an_unprintable_engine_error_is_named_in_the_trace(self, port):
-        store, _, _, config = FAULT_STORES["happy_path"]()
-        backend, embedder = happy_path_backend(), HashingEmbedder()
-        fault_at(port, 0, "unprintable-engine-error", backend, store, embedder)
-        result = Engine(backend, store, embedder, config).run("q?", [])
+        result = faulty_run(port, 0, "unprintable-engine-error")
         assert result.trace[-1].stage is Stage.FINISH
         assert_trace_grammar(result.trace)
         assert "<unprintable UnprintableEngineError object>" in trace_to_jsonl(result.trace)
@@ -564,18 +520,16 @@ class TestPortFaults:
     @pytest.mark.parametrize("port", sorted(PORT_FAULTS))
     @pytest.mark.parametrize("raised", ["KeyboardInterrupt", "SystemExit"])
     def test_an_interrupt_from_any_port_propagates(self, port, raised):
-        store, _, _, config = FAULT_STORES["happy_path"]()
-        backend, embedder = happy_path_backend(), HashingEmbedder()
-        fault_at(port, 0, raised, backend, store, embedder)
         with pytest.raises(EXCEPTIONS[raised]):
-            Engine(backend, store, embedder, config).run("q?", [])
+            faulty_run(port, 0, raised)
 
     @settings(max_examples=60)
-    @given(at=st.integers(0, 24), kind=st.sampled_from(PORT_FAULTS["backend.complete"]),
+    @given(at=st.integers(0, 24), every=st.integers(0, 3), kind=st.sampled_from(PORT_FAULTS["backend.complete"]),
            topic=st.sampled_from([["m.0nile"], []]))
-    def test_a_backend_fault_anywhere_replays(self, at, kind, topic):
+    @example(at=5, every=0, kind="Flaky", topic=["m.0nile"])  # raised at evaluate: the trace names BackendUnavailable
+    def test_a_backend_fault_anywhere_replays(self, at, every, kind, topic):
         backend = happy_path_backend()
-        backend.complete = FaultAt(backend.complete, at, kind)
+        backend.complete = FaultAt(backend.complete, at, kind, every)
         kg_file = str(FIXTURES / "happy_path" / "kg.tsv")
         result = Engine(backend, load_memory_store(kg_file), HashingEmbedder(), EngineConfig()).run("q?", topic)
         out, err = StringIO(), StringIO()
@@ -584,23 +538,27 @@ class TestPortFaults:
         assert code == 0, err.getvalue()
         assert out.getvalue() == result.answer + "\n"
 
-    @pytest.mark.parametrize("escape", PORT_ESCAPES)
-    def test_an_answer_that_once_escaped_finishes_the_run(self, escape):
-        def run(hostile):
-            backend, store = happy_path_backend(), load_memory_store(FIXTURES / "happy_path" / "kg.tsv")
-            embedder = hostile(backend, store) if hostile else None
-            return Engine(backend, store, embedder or HashingEmbedder(), EngineConfig()).run("q?", [])
 
-        result = run(PORT_ESCAPES[escape])
+class TestEmbedderFaults:
+    # each corruption kind of ``embed`` in PORT_FAULTS (``not-a-list`` is its ``None``), on a random graph
+    @pytest.mark.parametrize("fault", ["zero", "short", "long", "nan", "inf", "-inf", "none", "str", "huge", "fewer",
+                                       "more", "not-a-list"])
+    @settings(max_examples=60)
+    @given(at=st.integers(0, 24), every=st.integers(0, 3), seed=st.integers(0, 2**16),
+           threshold=st.sampled_from([2, 70]))
+    def test_run_finishes_without_failed_exploration(self, fault, at, every, seed, threshold):
+        rng = random.Random(seed)
+        store, entities = random_kg(rng, n_entities=20)
+        config = EngineConfig(prune_threshold=threshold)
+        kind = {"not-a-list": "None"}.get(fault, fault)
+        assert kind in PORT_FAULTS["embedder.embed"]
+        embedder = TamperedEmbedder()
+        embedder.embed = FaultAt(embedder.embed, at, kind, every)
+        result = Engine(StageBackend(), store, embedder, config).run("q?", [rng.choice(entities)])
         assert result.trace[-1].stage is Stage.FINISH
+        assert result.cycles <= config.max_total_cycles
+        assert not (result.error_note or "").startswith("exploration failed")
         assert_trace_grammar(result.trace)
-        if escape.startswith("embedder"):
-            observation = events_by_stage(result.trace, "observe")[0].payload["observation"]
-            assert observation["rationale"].startswith(
-                "attempt abandoned, pruning unavailable: embedder returned an unusable vector: ")
-        else:  # read as the plain str it equals
-            plain_run = run(None)
-            assert strip_timestamps(trace_to_jsonl(result.trace)) == strip_timestamps(trace_to_jsonl(plain_run.trace))
 
 
 class TestForeignDirections:

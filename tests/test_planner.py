@@ -147,14 +147,17 @@ class TestThink:
 
 
 class TestEvaluate:
-    def _memory(self, **kw):
+    def _memory(self, replans=0, **kw):
         memory = make_memory(plan_objectives=("a", "b", "c"), **kw)
+        for _ in range(replans):  # each archives the plan in progress: install it again
+            plan = memory.strategic.plan
+            memory.reset_for_replan()
+            memory.install_plan(plan)
         memory.step_cycle.thought = "thought"
         return memory
 
     def test_replan_at_limit_coerced_to_finish(self):
-        memory = self._memory(replan_limit=2)
-        memory.strategic.replan_counter = 2
+        memory = self._memory(replans=2, replan_limit=2)
         memory.accept_triple(chosen_triple())
         backend = scripted(("evaluate", "DECISION: Replan\nRATIONALE: start over"))
         decision = Planner(backend).evaluate(CHOSEN, memory)
@@ -171,9 +174,8 @@ class TestEvaluate:
         assert decision.coerced
 
     def test_coercion_chains_to_finish_when_both_budgets_spent(self):
-        memory = self._memory(replan_limit=2)
+        memory = self._memory(replans=2, replan_limit=2)
         memory.step_cycle.attempt_counter = 3
-        memory.strategic.replan_counter = 2
         backend = scripted(("evaluate", "DECISION: PathCorrect"))
         decision = Planner(backend, EngineConfig(max_path_corrections=3)).evaluate(CHOSEN, memory)
         assert decision.kind == DecisionKind.FINISH
@@ -205,8 +207,7 @@ class TestEvaluate:
         assert backend.cursor == 0
 
     def test_nothing_chosen_at_replan_limit_is_best_effort_finish(self):
-        memory = self._memory(replan_limit=2)
-        memory.strategic.replan_counter = 2
+        memory = self._memory(replans=2, replan_limit=2)
         memory.accept_triple(chosen_triple())
         decision = Planner(scripted()).evaluate(NOTHING_CHOSEN, memory)
         assert decision.kind == DecisionKind.FINISH

@@ -450,16 +450,6 @@ def hexes(scores):
     return [score.hex() for score in scores]
 
 
-class ForwardingEmbedder:
-    """Forwards ``embed`` only, as a tracing wrapper does: ``prune`` must take the dense path."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def embed(self, texts):
-        return self.inner.embed(texts)
-
-
 # label parts as the executor builds them: ids, empty labels (the id shows),
 # awkward letters and whitespace, and mediator compounds joined by " / "
 label_part = st.lists(
@@ -555,7 +545,7 @@ class TestBucketScorer:
     def test_prune_keeps_what_the_dense_path_keeps(self, n, threshold):
         objective = "the capital city of the river country"
         exact = prune(make_candidates(n), objective, threshold, HashingEmbedder())
-        dense = prune(make_candidates(n), objective, threshold, ForwardingEmbedder(HashingEmbedder()))
+        dense = prune(make_candidates(n), objective, threshold, TamperedEmbedder())
         assert len(exact) == min(n, threshold)
         assert [c.key() for c in exact] == [c.key() for c in dense]
         assert hexes(c.score for c in exact) == hexes(c.score for c in dense)
@@ -579,7 +569,7 @@ class TestScoringPath:
         wrapped = CountingEmbedder()
         with mock.patch.object(HashingEmbedder, "similarities", side_effect=AssertionError("scored")):
             prune(make_candidates(10), "the capital", 5, subclass)
-            prune(make_candidates(10), "the capital", 5, ForwardingEmbedder(wrapped))
+            prune(make_candidates(10), "the capital", 5, TamperedEmbedder(inner=wrapped))
         assert subclass.calls == wrapped.calls == 1
 
     def test_default_embedder_takes_the_bucket_scorer(self):
