@@ -6,12 +6,17 @@ It reads any store through ``CheckedGraph``, the one place that checks a
 store's answers.  Neighbor lists are sorted by (relation, entity, direction)
 so candidate ordering, and therefore whole traces, are reproducible.
 
-The SPARQL adapter answers one ``neighbors`` call with at most two
-round-trips: one edge query (the UNION of both directions) and one batched
-label query for the frontier and every neighbour not yet labelled.  Labels
-are cached per adapter, so the executor's ``label`` calls that follow cost
-nothing.  Only an entity with ``kg_result_limit`` or more edges in one
-direction can cost a third round-trip, to refill the other direction.
+The SPARQL adapter answers one ``neighbors`` call with one round-trip, on
+a cold label cache as on a warm one, while no answer is full: a UNION of
+both edge directions, each edge carrying its far end's label (an
+``OPTIONAL`` join), and the entity's own label.  Labels are cached per
+adapter, so the executor's ``label`` calls that follow cost nothing.  Label
+rows count toward the query's LIMIT, so a full answer can cost more: one
+edges-only query per direction it cut short, and one batched label query
+for the ids those bring in.  Once a full answer shows ids with several
+labels each, whose rows crowd edges out, the adapter asks for edges and
+labels apart from then on: the edges of both directions, then one batched
+label query for the ids not cached yet.
 
 The SPARQL adapter reads every setting, the endpoint included, from the
 run's ``EngineConfig`` where it is used; it keeps no copy of any.
@@ -141,6 +146,7 @@ class SparqlTemplate(str, Enum):
     OUTGOING_EDGES = "outgoing_edges"
     INCOMING_EDGES = "incoming_edges"
     NEIGHBORS = "neighbors"
+    EDGES = "edges"
     LABELS = "labels"
 
 
@@ -155,10 +161,12 @@ def render_sparql(
     (``EngineConfig()`` when omitted).  ``LABELS`` takes any number of IDs
     and has no LIMIT, since a truncated answer would read as "no label" for
     the IDs cut off; the other templates take exactly one.  ``NEIGHBORS``
-    asks for both edge directions at once, so its LIMIT is twice
-    ``kg_result_limit``.  IDs are validated against the configured grammar
-    before substitution; anything outside it is rejected, which doubles as
-    injection protection.
+    asks for the entity's own label and both edge directions at once, each
+    edge's far end with its label through ``OPTIONAL``; its LIMIT is twice
+    ``kg_result_limit``, and label rows count toward it.  ``EDGES`` asks for
+    both edge directions alone, with the same LIMIT.  IDs are validated
+    against the configured grammar before substitution; anything outside it
+    is rejected, which doubles as injection protection.
     """
     if config is None:
         config = EngineConfig()
@@ -168,9 +176,9 @@ def render_sparql(
         if not re.fullmatch(pattern, one):
             raise InvalidEntityId(f"entity id does not match grammar {pattern!r}: {one!r}")
     header = f"PREFIX ns: <{config.kg_prefix}>\n"
+    label = f"ns:{config.label_property}"
     if template is SparqlTemplate.LABELS:
         values = " ".join(f"ns:{one}" for one in ids)
-        label = f"ns:{config.label_property}"
         return f"{header}SELECT ?x ?label WHERE {{ VALUES ?x {{ {values} }} ?x {label} ?label }}"
     if len(ids) != 1:
         raise ValueError(f"{template.value} takes one entity id, got {len(ids)}")
@@ -181,6 +189,13 @@ def render_sparql(
     elif template is SparqlTemplate.INCOMING_EDGES:
         body = f"SELECT ?relation ?head WHERE {{ ?head ?relation ns:{entity} }}"
     elif template is SparqlTemplate.NEIGHBORS:
+        body = (
+            f"SELECT ?relation ?tail ?head ?label WHERE {{ {{ ns:{entity} {label} ?label }} "
+            f"UNION {{ ns:{entity} ?relation ?tail OPTIONAL {{ ?tail {label} ?label }} }} "
+            f"UNION {{ ?head ?relation ns:{entity} OPTIONAL {{ ?head {label} ?label }} }} }}"
+        )
+        limit *= 2
+    elif template is SparqlTemplate.EDGES:
         body = (
             f"SELECT ?relation ?tail ?head WHERE {{ {{ ns:{entity} ?relation ?tail }} "
             f"UNION {{ ?head ?relation ns:{entity} }} }}"
@@ -265,8 +280,12 @@ class SparqlGraphStore(Client):
     ``transport.Client`` pool, opened on the first query, which resolves
     the environment's proxy, CA-bundle and netrc settings for the endpoint
     once: changes to them after that query are not seen.  ``close()``
-    closes the pooled connections.
+    closes the pooled connections.  ``neighbors`` joins labels into its edge
+    query until a full answer shows ids with several labels each; the store
+    then asks for edges and labels apart for the rest of its lifetime.
     """
+
+    _join_labels = True  # cleared on the instance by the first full answer that label rows crowd
 
     def __init__(self, config: EngineConfig):
         self.config = config
@@ -278,53 +297,91 @@ class SparqlGraphStore(Client):
         return execute(config.sparql_url, query, timeout=config.http_timeout,
                        retries=config.http_retries, session=self)
 
-    def _localize(self, value: str) -> str:
-        return value.removeprefix(self.config.kg_prefix)
-
     def _remember(self, labels: dict[str, str | None]) -> None:
         with self._lock:
             self._labels.update(labels)
             while len(self._labels) > LABEL_CACHE_SIZE:
                 self._labels.popitem(last=False)
 
-    def _fetch_labels(self, ids: Iterable[str]) -> dict[str, str | None]:
-        """Every id's label, cached: one batched query for the grammatical ``ids``, ``None`` for the others."""
-        pattern = self.config.entity_id_pattern
+    def _fetch_labels(self, ids: Iterable[str], known: dict[str, str | None]) -> dict[str, str | None]:
+        """Every id's label, cached: ``None`` outside the grammar, else the label ``known`` holds for it,
+        else the first row of one batched query for the ids ``known`` lacks."""
+        pattern, prefix = self.config.entity_id_pattern, self.config.kg_prefix
         fetched: dict[str, str | None] = dict.fromkeys(ids)
-        missing = [i for i in fetched if re.fullmatch(pattern, i)]
+        missing = []
+        for i in fetched:
+            if not re.fullmatch(pattern, i):
+                continue
+            if i in known:
+                fetched[i] = known[i]
+            else:
+                missing.append(i)
         if missing:
             found: dict[str, str] = {}
             for row in self._execute(render_sparql(SparqlTemplate.LABELS, missing, self.config)):
-                found.setdefault(self._localize(_field(row, "x")), _field(row, "label"))
+                found.setdefault(_field(row, "x").removeprefix(prefix), _field(row, "label"))
             for i in missing:
                 fetched[i] = found.get(i)
-        self._remember(fetched)
+        if fetched:
+            self._remember(fetched)
         return fetched
 
     def neighbors(self, entity: str) -> list[Neighbor]:
-        """At most ``kg_result_limit`` edges per direction, from one UNION query.
+        """At most ``kg_result_limit`` edges per direction, and the labels of the ends, from one query.
 
-        A full answer (``2 * kg_result_limit`` rows) may have cut one
-        direction short; only then is that direction asked for again on its own.
+        The joined query's rows are edges, each carrying its far end's label
+        if it has one, and the entity's own label.  The entity and each
+        neighbour not cached yet are cached from that answer through
+        ``_fetch_labels``: the first label row wins, and an id without one is
+        ``None``.  Label rows count toward the query's LIMIT, so a full answer
+        (``2 * kg_result_limit`` rows) may have cut a direction short: only then
+        is each direction holding fewer than ``kg_result_limit`` distinct edges
+        asked for again on its own, and the ids that this brings in, like the
+        entity itself when its label row was cut, are asked for in one batched
+        label query.  A full answer with more label rows than one per edge and
+        one for the entity means ids with several labels crowd edges out: from
+        then on the store sends the edges-only query, refills the same way and
+        asks one batched label query for every id not cached.
         """
-        limit = self.config.kg_result_limit
-        rows = self._execute(render_sparql(SparqlTemplate.NEIGHBORS, entity, self.config))
-        by_end: dict[str, list[dict[str, str]]] = {other: [] for other in _ENDS}
+        config = self.config
+        limit = config.kg_result_limit
+        joined = self._join_labels
+        rows = self._execute(render_sparql(SparqlTemplate.NEIGHBORS if joined else SparqlTemplate.EDGES,
+                                           entity, config))
+        by_end: dict[str, dict[Neighbor, None]] = {other: {} for other in _ENDS}  # distinct, in row order
+        found: dict[str, str | None] = {}  # id -> its first label row's label, None while it has none
+        prefix = config.kg_prefix
         for row in rows:
-            ends = [other for other in _ENDS if other in row]
-            if len(ends) != 1:
-                raise MalformedResults(f"union row needs exactly one of ?tail and ?head: {sorted(row)}")
-            by_end[ends[0]].append(row)
+            label = row.get("label")
+            has_tail, has_head = "tail" in row, "head" in row
+            if has_tail is not has_head:
+                other = "tail" if has_tail else "head"
+                end = row[other].removeprefix(prefix)
+                by_end[other][_field(row, "relation").removeprefix(prefix), end, _ENDS[other][0]] = None
+            elif has_tail or label is None or len(row) != 1 or not joined:
+                raise MalformedResults(
+                    f"union row needs exactly one of ?tail and ?head, or ?label alone: {sorted(row)}")
+            else:
+                end = entity
+            if found.get(end) is None:
+                found[end] = label
+        full = len(rows) >= 2 * limit
+        if joined and full and len(rows) > len(by_end["tail"]) + len(by_end["head"]) + 1:
+            self._join_labels = False  # label rows took edges' places: ask for edges and labels apart from now on
         out: list[Neighbor] = []
         for other, (direction, template) in _ENDS.items():
-            found = by_end[other]
-            if len(rows) >= 2 * limit and len(found) < limit:
-                found = self._execute(render_sparql(template, entity, self.config))
-            for row in found[:limit]:
-                relation = self._localize(_field(row, "relation"))
-                out.append((relation, self._localize(_field(row, other)), direction))
+            edges = list(by_end[other])
+            if full and len(edges) < limit:
+                edges = [(_field(row, "relation").removeprefix(prefix), _field(row, other).removeprefix(prefix),
+                          direction) for row in self._execute(render_sparql(template, entity, config))]
+            out += edges[:limit]
         neighbors = sorted(set(out))
-        self._fetch_labels(i for i in [entity, *(other for _, other, _ in neighbors)] if i not in self._labels)
+        if not joined:
+            found = {}  # an edges-only answer holds no label
+        elif not full:
+            found.setdefault(entity, None)  # a complete answer holds the entity's own label row, if it has one
+        cached = self._labels
+        self._fetch_labels([i for i in [entity, *(end for _, end, _ in neighbors)] if i not in cached], found)
         return neighbors
 
     def label(self, entity_or_relation: str) -> str | None:
@@ -333,7 +390,7 @@ class SparqlGraphStore(Client):
         try:
             return self._labels[entity_or_relation]
         except KeyError:
-            return self._fetch_labels([entity_or_relation])[entity_or_relation]
+            return self._fetch_labels([entity_or_relation], {})[entity_or_relation]
 
 
 class InMemoryGraphStore:

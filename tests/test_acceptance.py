@@ -231,7 +231,9 @@ def test_criterion_knowledge_monotonicity():
 _OUTGOING_Q = re.compile(r"SELECT \?relation \?tail WHERE \{ ns:(\S+) \?relation \?tail \}")
 _INCOMING_Q = re.compile(r"SELECT \?relation \?head WHERE \{ \?head \?relation ns:(\S+) \}")
 _NEIGHBORS_Q = re.compile(
-    r"SELECT \?relation \?tail \?head WHERE \{ \{ ns:(\S+) \?relation \?tail \} UNION \{ \?head \?relation ns:\1 \} \}"
+    r"SELECT \?relation \?tail \?head \?label WHERE \{ \{ ns:(\S+) ns:(\S+) \?label \} "
+    r"UNION \{ ns:\1 \?relation \?tail OPTIONAL \{ \?tail ns:\2 \?label \} \} "
+    r"UNION \{ \?head \?relation ns:\1 OPTIONAL \{ \?head ns:\2 \?label \} \} \}"
 )
 _LABELS_Q = re.compile(r"SELECT \?x \?label WHERE \{ VALUES \?x \{ ([^}]*) \} \?x ns:(\S+) \?label \}")
 
@@ -246,8 +248,12 @@ class _SparqlTestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         query = parse_qs(self.rfile.read(length).decode("utf-8"))["query"][0]
         bindings = []
-        if match := _NEIGHBORS_Q.search(query):
-            bindings = self._edges(match.group(1), "tail") + self._edges(match.group(1), "head")
+        if match := _NEIGHBORS_Q.search(query):  # the entity's own label row, then each edge with its end's label
+            entity = match.group(1)
+            bindings = [{"label": self._literal(self.labels[entity])}] if entity in self.labels else []
+            for edge in self._edges(entity, "tail") + self._edges(entity, "head"):
+                far = edge.get("tail", edge.get("head"))["value"].removeprefix(FREEBASE_PREFIX)
+                bindings.append({**edge, "label": self._literal(self.labels[far])} if far in self.labels else edge)
         elif match := _OUTGOING_Q.search(query):
             bindings = self._edges(match.group(1), "tail")
         elif match := _INCOMING_Q.search(query):
@@ -256,9 +262,7 @@ class _SparqlTestHandler(BaseHTTPRequestHandler):
             for term in match.group(1).split():
                 entity = term.removeprefix("ns:")
                 if entity in self.labels:
-                    bindings.append(
-                        {"x": self._uri(entity), "label": {"type": "literal", "value": self.labels[entity]}}
-                    )
+                    bindings.append({"x": self._uri(entity), "label": self._literal(self.labels[entity])})
         body = json.dumps(
             {"head": {"vars": []}, "results": {"bindings": bindings}}
         ).encode("utf-8")
@@ -280,6 +284,10 @@ class _SparqlTestHandler(BaseHTTPRequestHandler):
     @staticmethod
     def _uri(local: str) -> dict:
         return {"type": "uri", "value": FREEBASE_PREFIX + local}
+
+    @staticmethod
+    def _literal(text: str) -> dict:
+        return {"type": "literal", "value": text}
 
     def log_message(self, *args):  # keep test output quiet
         pass

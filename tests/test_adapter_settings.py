@@ -66,7 +66,7 @@ CASES = [
      lambda calls, _: all(q.startswith("PREFIX ns: <http://example.org/kb/>\n") for q in queries(calls))),
     (sparql("E17"), "entity_id_pattern", r"E\d+", lambda calls, _: "ns:E17 ?relation" in queries(calls)[0]),
     (sparql(), "label_property", "common.topic.alias",
-     lambda calls, _: "?x ns:common.topic.alias ?label" in queries(calls)[-1]),
+     lambda calls, _: [q.count(" ns:common.topic.alias ?label") for q in queries(calls)] == [3]),
     (sparql(), "kg_result_limit", 7, lambda calls, _: queries(calls)[0].endswith(" LIMIT 14")),
     (sparql(), "http_timeout", 0.1, timed_out),
     (sparql(), "http_retries", 1, attempts),

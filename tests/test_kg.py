@@ -15,8 +15,10 @@ from pathlib import Path
 from urllib.parse import parse_qs
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import JsonStub, StageBackend, make_sparql_store, reset, serving
+from conftest import JsonStub, StageBackend, make_sparql_store, make_store, reset, serving
 from kgqa_engine import kg as kg_mod
 from kgqa_engine import transport
 from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
@@ -48,6 +50,12 @@ class TestRenderSparql:
         assert "SELECT ?x ?label WHERE { VALUES ?x { ns:m.0a ns:m.0b } ?x ns:type.object.name ?label }" in query
         assert "LIMIT" not in query  # a truncated answer would cache "no label" wrongly
 
+    def test_label_property_reaches_every_label_pattern(self):
+        config = EngineConfig(label_property="common.topic.alias")
+        queries = [render_sparql(t, "m.0a", config) for t in [SparqlTemplate.LABELS, SparqlTemplate.NEIGHBORS]]
+        assert [q.count(" ns:common.topic.alias ?label") for q in queries] == [1, 3]
+        assert "type.object.name" not in "".join(queries)
+
     def test_batched_label_query_validates_every_id(self):
         with pytest.raises(InvalidEntityId):
             render_sparql(SparqlTemplate.LABELS, ["m.0a", "m.0a } ?s ?p ?o {"])
@@ -62,9 +70,17 @@ class TestRenderSparql:
 
     def test_neighbors_query_unions_both_directions(self):
         query = render_sparql(SparqlTemplate.NEIGHBORS, "m.0abc", EngineConfig(kg_result_limit=17))
-        assert query.endswith(  # limit edges per direction, two directions
-            "SELECT ?relation ?tail ?head WHERE "
-            "{ { ns:m.0abc ?relation ?tail } UNION { ?head ?relation ns:m.0abc } } LIMIT 34"
+        assert query.endswith(  # limit edges per direction, two directions; label rows count toward it
+            "SELECT ?relation ?tail ?head ?label WHERE { { ns:m.0abc ns:type.object.name ?label } "
+            "UNION { ns:m.0abc ?relation ?tail OPTIONAL { ?tail ns:type.object.name ?label } } "
+            "UNION { ?head ?relation ns:m.0abc OPTIONAL { ?head ns:type.object.name ?label } } } LIMIT 34"
+        )
+
+    def test_edges_query_unions_both_directions_alone(self):
+        query = render_sparql(SparqlTemplate.EDGES, "m.0abc", EngineConfig(kg_result_limit=17))
+        assert query.endswith(
+            "SELECT ?relation ?tail ?head WHERE { { ns:m.0abc ?relation ?tail } UNION { ?head ?relation ns:m.0abc } } "
+            "LIMIT 34"
         )
 
     @pytest.mark.parametrize("bad", ["m.0abc } UNION { ?s ?p ?o", "M.0ABC", ""])
@@ -218,7 +234,7 @@ class TestSparqlGraphStore:
         ]
 
     def test_directions_are_strings_that_answer_value(self, stub_server):
-        _StubHandler.responses = edges_and_labels([("r.b", "m.0t")], [("r.a", "m.0h")], [])
+        _StubHandler.responses = [joined([("r.b", "m.0t")], [("r.a", "m.0h")], [])]
         directions = [d for _, _, d in make_sparql_store(stub_server, http_retries=0).neighbors("m.0x")]
         assert [(d, type(d.value)) for d in directions] == [("incoming", str), ("outgoing", str)]
         assert [d.value for d in directions] == ["incoming", "outgoing"]
@@ -257,7 +273,7 @@ class TestSparqlGraphStore:
 
 
 def union_rows(outgoing, incoming):
-    """Rows of the NEIGHBORS query: (relation, tail) rows, then (relation, head) rows."""
+    """Rows of the edges-only queries: (relation, tail) rows, then (relation, head) rows."""
     ns = FREEBASE_PREFIX
     return [{"relation": f"{ns}{r}", "tail": f"{ns}{t}"} for r, t in outgoing] + [
         {"relation": f"{ns}{r}", "head": f"{ns}{h}"} for r, h in incoming
@@ -270,27 +286,124 @@ def label_batch(labels):
     return (200, sparql_json([{"x": f"{ns}{x}", "label": text} for x, text in labels], ["x", "label"]))
 
 
-def edges_and_labels(outgoing, incoming, labels):
-    """Stub responses for one neighbors() call: one union edge query, one label batch."""
-    return [(200, sparql_json(union_rows(outgoing, incoming), ["relation", "tail", "head"])), label_batch(labels)]
+def labelled(edge, texts):
+    """An edge's rows in a NEIGHBORS answer: one per label ``texts`` of its far end, else one without ?label."""
+    return [{**edge, "label": text} for text in texts] or [edge]
+
+
+def joined(outgoing, incoming, labels, entity="m.0x"):
+    """Stub response to the NEIGHBORS query: a row per label of ``entity``, then each edge's rows;
+    ``labels`` are (id, text) pairs."""
+    texts = {}
+    for i, text in labels:
+        texts.setdefault(i, []).append(text)
+    rows = [{"label": text} for text in texts.get(entity, [])]
+    for edge, (_, end) in zip(union_rows(outgoing, incoming), [*outgoing, *incoming]):
+        rows += labelled(edge, texts.get(end, []))
+    return (200, sparql_json(rows, ["relation", "tail", "head", "label"]))
+
+
+class TemplateEndpoint:
+    """An in-Python SPARQL endpoint for every template ``render_sparql`` writes at the default settings,
+    over the ``edges`` (head, relation, tail) in their order and each id's ``labels`` in theirs.
+
+    It answers a per-direction query with that direction's edges in order, the EDGES query with the
+    outgoing edges and the incoming ones, a label batch with each id's labels in order, and the
+    NEIGHBORS query with the entity's label rows, the outgoing edges and the incoming ones, each edge
+    once per label of its far end (once without ?label if it has none); then it applies LIMIT.
+    ``rng``, if given, interleaves the parts of an answer at random, each part keeping its own order,
+    as an endpoint may.  ``answers`` records each query's template and the number of rows answered."""
+
+    HEAD = rf"PREFIX ns: <{re.escape(FREEBASE_PREFIX)}>\nSELECT "
+    LABEL = "ns:type\\.object\\.name"
+    QUERIES = {
+        "neighbors": re.compile(
+            rf"{HEAD}\?relation \?tail \?head \?label WHERE \{{ \{{ ns:(\S+) {LABEL} \?label \}} "
+            rf"UNION \{{ ns:\1 \?relation \?tail OPTIONAL \{{ \?tail {LABEL} \?label \}} \}} "
+            rf"UNION \{{ \?head \?relation ns:\1 OPTIONAL \{{ \?head {LABEL} \?label \}} \}} \}} LIMIT (\d+)"
+        ),
+        "edges": re.compile(
+            rf"{HEAD}\?relation \?tail \?head WHERE \{{ \{{ ns:(\S+) \?relation \?tail \}} "
+            rf"UNION \{{ \?head \?relation ns:\1 \}} \}} LIMIT (\d+)"
+        ),
+        "outgoing": re.compile(rf"{HEAD}\?relation \?tail WHERE \{{ ns:(\S+) \?relation \?tail \}} LIMIT (\d+)"),
+        "incoming": re.compile(rf"{HEAD}\?relation \?head WHERE \{{ \?head \?relation ns:(\S+) \}} LIMIT (\d+)"),
+        "labels": re.compile(rf"{HEAD}\?x \?label WHERE \{{ VALUES \?x \{{ ([^}}]*) \}} \?x {LABEL} \?label \}}"),
+    }
+
+    def __init__(self, edges, labels, rng=None):
+        self.edges, self.labels, self.rng = edges, labels, rng
+        self.answers = []
+
+    def __call__(self, query):
+        template, match = next((name, m) for name, pattern in self.QUERIES.items() if (m := pattern.fullmatch(query)))
+        if template == "labels":
+            ids = [term.removeprefix("ns:") for term in match[1].split()]
+            rows = self.interleave([[{"x": self.iri(i), "label": text} for text in self.labels.get(i, [])]
+                                    for i in ids])
+        else:
+            entity, limit = match[1], int(match[2])
+            parts = [self.ends(entity, "tail"), self.ends(entity, "head")]
+            if template == "neighbors":
+                own = [{"label": text} for text in self.labels.get(entity, [])]
+                parts = [own] + [[row for edge, end in part for row in labelled(edge, self.labels.get(end, []))]
+                                 for part in parts]
+                rows = self.interleave(parts)[:limit]
+            elif template == "edges":
+                rows = self.interleave([[edge for edge, _ in part] for part in parts])[:limit]
+            else:
+                rows = [edge for edge, _ in parts[template == "incoming"]][:limit]
+        self.answers.append((template, len(rows)))
+        return rows
+
+    def ends(self, entity, other):
+        """(row, far end) of each edge leaving (``other`` = "tail") or entering ``entity``, in order."""
+        return [({"relation": self.iri(relation), other: self.iri(far)}, far)
+                for head, relation, tail in self.edges
+                for near, far in [(head, tail) if other == "tail" else (tail, head)] if near == entity]
+
+    def interleave(self, parts):
+        if self.rng is None:
+            return [row for part in parts for row in part]
+        queues, rows = [part[::-1] for part in parts if part], []
+        while queues:
+            queue = self.rng.choice(queues)
+            rows.append(queue.pop())
+            if not queue:
+                queues.remove(queue)
+        return rows
+
+    @staticmethod
+    def iri(local):
+        return FREEBASE_PREFIX + local
 
 
 class TestRoundTrips:
-    """One explore costs at most two POSTs; labels are then served from the cache."""
+    """One explore costs one POST, on a cold label cache as on a warm one: each edge row carries its far
+    end's label, and one row the entity's own.  Labels are then served from the cache.  Only a full
+    answer, which label rows help fill, costs more: an edges-only query per direction it cut short, and
+    one label batch for the ids those bring in and for the entity if its label row was cut.  A full
+    answer that ids with several labels crowd makes the store ask for edges and labels apart from then
+    on: the edges of both directions, then one label batch for the ids not cached."""
 
-    def test_explore_costs_at_most_two_posts(self, stub_server):
-        _StubHandler.responses = edges_and_labels(
+    def test_explore_costs_one_post(self, stub_server):
+        _StubHandler.responses = [joined(
             [("r.b", "m.0t1"), ("r.c", "m.0t2")],
             [("r.a", "m.0h")],
             [("m.0x", "Frontier"), ("m.0t1", "Tail one"), ("m.0h", "Head")],
-        )
+        )]
         store = make_sparql_store(stub_server, http_retries=0)
         neighbors = store.neighbors("m.0x")
         labels = [store.label("m.0x")] + [store.label(other) for _, other, _ in neighbors]
         assert labels == ["Frontier", "Head", "Tail one", None]
-        assert len(_StubHandler.seen) == 2
-        assert "UNION" in _StubHandler.seen[0]
-        assert "VALUES ?x { ns:m.0x ns:m.0h ns:m.0t1 ns:m.0t2 }" in _StubHandler.seen[1]
+        assert len(_StubHandler.seen) == 1
+        assert "UNION" in _StubHandler.seen[0] and "OPTIONAL" in _StubHandler.seen[0]
+
+    def test_a_row_holding_only_label_is_the_entity_own_label(self, stub_server):
+        _StubHandler.responses = [(200, sparql_json([{"label": "Own"}], ["relation", "tail", "head", "label"]))]
+        store = make_sparql_store(stub_server, http_retries=0)
+        assert store.neighbors("m.0x") == []
+        assert store.label("m.0x") == "Own" and len(_StubHandler.seen) == 1
 
     @pytest.mark.parametrize("rows, expected", [([("m.0paris", "Paris")], "Paris"), ([], None)])
     def test_repeated_label_costs_nothing(self, stub_server, rows, expected):
@@ -309,41 +422,88 @@ class TestRoundTrips:
         assert _StubHandler.seen == []
 
     def test_labelled_neighbours_are_not_asked_for_again(self, stub_server):
-        _StubHandler.responses = edges_and_labels([("r.b", "m.0t")], [], [("m.0x", "X")])
-        _StubHandler.responses += edges_and_labels([], [("r.b", "m.0x")], [("m.0t", "T")])
+        _StubHandler.responses = [joined([("r.b", "m.0t")], [], [("m.0x", "X")])]
+        # the second answer labels m.0t, which the first left unlabelled: a cached id is not taken again
+        _StubHandler.responses += [joined([], [("r.b", "m.0x")], [("m.0t", "T"), ("m.0x", "X2")], entity="m.0t")]
         store = make_sparql_store(stub_server, http_retries=0)
         store.neighbors("m.0x")
-        store.neighbors("m.0t")  # both ends already cached: no label batch
-        assert len(_StubHandler.seen) == 3
-        assert store.label("m.0t") is None  # cached as unlabelled by the first batch
+        store.neighbors("m.0t")
+        assert len(_StubHandler.seen) == 2
+        assert store.label("m.0t") is None and store.label("m.0x") == "X"
+
+    def test_unlabelled_neighbour_is_never_asked_for_again(self, stub_server, monkeypatch):
+        _StubHandler.responses = [joined([("r.b", "m.0cvt")], [], [("m.0x", "X")])]
+        _StubHandler.responses += [joined([("r.c", "m.0cvt")], [], [], entity="m.0y")]
+        store = make_sparql_store(stub_server, http_retries=0)
+        store.neighbors("m.0x")
+        store.neighbors("m.0y")
+        assert len(_StubHandler.seen) == 2  # no label batch
+        monkeypatch.setattr(store, "_fetch_labels", None)  # label() reads the cache alone
+        assert store.label("m.0cvt") is None and store.label("m.0y") is None
 
     def test_ungrammatical_neighbour_never_sent(self, stub_server, monkeypatch):
         ns = FREEBASE_PREFIX
         _StubHandler.responses = [
             (200, sparql_json(
-                [{"relation": f"{ns}r.b", "tail": "http://example.org/x y"}, {"relation": f"{ns}r.a", "head": f"{ns}M.0BAD"}],
-                ["relation", "tail", "head"],
+                [{"relation": f"{ns}r.b", "tail": "http://example.org/x y", "label": "Outside"},
+                 {"relation": f"{ns}r.a", "head": f"{ns}M.0BAD", "label": "Bad"}],
+                ["relation", "tail", "head", "label"],
             )),
-            (200, sparql_json([], ["x", "label"])),
         ]
         store = make_sparql_store(stub_server, http_retries=0)
         store.neighbors("m.0x")
-        assert "VALUES ?x { ns:m.0x }" in _StubHandler.seen[1]
-        # neighbors() cached both as unlabelled: label() reads the cache alone
+        assert len(_StubHandler.seen) == 1
+        # neighbors() cached both as unlabelled, whatever the endpoint said: label() reads the cache alone
         monkeypatch.setattr(store, "_fetch_labels", None)
         assert store.label("M.0BAD") is None and store.label("http://example.org/x y") is None
-        assert len(_StubHandler.seen) == 2
+        assert store.label("m.0x") is None  # no row held its own label
 
     def test_first_row_per_id_wins(self, stub_server):
-        _StubHandler.responses = edges_and_labels([], [], [("m.0x", "First"), ("m.0x", "Second")])
+        labels = [("m.0x", "First"), ("m.0x", "Second"), ("m.0t", "T1"), ("m.0t", "T2")]
+        _StubHandler.responses = [joined([("r.b", "m.0t")], [("r.a", "m.0t")], labels)]
         store = make_sparql_store(stub_server, http_retries=0)
         store.neighbors("m.0x")
-        assert store.label("m.0x") == "First"
+        assert store.label("m.0x") == "First" and store.label("m.0t") == "T1"
+        assert len(_StubHandler.seen) == 1
+
+    def test_several_labels_per_id_fill_the_answer_without_cutting_an_edge(self):
+        # limit 2: an answer of four rows is full, and here the entity's three label rows fill most of it
+        edges = [("m.0x", "r.o", "m.0t0"), ("m.0x", "r.o", "m.0t1"), ("m.0x", "r.o", "m.0t2"),
+                 ("m.0h0", "r.i", "m.0x")]
+        labels = {i: [f"{i} {n}" for n in range(3)] for i in ["m.0x", "m.0t0", "m.0t1", "m.0t2", "m.0h0"]}
+        endpoint = TemplateEndpoint(edges, labels)
+        store = make_sparql_store("http://unused.invalid/sparql", kg_result_limit=2)
+        store._execute = endpoint
+        memory_store = make_store([(h, r, t) for h, r, t in edges if "m.0t2" not in (h, t)])
+        assert store.neighbors("m.0x") == memory_store.neighbors("m.0x")
+        assert endpoint.answers == [("neighbors", 4), ("outgoing", 2), ("incoming", 1), ("labels", 6)]
+        assert [store.label(i) for i in ["m.0x", "m.0t0", "m.0t1", "m.0h0"]] == [
+            "m.0x 0", "m.0t0 0", "m.0t1 0", "m.0h0 0"]
+        assert len(endpoint.answers) == 4  # every label came from the cache
+
+    def test_labels_crowding_a_full_answer_make_the_store_ask_edges_and_labels_apart(self):
+        edges = [("m.0x", "r.o", "m.0t0"), ("m.0x", "r.o", "m.0t1"), ("m.0h0", "r.i", "m.0x"),
+                 ("m.0z", "r.z", "m.0w")]
+        labels = {i: [f"{i} {n}" for n in range(3)] for i in ["m.0x", "m.0t0", "m.0t1", "m.0h0", "m.0z", "m.0w"]}
+        endpoint = TemplateEndpoint(edges, labels)
+        store = make_sparql_store("http://unused.invalid/sparql", kg_result_limit=4)
+        store._execute = endpoint
+        store.neighbors("m.0t0")  # the entity's three label rows and its edge's three: not full (LIMIT 8)
+        assert endpoint.answers == [("neighbors", 6)] and store._join_labels
+        store.neighbors("m.0x")  # twelve rows cut to eight, holding two of the four edges
+        assert endpoint.answers[1] == ("neighbors", 8) and not store._join_labels
+        del endpoint.answers[:]
+        assert store.neighbors("m.0z") == [("r.z", "m.0w", Direction.OUTGOING)]
+        assert store.neighbors("m.0z") == [("r.z", "m.0w", Direction.OUTGOING)]
+        # edges, then one label batch for the ids not cached; once they are, the edges alone
+        assert endpoint.answers == [("edges", 1), ("labels", 6), ("edges", 1)]
+        assert [store.label(i) for i in ["m.0z", "m.0w"]] == ["m.0z 0", "m.0w 0"]
+        assert len(endpoint.answers) == 3
 
     def test_full_answer_refills_the_short_direction(self, stub_server):
         # limit 2: four rows fill the union, so the single incoming row may be cut short
         outgoing = [("r.o", f"m.0t{i}") for i in range(3)]
-        _StubHandler.responses = edges_and_labels(outgoing, [("r.i", "m.0h0")], [])[:1]
+        _StubHandler.responses = [joined(outgoing, [("r.i", "m.0h0")], [])]
         _StubHandler.responses += [
             (200, sparql_json(union_rows([], [("r.i", "m.0h0"), ("r.i", "m.0h1")]), ["relation", "head"])),
             (200, sparql_json([], ["x", "label"])),
@@ -365,13 +525,17 @@ class TestRoundTrips:
         ids=["short_of_full", "one_row", "full_both_at_limit", "empty"],
     )
     def test_no_refill_unless_a_full_answer_leaves_a_direction_short(self, stub_server, outgoing, incoming):
-        _StubHandler.responses = edges_and_labels(
+        _StubHandler.responses = [joined(
             [("r.o", f"m.0t{i}") for i in range(outgoing)], [("r.i", f"m.0h{i}") for i in range(incoming)], []
-        )
+        ), label_batch([])]
         store = make_sparql_store(stub_server, http_retries=0, kg_result_limit=2)
         assert len(store.neighbors("m.0x")) == outgoing + incoming
-        assert len(_StubHandler.seen) == 2
-        assert "UNION" in _StubHandler.seen[0] and "VALUES" in _StubHandler.seen[1]
+        assert "UNION" in _StubHandler.seen[0]
+        # a full answer without the entity's own label row leaves only that label to ask for
+        full = outgoing + incoming == 4
+        assert [q.split("WHERE ")[1] for q in _StubHandler.seen[1:]] == [
+            "{ VALUES ?x { ns:m.0x } ?x ns:type.object.name ?label }"
+        ] * full
 
     def test_cache_evicts_oldest_past_its_size(self, stub_server, monkeypatch):
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 2)
@@ -407,6 +571,75 @@ class TestRoundTrips:
         assert sum(len(pairs) for pairs in results) == 6 * 10_000
         assert len(store._labels) <= 8
 
+    def test_neighbors_survive_concurrent_calls_and_eviction(self, monkeypatch):
+        # kgqa bench --concurrency shares one store between threads; limit 3 makes many answers full
+        rng = random.Random(3)
+        ids = [f"m.0{i}" for i in range(30)]
+        edges = list(dict.fromkeys((rng.choice(ids), rng.choice(["r.a", "r.b"]), rng.choice(ids)) for _ in range(90)))
+        labels = {i: [f"{i} {n}" for n in range(rng.randrange(3))] for i in ids}
+
+        def answer(store, entity):
+            neighbors = store.neighbors(entity)
+            return neighbors, [store.label(i) for i in [entity, *(other for _, other, _ in neighbors)]]
+
+        single = make_sparql_store("http://unused.invalid/sparql", kg_result_limit=3)
+        single._execute = TemplateEndpoint(edges, labels)
+        expected = {entity: answer(single, entity) for entity in ids}
+        monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 8)
+        store = make_sparql_store("http://unused.invalid/sparql", kg_result_limit=3)
+        store._execute = TemplateEndpoint(edges, labels)
+
+        def calls(worker):
+            wrong, largest = 0, 0
+            for n in range(1_000):
+                entity = ids[(n * 7 + worker) % len(ids)]
+                wrong += answer(store, entity) != expected[entity]
+                with store._lock:  # the size between two updates, never mid-update
+                    largest = max(largest, len(store._labels))
+            return wrong, largest
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(calls, w) for w in range(6)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [wrong for wrong, _ in results] == [0] * 6
+        assert max(largest for _, largest in results) <= 8
+
+    IDS = ["m.0a", "m.0b", "m.0c", "m.0d", "M.0E", "m.0f g"]  # the last two are outside the id grammar
+
+    @given(
+        edges=st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(["r.a", "r.b"]), st.sampled_from(IDS)),
+                       max_size=12, unique=True),
+        labels=st.dictionaries(st.sampled_from(IDS), st.lists(st.text("xyz", max_size=2), max_size=3)),
+        limit=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_neighbors_and_labels_equal_the_reference(self, edges, labels, limit, seed):
+        endpoint = TemplateEndpoint(edges, labels, random.Random(seed))
+        store = make_sparql_store("http://unused.invalid/sparql", kg_result_limit=limit)
+        store._execute = endpoint
+        memory_store = make_store(edges)
+        grammatical = [i for i in self.IDS if re.fullmatch(store.config.entity_id_pattern, i)]
+        for entity in grammatical:
+            kept = {*[(r, t, Direction.OUTGOING) for h, r, t in edges if h == entity][:limit],
+                    *[(r, h, Direction.INCOMING) for h, r, t in edges if t == entity][:limit]}
+            joined, before = store._join_labels, len(endpoint.answers)
+            assert store.neighbors(entity) == [n for n in memory_store.neighbors(entity) if n in kept]
+            answers = endpoint.answers[before:]
+            if joined:  # the joined query, an edges-only query per direction, one label batch
+                assert answers[0][0] == "neighbors" and len(answers) <= 4
+                if answers[0][1] < 2 * limit:
+                    assert len(answers) == 1
+            else:  # the edges of both directions, a refill of at most one, one label batch
+                assert answers[0][0] == "edges" and len(answers) <= 3
+        if all(len(texts) <= 1 for texts in labels.values()):
+            assert store._join_labels  # with at most one label per id, label rows never crowd an edge out
+        for i in self.IDS:
+            assert store.label(i) == ((labels.get(i) or [None])[0] if i in grammatical else None)
+
     def test_session_opened_lazily_and_reused(self, stub_server, monkeypatch):
         opened = []
         open_pool = transport.open_pool
@@ -424,7 +657,7 @@ class TestRoundTrips:
         monkeypatch.setattr(kg_mod, "execute", lambda url, query, **kw: queries.append(query) or execute(url, query, **kw))
         # a full union answer with one direction short: union, refill, label batch; then one label()
         outgoing = [("r.o", f"m.0t{i}") for i in range(3)]
-        _StubHandler.responses = edges_and_labels(outgoing, [("r.i", "m.0h")], [])[:1]
+        _StubHandler.responses = [joined(outgoing, [("r.i", "m.0h")], [])]
         _StubHandler.responses += [(200, sparql_json(union_rows([], [("r.i", "m.0h")]), ["relation", "head"]))]
         _StubHandler.responses += [label_batch([("m.0x", "X")]), label_batch([])]
         store = make_sparql_store(stub_server, http_retries=0, kg_result_limit=2)
@@ -506,7 +739,7 @@ class TestEnvironment:
         for i in range(1, 5):
             store.neighbors(f"m.0e{i}")
             store.label(f"m.0l{i}")
-        assert JsonStub.wire == [] and len(ProxyStub.wire) == 14  # per explore two queries, plus each label()
+        assert JsonStub.wire == [] and len(ProxyStub.wire) == 9  # per explore one query, plus each label()
         assert {r["headers"]["Authorization"] for r in ProxyStub.wire} == {self.basic("reader:secret")}
         make_sparql_store(json_stub, http_retries=0).label("m.0a")  # a new store resolves it again
         assert [r["headers"]["Authorization"] for r in JsonStub.wire] == [self.basic("writer:other")]
@@ -517,12 +750,13 @@ class TestMalformedBindings:
 
     ns = FREEBASE_PREFIX
     # stores here use limit 2, so a full union answer (four rows) refills
-    # the direction it holds fewer than two rows of by a per-direction query
+    # the direction it holds fewer than two edges of by a per-direction query,
+    # and asks a label batch for the ids it did not name
     CASES = {
-        "edge row lacks tail": edges_and_labels([], [("r.a", f"m.0h{i}") for i in range(4)], [])[:1]
+        "edge row lacks tail": [joined([], [("r.a", f"m.0h{i}") for i in range(4)], [])]
         + [(200, sparql_json([{"relation": f"{ns}r.b"}], ["relation", "tail"]))],
         "edge row lacks relation": [(200, sparql_json([{"tail": f"{ns}m.0t"}], ["relation", "tail", "head"]))],
-        "edge row lacks head": edges_and_labels([("r.b", f"m.0t{i}") for i in range(4)], [], [])[:1]
+        "edge row lacks head": [joined([("r.b", f"m.0t{i}") for i in range(4)], [], [])]
         + [(200, sparql_json([{"relation": f"{ns}r.a"}], ["relation", "head"]))],
         "union row lacks both ends": [(200, sparql_json([{"relation": f"{ns}r.b"}], ["relation", "tail", "head"]))],
         "union row has both ends": [
@@ -530,9 +764,19 @@ class TestMalformedBindings:
                 [{"relation": f"{ns}r.b", "tail": f"{ns}m.0t", "head": f"{ns}m.0h"}], ["relation", "tail", "head"]
             ))
         ],
-        "label row lacks label": edges_and_labels([], [], [])[:1]
-        + [(200, sparql_json([{"x": f"{ns}m.0x"}], ["x", "label"]))],
-        "label row lacks x": edges_and_labels([], [], [])[:1]
+        "union row has both ends and a label": [
+            (200, sparql_json(
+                [{"relation": f"{ns}r.b", "tail": f"{ns}m.0t", "head": f"{ns}m.0h", "label": "T"}],
+                ["relation", "tail", "head", "label"],
+            ))
+        ],
+        "label row has a relation but no end": [
+            (200, sparql_json([{"relation": f"{ns}r.b", "label": "X"}], ["relation", "tail", "head", "label"]))
+        ],
+        # both directions hold their two edges, but the entity's own label row was cut
+        "label row lacks label": [joined([("r.b", "m.0t0"), ("r.b", "m.0t1")], [("r.a", "m.0h0"), ("r.a", "m.0h1")],
+                                         [])] + [(200, sparql_json([{"x": f"{ns}m.0x"}], ["x", "label"]))],
+        "label row lacks x": [joined([("r.b", "m.0t0"), ("r.b", "m.0t1")], [("r.a", "m.0h0"), ("r.a", "m.0h1")], [])]
         + [(200, sparql_json([{"label": "X"}], ["x", "label"]))],
     }
 
@@ -546,6 +790,13 @@ class TestMalformedBindings:
         _StubHandler.responses = [(200, sparql_json([{"x": f"{self.ns}m.0x"}], ["x", "label"]))]
         with pytest.raises(MalformedResults):
             make_sparql_store(stub_server, http_retries=0).label("m.0x")
+
+    def test_label_row_in_an_edges_only_answer(self, stub_server):
+        _StubHandler.responses = [(200, sparql_json([{"label": "X"}], ["relation", "tail", "head"]))]
+        store = make_sparql_store(stub_server, http_retries=0)
+        store._join_labels = False  # as after a full answer that label rows crowded
+        with pytest.raises(MalformedResults):
+            store.neighbors("m.0x")
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_engine_run_still_finishes(self, stub_server, case):
