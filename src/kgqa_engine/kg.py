@@ -431,9 +431,11 @@ class InMemoryGraphStore:
 
     def entity_with_label(self, text: str) -> str | None:
         """Reverse label lookup, used for backend-extracted topic entities:
-        the smallest id whose label matches ``text``, case and outer space aside."""
+        the smallest id that heads or tails a triple and whose label matches
+        ``text``, case and outer space aside, so a relation's label finds no entity."""
         wanted = text.strip().lower()
-        return min((key for key, lab in self._labels.items() if lab.strip().lower() == wanted), default=None)
+        return min((key for key, lab in self._labels.items() if lab.strip().lower() == wanted and key in self._edges),
+                   default=None)
 
 
 def load_memory_store(path) -> InMemoryGraphStore:

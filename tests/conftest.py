@@ -1,19 +1,22 @@
-"""Shared test helpers: stage-dispatching backends and tiny graphs."""
+"""Shared test doubles, one per port: stage-dispatching backends, tiny graphs, tampered embedders,
+loopback JSON endpoints and a SPARQL endpoint for every query template."""
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import sleep as real_sleep  # bound at import: the ``sleeps`` fixture patches time.sleep
+from urllib.parse import parse_qs
 
 import pytest
 from hypothesis import settings
 
 from kgqa_engine import transport
 from kgqa_engine.backends import ChatCompletionBackend
-from kgqa_engine.config import EngineConfig
+from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
 from kgqa_engine.kg import InMemoryGraphStore, SparqlGraphStore
 from kgqa_engine.memory import IntegratedMemory, PlanStep
 from kgqa_engine.pruning import HashingEmbedder, HttpEmbedder
@@ -164,7 +167,8 @@ class JsonStub(BaseHTTPRequestHandler):
     (absolute when sent to a proxy), headers, body bytes and the client's
     port, which tells connections apart.  A scripted response is
     ``(status, body)`` or ``(status, body, headers)``, the last one
-    repeating, and is sent after ``delay`` seconds.
+    repeating, and is sent after ``delay`` seconds; a subclass may compute
+    it instead, in ``answer``.
     """
 
     responses: list[tuple] = []
@@ -182,7 +186,7 @@ class JsonStub(BaseHTTPRequestHandler):
         stub.seen.append({"body": body, "auth": self.headers.get("Authorization")})
         stub.wire.append({"method": self.command, "path": self.path, "headers": self.headers,
                           "body": raw, "port": self.client_address[1]})
-        status, payload, *headers = stub.responses[min(len(stub.seen), len(stub.responses)) - 1]
+        status, payload, *headers = self.answer(body)
         real_sleep(stub.delay)
         try:
             self.send_response(status)
@@ -196,6 +200,11 @@ class JsonStub(BaseHTTPRequestHandler):
             self.close_connection = True
 
     do_GET = do_POST
+
+    def answer(self, body):
+        """The scripted response to this request, the last one once the script runs out."""
+        stub = type(self)
+        return stub.responses[min(len(stub.seen), len(stub.responses)) - 1]
 
     def log_message(self, *args):
         pass
@@ -242,3 +251,116 @@ def keepalive_stub():
     reset(JsonStub)
     with serving(KeepAliveStub) as port:
         yield f"http://127.0.0.1:{port}/v1"
+
+
+def sparql_json(rows, variables=()):
+    """A SPARQL JSON results document binding each row's values as IRIs; the store reads the bindings alone."""
+    return json.dumps(
+        {
+            "head": {"vars": list(variables)},
+            "results": {
+                "bindings": [
+                    {var: {"type": "uri", "value": value} for var, value in row.items()}
+                    for row in rows
+                ]
+            },
+        }
+    ).encode()
+
+
+def labelled(edge, texts):
+    """An edge's rows in a NEIGHBORS answer: one per label ``texts`` of its far end, else one without ?label."""
+    return [{**edge, "label": text} for text in texts] or [edge]
+
+
+class TemplateEndpoint:
+    """An in-Python SPARQL endpoint for every template ``render_sparql`` writes at the default settings,
+    over the ``edges`` (head, relation, tail) in their order and each id's ``labels`` in theirs.
+
+    It answers a per-direction query with that direction's edges in order, the EDGES query with the
+    outgoing edges and the incoming ones, a label batch with each id's labels in order, and the
+    NEIGHBORS query with the entity's label rows, the outgoing edges and the incoming ones, each edge
+    once per label of its far end (once without ?label if it has none); then it applies LIMIT.
+    ``rng``, if given, interleaves the parts of an answer at random, each part keeping its own order,
+    as an endpoint may.  ``answers`` records each query's template and the number of rows answered.
+    A query no template matches raises ValueError."""
+
+    HEAD = rf"PREFIX ns: <{re.escape(FREEBASE_PREFIX)}>\nSELECT "
+    LABEL = "ns:type\\.object\\.name"
+    QUERIES = {
+        "neighbors": re.compile(
+            rf"{HEAD}\?relation \?tail \?head \?label WHERE \{{ \{{ ns:(\S+) {LABEL} \?label \}} "
+            rf"UNION \{{ ns:\1 \?relation \?tail OPTIONAL \{{ \?tail {LABEL} \?label \}} \}} "
+            rf"UNION \{{ \?head \?relation ns:\1 OPTIONAL \{{ \?head {LABEL} \?label \}} \}} \}} LIMIT (\d+)"
+        ),
+        "edges": re.compile(
+            rf"{HEAD}\?relation \?tail \?head WHERE \{{ \{{ ns:(\S+) \?relation \?tail \}} "
+            rf"UNION \{{ \?head \?relation ns:\1 \}} \}} LIMIT (\d+)"
+        ),
+        "outgoing": re.compile(rf"{HEAD}\?relation \?tail WHERE \{{ ns:(\S+) \?relation \?tail \}} LIMIT (\d+)"),
+        "incoming": re.compile(rf"{HEAD}\?relation \?head WHERE \{{ \?head \?relation ns:(\S+) \}} LIMIT (\d+)"),
+        "labels": re.compile(rf"{HEAD}\?x \?label WHERE \{{ VALUES \?x \{{ ([^}}]*) \}} \?x {LABEL} \?label \}}"),
+    }
+
+    def __init__(self, edges, labels, rng=None):
+        self.edges, self.labels, self.rng = edges, labels, rng
+        self.answers = []
+
+    def __call__(self, query):
+        for template, pattern in self.QUERIES.items():
+            if match := pattern.fullmatch(query):
+                break
+        else:
+            raise ValueError(f"no template matches {query!r}")
+        if template == "labels":
+            ids = [term.removeprefix("ns:") for term in match[1].split()]
+            rows = self.interleave([[{"x": self.iri(i), "label": text} for text in self.labels.get(i, [])]
+                                    for i in ids])
+        else:
+            entity, limit = match[1], int(match[2])
+            parts = [self.ends(entity, "tail"), self.ends(entity, "head")]
+            if template == "neighbors":
+                own = [{"label": text} for text in self.labels.get(entity, [])]
+                parts = [own] + [[row for edge, end in part for row in labelled(edge, self.labels.get(end, []))]
+                                 for part in parts]
+                rows = self.interleave(parts)[:limit]
+            elif template == "edges":
+                rows = self.interleave([[edge for edge, _ in part] for part in parts])[:limit]
+            else:
+                rows = [edge for edge, _ in parts[template == "incoming"]][:limit]
+        self.answers.append((template, len(rows)))
+        return rows
+
+    def ends(self, entity, other):
+        """(row, far end) of each edge leaving (``other`` = "tail") or entering ``entity``, in order."""
+        return [({"relation": self.iri(relation), other: self.iri(far)}, far)
+                for head, relation, tail in self.edges
+                for near, far in [(head, tail) if other == "tail" else (tail, head)] if near == entity]
+
+    def interleave(self, parts):
+        if self.rng is None:
+            return [row for part in parts for row in part]
+        queues, rows = [part[::-1] for part in parts if part], []
+        while queues:
+            queue = self.rng.choice(queues)
+            rows.append(queue.pop())
+            if not queue:
+                queues.remove(queue)
+        return rows
+
+    @staticmethod
+    def iri(local):
+        return FREEBASE_PREFIX + local
+
+
+class TemplateStub(JsonStub):
+    """A JsonStub answering each SPARQL query from ``endpoint``, a TemplateEndpoint, and with HTTP 400 when no
+    template matches it; it records into ``JsonStub``'s lists."""
+
+    endpoint: TemplateEndpoint
+
+    def answer(self, body):
+        try:
+            return 200, sparql_json(self.endpoint(parse_qs(body)["query"][0]))
+        except ValueError as exc:
+            return 400, str(exc).encode()

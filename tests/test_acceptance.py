@@ -2,25 +2,22 @@
 
 Run with ``python3 -m pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion summary lines.  Everything here runs offline against the
-scripted backend, hashing embedder, and in-memory store; the only exception
-is the final end-to-end check, which is skipped unless real endpoints are
-configured in the environment.
+scripted backend, hashing embedder, and in-memory store, except two
+criteria: SPARQL adapter equivalence also queries a loopback SPARQL
+endpoint (conftest's ``TemplateStub``), and the final end-to-end check is
+skipped unless real endpoints are configured in the environment.
 """
 
 import json
 import os
 import random
-import re
 import string
 import time
 from functools import lru_cache
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from threading import Thread
-from urllib.parse import parse_qs
 
 import pytest
 
-from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
+from kgqa_engine.config import EngineConfig
 from kgqa_engine.executor import Executor
 from kgqa_engine.harness import evaluate_run, exact_match, load_dataset, normalize_answer
 from kgqa_engine.memory import IntegratedMemory, PlanStep
@@ -28,7 +25,7 @@ from kgqa_engine.orchestrator import Engine, Stage, trace_to_jsonl
 from kgqa_engine.pruning import HashingEmbedder, prune
 from kgqa_engine.triples import CandidateTriple, Direction
 
-from conftest import StageBackend, make_sparql_store, make_store
+from conftest import StageBackend, TemplateEndpoint, TemplateStub, make_sparql_store, make_store, serving
 from scenarios import (
     SCENARIOS,
     golden_trace,
@@ -228,80 +225,13 @@ def test_criterion_knowledge_monotonicity():
 
 # -- criterion: SPARQL adapter equivalence ------------------------------------
 
-_OUTGOING_Q = re.compile(r"SELECT \?relation \?tail WHERE \{ ns:(\S+) \?relation \?tail \}")
-_INCOMING_Q = re.compile(r"SELECT \?relation \?head WHERE \{ \?head \?relation ns:(\S+) \}")
-_NEIGHBORS_Q = re.compile(
-    r"SELECT \?relation \?tail \?head \?label WHERE \{ \{ ns:(\S+) ns:(\S+) \?label \} "
-    r"UNION \{ ns:\1 \?relation \?tail OPTIONAL \{ \?tail ns:\2 \?label \} \} "
-    r"UNION \{ \?head \?relation ns:\1 OPTIONAL \{ \?head ns:\2 \?label \} \} \}"
-)
-_LABELS_Q = re.compile(r"SELECT \?x \?label WHERE \{ VALUES \?x \{ ([^}]*) \} \?x ns:(\S+) \?label \}")
-
-
-class _SparqlTestHandler(BaseHTTPRequestHandler):
-    """Minimal SPARQL 1.1 endpoint over the handler class's triple list."""
-
-    triples: list[tuple[str, str, str]] = []
-    labels: dict[str, str] = {}
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        query = parse_qs(self.rfile.read(length).decode("utf-8"))["query"][0]
-        bindings = []
-        if match := _NEIGHBORS_Q.search(query):  # the entity's own label row, then each edge with its end's label
-            entity = match.group(1)
-            bindings = [{"label": self._literal(self.labels[entity])}] if entity in self.labels else []
-            for edge in self._edges(entity, "tail") + self._edges(entity, "head"):
-                far = edge.get("tail", edge.get("head"))["value"].removeprefix(FREEBASE_PREFIX)
-                bindings.append({**edge, "label": self._literal(self.labels[far])} if far in self.labels else edge)
-        elif match := _OUTGOING_Q.search(query):
-            bindings = self._edges(match.group(1), "tail")
-        elif match := _INCOMING_Q.search(query):
-            bindings = self._edges(match.group(1), "head")
-        elif match := _LABELS_Q.search(query):
-            for term in match.group(1).split():
-                entity = term.removeprefix("ns:")
-                if entity in self.labels:
-                    bindings.append({"x": self._uri(entity), "label": self._literal(self.labels[entity])})
-        body = json.dumps(
-            {"head": {"vars": []}, "results": {"bindings": bindings}}
-        ).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/sparql-results+json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _edges(self, entity: str, other: str) -> list[dict]:
-        """Bindings of the edges leaving (``other`` = "tail") or entering ``entity``."""
-        bindings = []
-        for head, rel, tail in self.triples:
-            near, far = (head, tail) if other == "tail" else (tail, head)
-            if near == entity:
-                bindings.append({"relation": self._uri(rel), other: self._uri(far)})
-        return bindings
-
-    @staticmethod
-    def _uri(local: str) -> dict:
-        return {"type": "uri", "value": FREEBASE_PREFIX + local}
-
-    @staticmethod
-    def _literal(text: str) -> dict:
-        return {"type": "literal", "value": text}
-
-    def log_message(self, *args):  # keep test output quiet
-        pass
-
 
 def test_criterion_adapter_equivalence():
     """In-memory and SPARQL adapters agree on 20 random triple files."""
     rng = random.Random(6)
-    handler = type("Handler", (_SparqlTestHandler,), {})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    Thread(target=server.serve_forever, daemon=True).start()
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/sparql"
     mismatches = 0
-    try:
+    with serving(TemplateStub) as port:
+        endpoint = f"http://127.0.0.1:{port}/sparql"
         for _ in range(20):
             entities = [f"m.0{''.join(rng.choices(string.ascii_lowercase, k=4))}" for _ in range(10)]
             triples = []
@@ -309,8 +239,7 @@ def test_criterion_adapter_equivalence():
                 head, tail = rng.sample(entities, 2)
                 triples.append((head, f"base.rel{rng.randrange(6)}", tail))
             labels = {e: f"Entity {e[-4:]}" for e in rng.sample(entities, 5)}
-            handler.triples = triples
-            handler.labels = labels
+            TemplateStub.endpoint = TemplateEndpoint(triples, {e: [text] for e, text in labels.items()})
             memory_store = make_store(triples, labels)
             # a fresh store answers label() by a batched query for that id (cache miss)
             fresh_store = make_sparql_store(endpoint, http_retries=0, http_timeout=5)
@@ -324,9 +253,6 @@ def test_criterion_adapter_equivalence():
                     mismatches += 1
                 if memory_store.label(entity) != sparql_store.label(entity):
                     mismatches += 1
-    finally:
-        server.shutdown()
-        server.server_close()
     report("SPARQL adapter equivalence", mismatches == 0, f"20 files, {mismatches} mismatches")
 
 

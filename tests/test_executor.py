@@ -221,23 +221,6 @@ class TestMediatorExpansion:
         assert obs.candidates_total == 2
 
 
-class CountingStore:
-    """Graph store that counts ``neighbors`` and ``label`` calls per id."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.neighbor_calls = Counter()
-        self.label_calls = Counter()
-
-    def neighbors(self, entity):
-        self.neighbor_calls[entity] += 1
-        return self.inner.neighbors(entity)
-
-    def label(self, entity_or_relation):
-        self.label_calls[entity_or_relation] += 1
-        return self.inner.label(entity_or_relation)
-
-
 class TestLabelLookups:
     def hub(self):
         # a hub with repeated relations, two unlabeled mediators sharing
@@ -251,11 +234,11 @@ class TestLabelLookups:
 
     @pytest.mark.parametrize("expand", [False, True])
     def test_one_lookup_per_distinct_id_per_explore(self, expand):
-        store = CountingStore(self.hub())
+        store = RecordingStore(self.hub())
         memory = make_memory(topic=("hub",))
         executor = make_executor(store, expand_unlabeled=expand, prune_threshold=100)
         obs = executor.explore("hub", memory.current_step(), memory)
-        assert set(store.label_calls.values()) == {1}
+        assert set(store.calls("label").values()) == {1}
         # the labels are the ones a direct lookup gives
         for c in obs.candidates:
             if "/" not in c.relation:
@@ -263,15 +246,15 @@ class TestLabelLookups:
             assert c.head_label == (store.inner.label(c.head) or "")
             assert c.tail_label == (store.inner.label(c.tail) or "")
         # a second explore in the same step reads nothing from the graph
-        neighbor_calls = dict(store.neighbor_calls)
+        neighbor_calls = store.calls("neighbors")
         executor.explore("hub", memory.current_step(), memory)
-        assert store.neighbor_calls == neighbor_calls
-        assert set(store.label_calls.values()) == {1}
+        assert store.calls("neighbors") == neighbor_calls
+        assert set(store.calls("label").values()) == {1}
         # a new step cycle reads the neighbours again, but the labels are the run's
         memory.step_cycle.clear()
         executor.explore("hub", memory.current_step(), memory)
-        assert store.neighbor_calls == {entity: 2 * calls for entity, calls in neighbor_calls.items()}
-        assert set(store.label_calls.values()) == {1}
+        assert store.calls("neighbors") == {entity: 2 * calls for entity, calls in neighbor_calls.items()}
+        assert set(store.calls("label").values()) == {1}
 
 
 class RecordingStore:
@@ -293,6 +276,10 @@ class RecordingStore:
         if len(self.asked) == self.fail_at:
             raise RuntimeError("label lookup failed")
         return self.inner.label(entity_or_relation)
+
+    def calls(self, op):
+        """How often each id was asked for by ``op``, ``"neighbors"`` or ``"label"``."""
+        return Counter(item for kind, item in self.log if kind == op)
 
 
 def explore_walk(store, frontier, expand):
@@ -438,14 +425,14 @@ class TestReExplore:
         assert second.candidates == [c for c in first.candidates if c is not first.chosen]
 
     def test_another_frontier_or_objective_retrieves(self, store):
-        store = CountingStore(store)
+        store = RecordingStore(store)
         memory = make_memory(topic=("e1",))
         step = memory.current_step()
         executor = make_executor(store)
         executor.explore("e1", step, memory)
         executor.explore("e2", step, memory)
         executor.explore("e2", PlanStep(0, "another objective", ""), memory)
-        assert store.neighbor_calls == {"e1": 1, "e2": 2}
+        assert store.calls("neighbors") == {"e1": 1, "e2": 2}
         assert memory.step_cycle.scored[:2] == ("e2", "another objective")
 
 

@@ -1,16 +1,13 @@
 """Graph access layer: query rendering, protocol client, in-memory store."""
 
 import base64
-import json
 import logging
 import random
 import re
 import ssl
 import string
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
 
@@ -18,7 +15,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import JsonStub, StageBackend, make_sparql_store, make_store, reset, serving
+from conftest import (
+    JsonStub,
+    StageBackend,
+    TemplateEndpoint,
+    labelled,
+    make_sparql_store,
+    make_store,
+    reset,
+    serving,
+    sparql_json,
+)
 from kgqa_engine import kg as kg_mod
 from kgqa_engine import transport
 from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
@@ -111,156 +118,114 @@ class TestRenderSparql:
             assert f"ns:{candidate} ?relation ?tail" in query
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    """Configurable SPARQL endpoint stub: counts requests, serves a script."""
-
-    responses = []  # list of (status, body-bytes); last one repeats
-    seen = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length).decode()
-        type(self).seen.append(parse_qs(body).get("query", [""])[0])
-        idx = min(len(type(self).seen) - 1, len(type(self).responses) - 1)
-        status, payload = type(self).responses[idx]
-        self.send_response(status)
-        self.send_header("Content-Type", "application/sparql-results+json")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
-    thread.start()
-    _StubHandler.responses = []
-    _StubHandler.seen = []
-    yield f"http://127.0.0.1:{server.server_port}/sparql"
-    server.shutdown()
-    server.server_close()
-
-
-def sparql_json(rows, variables):
-    return json.dumps(
-        {
-            "head": {"vars": variables},
-            "results": {
-                "bindings": [
-                    {var: {"type": "uri", "value": value} for var, value in row.items()}
-                    for row in rows
-                ]
-            },
-        }
-    ).encode()
+def sent():
+    """The query of each request the JsonStub server got, in order."""
+    return [parse_qs(request["body"])["query"][0] for request in JsonStub.seen]
 
 
 class TestExecute:
-    def test_parses_two_rows(self, stub_server):
-        _StubHandler.responses = [
+    def test_parses_two_rows(self, json_stub):
+        JsonStub.responses = [
             (200, sparql_json([{"relation": "r1", "tail": "t1"}, {"relation": "r2", "tail": "t2"}], ["relation", "tail"]))
         ]
-        rows = execute(stub_server, "SELECT ...", retries=0)
+        rows = execute(json_stub, "SELECT ...", retries=0)
         assert rows == [{"relation": "r1", "tail": "t1"}, {"relation": "r2", "tail": "t2"}]
 
-    def test_500_three_times_raises_unavailable(self, stub_server, fast_backoff):
-        _StubHandler.responses = [(500, b"oops")]
+    def test_500_three_times_raises_unavailable(self, json_stub, fast_backoff):
+        JsonStub.responses = [(500, b"oops")]
         with pytest.raises(KgUnavailable):
-            execute(stub_server, "SELECT ...", retries=2)
-        assert len(_StubHandler.seen) == 3
+            execute(json_stub, "SELECT ...", retries=2)
+        assert len(sent()) == 3
 
-    def test_recovers_after_transient_500(self, stub_server, fast_backoff):
-        _StubHandler.responses = [
+    def test_recovers_after_transient_500(self, json_stub, fast_backoff):
+        JsonStub.responses = [
             (500, b"oops"),
             (200, sparql_json([{"label": "x"}], ["label"])),
         ]
-        assert execute(stub_server, "q", retries=2) == [{"label": "x"}]
+        assert execute(json_stub, "q", retries=2) == [{"label": "x"}]
 
-    def test_truncated_json_is_malformed(self, stub_server):
-        _StubHandler.responses = [(200, b'{"head": {"vars": ["x"]}, "resu')]
+    def test_truncated_json_is_malformed(self, json_stub):
+        JsonStub.responses = [(200, b'{"head": {"vars": ["x"]}, "resu')]
         with pytest.raises(MalformedResults):
-            execute(stub_server, "q", retries=0)
+            execute(json_stub, "q", retries=0)
 
-    def test_missing_results_key_is_malformed(self, stub_server):
-        _StubHandler.responses = [(200, b'{"head": {"vars": []}}')]
+    def test_missing_results_key_is_malformed(self, json_stub):
+        JsonStub.responses = [(200, b'{"head": {"vars": []}}')]
         with pytest.raises(MalformedResults):
-            execute(stub_server, "q", retries=0)
+            execute(json_stub, "q", retries=0)
 
     def test_unreachable_endpoint(self, fast_backoff):
         with pytest.raises(KgUnavailable):
             execute("http://127.0.0.1:1/sparql", "q", retries=1, timeout=0.2)
 
-    def test_client_error_fails_fast(self, stub_server, sleeps):
-        _StubHandler.responses = [(400, b"bad query")]
+    def test_client_error_fails_fast(self, json_stub, sleeps):
+        JsonStub.responses = [(400, b"bad query")]
         with pytest.raises(KgUnavailable, match="HTTP 400"):
-            execute(stub_server, "q", retries=2)
-        assert len(_StubHandler.seen) == 1
+            execute(json_stub, "q", retries=2)
+        assert len(sent()) == 1
         assert sleeps == []
 
     @pytest.mark.parametrize("status", [503, 429])
-    def test_server_error_and_throttling_are_retried(self, stub_server, sleeps, status):
-        _StubHandler.responses = [(status, b"busy")]
+    def test_server_error_and_throttling_are_retried(self, json_stub, sleeps, status):
+        JsonStub.responses = [(status, b"busy")]
         with pytest.raises(KgUnavailable, match=f"HTTP {status}"):
-            execute(stub_server, "q", retries=2)
-        assert len(_StubHandler.seen) == 3
+            execute(json_stub, "q", retries=2)
+        assert len(sent()) == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_each_retry_is_logged(self, stub_server, caplog, fast_backoff):
+    def test_each_retry_is_logged(self, json_stub, caplog, fast_backoff):
         caplog.set_level(logging.INFO, logger="kgqa_engine.kg")
-        _StubHandler.responses = [(500, b"oops"), (200, sparql_json([], ["label"]))]
-        assert execute(stub_server, "q", retries=2) == []
+        JsonStub.responses = [(500, b"oops"), (200, sparql_json([], ["label"]))]
+        assert execute(json_stub, "q", retries=2) == []
         assert [(r.name, r.levelno) for r in caplog.records] == [("kgqa_engine.kg", logging.INFO)]
         message = caplog.records[0].getMessage()
         assert "attempt 1 of 3" in message and "HTTP 500" in message and "retrying in 0.01 s" in message
 
 
 class TestSparqlGraphStore:
-    def test_neighbors_merges_and_localizes(self, stub_server):
+    def test_neighbors_merges_and_localizes(self, json_stub):
         ns = FREEBASE_PREFIX
-        _StubHandler.responses = [
+        JsonStub.responses = [
             (200, sparql_json(
                 [{"relation": f"{ns}r.b", "tail": f"{ns}m.0t"}, {"relation": f"{ns}r.a", "head": f"{ns}m.0h"}],
                 ["relation", "tail", "head"],
             )),
             (200, sparql_json([], ["x", "label"])),
         ]
-        store = make_sparql_store(stub_server, http_retries=0)
+        store = make_sparql_store(json_stub, http_retries=0)
         assert store.neighbors("m.0x") == [
             ("r.a", "m.0h", Direction.INCOMING),
             ("r.b", "m.0t", Direction.OUTGOING),
         ]
 
-    def test_directions_are_strings_that_answer_value(self, stub_server):
-        _StubHandler.responses = [joined([("r.b", "m.0t")], [("r.a", "m.0h")], [])]
-        directions = [d for _, _, d in make_sparql_store(stub_server, http_retries=0).neighbors("m.0x")]
+    def test_directions_are_strings_that_answer_value(self, json_stub):
+        JsonStub.responses = [joined([("r.b", "m.0t")], [("r.a", "m.0h")], [])]
+        directions = [d for _, _, d in make_sparql_store(json_stub, http_retries=0).neighbors("m.0x")]
         assert [(d, type(d.value)) for d in directions] == [("incoming", str), ("outgoing", str)]
         assert [d.value for d in directions] == ["incoming", "outgoing"]
 
-    def test_label_returns_none_for_ungrammatical_id(self, stub_server):
-        store = make_sparql_store(stub_server, http_retries=0)
+    def test_label_returns_none_for_ungrammatical_id(self, json_stub):
+        store = make_sparql_store(json_stub, http_retries=0)
         assert store.label("not an id") is None
-        assert _StubHandler.seen == []
+        assert sent() == []
 
-    def test_label_lookup(self, stub_server):
-        _StubHandler.responses = [label_batch([("m.0paris", "Paris")])]
-        assert make_sparql_store(stub_server, http_retries=0).label("m.0paris") == "Paris"
+    def test_label_lookup(self, json_stub):
+        JsonStub.responses = [label_batch([("m.0paris", "Paris")])]
+        assert make_sparql_store(json_stub, http_retries=0).label("m.0paris") == "Paris"
 
-    def test_label_cache_evicts_oldest_first(self, stub_server, monkeypatch):
+    def test_label_cache_evicts_oldest_first(self, json_stub, monkeypatch):
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 3)
-        store = make_sparql_store(stub_server, http_retries=0)
+        store = make_sparql_store(json_stub, http_retries=0)
         store._remember({"m.0a": "A", "m.0b": "B", "m.0c": "C"})
         store._remember({"m.0a": "A2"})  # an update keeps its place: still the oldest
         assert list(store._labels.items()) == [("m.0a", "A2"), ("m.0b", "B"), ("m.0c", "C")]
         store._remember({"m.0d": "D", "m.0e": None})
         assert list(store._labels) == ["m.0c", "m.0d", "m.0e"]
         assert store.label("m.0e") is None and store.label("m.0c") == "C"
-        assert _StubHandler.seen == []  # both served from the cache
-        _StubHandler.responses = [label_batch([("m.0a", "A3")])]
+        assert sent() == []  # both served from the cache
+        JsonStub.responses = [label_batch([("m.0a", "A3")])]
         assert store.label("m.0a") == "A3"  # evicted, so asked again
-        assert len(_StubHandler.seen) == 1
+        assert len(sent()) == 1
         assert list(store._labels) == ["m.0d", "m.0e", "m.0a"]
 
     def test_unavailable_endpoint_raises_through_session(self):
@@ -286,11 +251,6 @@ def label_batch(labels):
     return (200, sparql_json([{"x": f"{ns}{x}", "label": text} for x, text in labels], ["x", "label"]))
 
 
-def labelled(edge, texts):
-    """An edge's rows in a NEIGHBORS answer: one per label ``texts`` of its far end, else one without ?label."""
-    return [{**edge, "label": text} for text in texts] or [edge]
-
-
 def joined(outgoing, incoming, labels, entity="m.0x"):
     """Stub response to the NEIGHBORS query: a row per label of ``entity``, then each edge's rows;
     ``labels`` are (id, text) pairs."""
@@ -303,81 +263,6 @@ def joined(outgoing, incoming, labels, entity="m.0x"):
     return (200, sparql_json(rows, ["relation", "tail", "head", "label"]))
 
 
-class TemplateEndpoint:
-    """An in-Python SPARQL endpoint for every template ``render_sparql`` writes at the default settings,
-    over the ``edges`` (head, relation, tail) in their order and each id's ``labels`` in theirs.
-
-    It answers a per-direction query with that direction's edges in order, the EDGES query with the
-    outgoing edges and the incoming ones, a label batch with each id's labels in order, and the
-    NEIGHBORS query with the entity's label rows, the outgoing edges and the incoming ones, each edge
-    once per label of its far end (once without ?label if it has none); then it applies LIMIT.
-    ``rng``, if given, interleaves the parts of an answer at random, each part keeping its own order,
-    as an endpoint may.  ``answers`` records each query's template and the number of rows answered."""
-
-    HEAD = rf"PREFIX ns: <{re.escape(FREEBASE_PREFIX)}>\nSELECT "
-    LABEL = "ns:type\\.object\\.name"
-    QUERIES = {
-        "neighbors": re.compile(
-            rf"{HEAD}\?relation \?tail \?head \?label WHERE \{{ \{{ ns:(\S+) {LABEL} \?label \}} "
-            rf"UNION \{{ ns:\1 \?relation \?tail OPTIONAL \{{ \?tail {LABEL} \?label \}} \}} "
-            rf"UNION \{{ \?head \?relation ns:\1 OPTIONAL \{{ \?head {LABEL} \?label \}} \}} \}} LIMIT (\d+)"
-        ),
-        "edges": re.compile(
-            rf"{HEAD}\?relation \?tail \?head WHERE \{{ \{{ ns:(\S+) \?relation \?tail \}} "
-            rf"UNION \{{ \?head \?relation ns:\1 \}} \}} LIMIT (\d+)"
-        ),
-        "outgoing": re.compile(rf"{HEAD}\?relation \?tail WHERE \{{ ns:(\S+) \?relation \?tail \}} LIMIT (\d+)"),
-        "incoming": re.compile(rf"{HEAD}\?relation \?head WHERE \{{ \?head \?relation ns:(\S+) \}} LIMIT (\d+)"),
-        "labels": re.compile(rf"{HEAD}\?x \?label WHERE \{{ VALUES \?x \{{ ([^}}]*) \}} \?x {LABEL} \?label \}}"),
-    }
-
-    def __init__(self, edges, labels, rng=None):
-        self.edges, self.labels, self.rng = edges, labels, rng
-        self.answers = []
-
-    def __call__(self, query):
-        template, match = next((name, m) for name, pattern in self.QUERIES.items() if (m := pattern.fullmatch(query)))
-        if template == "labels":
-            ids = [term.removeprefix("ns:") for term in match[1].split()]
-            rows = self.interleave([[{"x": self.iri(i), "label": text} for text in self.labels.get(i, [])]
-                                    for i in ids])
-        else:
-            entity, limit = match[1], int(match[2])
-            parts = [self.ends(entity, "tail"), self.ends(entity, "head")]
-            if template == "neighbors":
-                own = [{"label": text} for text in self.labels.get(entity, [])]
-                parts = [own] + [[row for edge, end in part for row in labelled(edge, self.labels.get(end, []))]
-                                 for part in parts]
-                rows = self.interleave(parts)[:limit]
-            elif template == "edges":
-                rows = self.interleave([[edge for edge, _ in part] for part in parts])[:limit]
-            else:
-                rows = [edge for edge, _ in parts[template == "incoming"]][:limit]
-        self.answers.append((template, len(rows)))
-        return rows
-
-    def ends(self, entity, other):
-        """(row, far end) of each edge leaving (``other`` = "tail") or entering ``entity``, in order."""
-        return [({"relation": self.iri(relation), other: self.iri(far)}, far)
-                for head, relation, tail in self.edges
-                for near, far in [(head, tail) if other == "tail" else (tail, head)] if near == entity]
-
-    def interleave(self, parts):
-        if self.rng is None:
-            return [row for part in parts for row in part]
-        queues, rows = [part[::-1] for part in parts if part], []
-        while queues:
-            queue = self.rng.choice(queues)
-            rows.append(queue.pop())
-            if not queue:
-                queues.remove(queue)
-        return rows
-
-    @staticmethod
-    def iri(local):
-        return FREEBASE_PREFIX + local
-
-
 class TestRoundTrips:
     """One explore costs one POST, on a cold label cache as on a warm one: each edge row carries its far
     end's label, and one row the entity's own.  Labels are then served from the cache.  Only a full
@@ -386,85 +271,85 @@ class TestRoundTrips:
     answer that ids with several labels crowd makes the store ask for edges and labels apart from then
     on: the edges of both directions, then one label batch for the ids not cached."""
 
-    def test_explore_costs_one_post(self, stub_server):
-        _StubHandler.responses = [joined(
+    def test_explore_costs_one_post(self, json_stub):
+        JsonStub.responses = [joined(
             [("r.b", "m.0t1"), ("r.c", "m.0t2")],
             [("r.a", "m.0h")],
             [("m.0x", "Frontier"), ("m.0t1", "Tail one"), ("m.0h", "Head")],
         )]
-        store = make_sparql_store(stub_server, http_retries=0)
+        store = make_sparql_store(json_stub, http_retries=0)
         neighbors = store.neighbors("m.0x")
         labels = [store.label("m.0x")] + [store.label(other) for _, other, _ in neighbors]
         assert labels == ["Frontier", "Head", "Tail one", None]
-        assert len(_StubHandler.seen) == 1
-        assert "UNION" in _StubHandler.seen[0] and "OPTIONAL" in _StubHandler.seen[0]
+        assert len(sent()) == 1
+        assert "UNION" in sent()[0] and "OPTIONAL" in sent()[0]
 
-    def test_a_row_holding_only_label_is_the_entity_own_label(self, stub_server):
-        _StubHandler.responses = [(200, sparql_json([{"label": "Own"}], ["relation", "tail", "head", "label"]))]
-        store = make_sparql_store(stub_server, http_retries=0)
+    def test_a_row_holding_only_label_is_the_entity_own_label(self, json_stub):
+        JsonStub.responses = [(200, sparql_json([{"label": "Own"}], ["relation", "tail", "head", "label"]))]
+        store = make_sparql_store(json_stub, http_retries=0)
         assert store.neighbors("m.0x") == []
-        assert store.label("m.0x") == "Own" and len(_StubHandler.seen) == 1
+        assert store.label("m.0x") == "Own" and len(sent()) == 1
 
     @pytest.mark.parametrize("rows, expected", [([("m.0paris", "Paris")], "Paris"), ([], None)])
-    def test_repeated_label_costs_nothing(self, stub_server, rows, expected):
-        _StubHandler.responses = [label_batch(rows)]
-        store = make_sparql_store(stub_server, http_retries=0)
+    def test_repeated_label_costs_nothing(self, json_stub, rows, expected):
+        JsonStub.responses = [label_batch(rows)]
+        store = make_sparql_store(json_stub, http_retries=0)
         assert store.label("m.0paris") == expected
         assert store.label("m.0paris") == expected  # "no label" is cached too
-        assert len(_StubHandler.seen) == 1
+        assert len(sent()) == 1
 
-    def test_ungrammatical_label_costs_nothing_the_second_time(self, stub_server, monkeypatch):
-        store = make_sparql_store(stub_server, http_retries=0)
+    def test_ungrammatical_label_costs_nothing_the_second_time(self, json_stub, monkeypatch):
+        store = make_sparql_store(json_stub, http_retries=0)
         assert store.label("people.person.nationality") is None  # a relation id
         # the second lookup is a cache hit: the grammar is not checked again
         monkeypatch.setattr(store, "_fetch_labels", None)
         assert store.label("people.person.nationality") is None
-        assert _StubHandler.seen == []
+        assert sent() == []
 
-    def test_labelled_neighbours_are_not_asked_for_again(self, stub_server):
-        _StubHandler.responses = [joined([("r.b", "m.0t")], [], [("m.0x", "X")])]
+    def test_labelled_neighbours_are_not_asked_for_again(self, json_stub):
+        JsonStub.responses = [joined([("r.b", "m.0t")], [], [("m.0x", "X")])]
         # the second answer labels m.0t, which the first left unlabelled: a cached id is not taken again
-        _StubHandler.responses += [joined([], [("r.b", "m.0x")], [("m.0t", "T"), ("m.0x", "X2")], entity="m.0t")]
-        store = make_sparql_store(stub_server, http_retries=0)
+        JsonStub.responses += [joined([], [("r.b", "m.0x")], [("m.0t", "T"), ("m.0x", "X2")], entity="m.0t")]
+        store = make_sparql_store(json_stub, http_retries=0)
         store.neighbors("m.0x")
         store.neighbors("m.0t")
-        assert len(_StubHandler.seen) == 2
+        assert len(sent()) == 2
         assert store.label("m.0t") is None and store.label("m.0x") == "X"
 
-    def test_unlabelled_neighbour_is_never_asked_for_again(self, stub_server, monkeypatch):
-        _StubHandler.responses = [joined([("r.b", "m.0cvt")], [], [("m.0x", "X")])]
-        _StubHandler.responses += [joined([("r.c", "m.0cvt")], [], [], entity="m.0y")]
-        store = make_sparql_store(stub_server, http_retries=0)
+    def test_unlabelled_neighbour_is_never_asked_for_again(self, json_stub, monkeypatch):
+        JsonStub.responses = [joined([("r.b", "m.0cvt")], [], [("m.0x", "X")])]
+        JsonStub.responses += [joined([("r.c", "m.0cvt")], [], [], entity="m.0y")]
+        store = make_sparql_store(json_stub, http_retries=0)
         store.neighbors("m.0x")
         store.neighbors("m.0y")
-        assert len(_StubHandler.seen) == 2  # no label batch
+        assert len(sent()) == 2  # no label batch
         monkeypatch.setattr(store, "_fetch_labels", None)  # label() reads the cache alone
         assert store.label("m.0cvt") is None and store.label("m.0y") is None
 
-    def test_ungrammatical_neighbour_never_sent(self, stub_server, monkeypatch):
+    def test_ungrammatical_neighbour_never_sent(self, json_stub, monkeypatch):
         ns = FREEBASE_PREFIX
-        _StubHandler.responses = [
+        JsonStub.responses = [
             (200, sparql_json(
                 [{"relation": f"{ns}r.b", "tail": "http://example.org/x y", "label": "Outside"},
                  {"relation": f"{ns}r.a", "head": f"{ns}M.0BAD", "label": "Bad"}],
                 ["relation", "tail", "head", "label"],
             )),
         ]
-        store = make_sparql_store(stub_server, http_retries=0)
+        store = make_sparql_store(json_stub, http_retries=0)
         store.neighbors("m.0x")
-        assert len(_StubHandler.seen) == 1
+        assert len(sent()) == 1
         # neighbors() cached both as unlabelled, whatever the endpoint said: label() reads the cache alone
         monkeypatch.setattr(store, "_fetch_labels", None)
         assert store.label("M.0BAD") is None and store.label("http://example.org/x y") is None
         assert store.label("m.0x") is None  # no row held its own label
 
-    def test_first_row_per_id_wins(self, stub_server):
+    def test_first_row_per_id_wins(self, json_stub):
         labels = [("m.0x", "First"), ("m.0x", "Second"), ("m.0t", "T1"), ("m.0t", "T2")]
-        _StubHandler.responses = [joined([("r.b", "m.0t")], [("r.a", "m.0t")], labels)]
-        store = make_sparql_store(stub_server, http_retries=0)
+        JsonStub.responses = [joined([("r.b", "m.0t")], [("r.a", "m.0t")], labels)]
+        store = make_sparql_store(json_stub, http_retries=0)
         store.neighbors("m.0x")
         assert store.label("m.0x") == "First" and store.label("m.0t") == "T1"
-        assert len(_StubHandler.seen) == 1
+        assert len(sent()) == 1
 
     def test_several_labels_per_id_fill_the_answer_without_cutting_an_edge(self):
         # limit 2: an answer of four rows is full, and here the entity's three label rows fill most of it
@@ -500,61 +385,59 @@ class TestRoundTrips:
         assert [store.label(i) for i in ["m.0z", "m.0w"]] == ["m.0z 0", "m.0w 0"]
         assert len(endpoint.answers) == 3
 
-    def test_full_answer_refills_the_short_direction(self, stub_server):
+    def test_full_answer_refills_the_short_direction(self, json_stub):
         # limit 2: four rows fill the union, so the single incoming row may be cut short
         outgoing = [("r.o", f"m.0t{i}") for i in range(3)]
-        _StubHandler.responses = [joined(outgoing, [("r.i", "m.0h0")], [])]
-        _StubHandler.responses += [
+        JsonStub.responses = [joined(outgoing, [("r.i", "m.0h0")], [])]
+        JsonStub.responses += [
             (200, sparql_json(union_rows([], [("r.i", "m.0h0"), ("r.i", "m.0h1")]), ["relation", "head"])),
             (200, sparql_json([], ["x", "label"])),
         ]
-        store = make_sparql_store(stub_server, http_retries=0, kg_result_limit=2)
+        store = make_sparql_store(json_stub, http_retries=0, kg_result_limit=2)
         assert store.neighbors("m.0x") == [
             ("r.i", "m.0h0", Direction.INCOMING),
             ("r.i", "m.0h1", Direction.INCOMING),
             ("r.o", "m.0t0", Direction.OUTGOING),  # the union's first two outgoing rows
             ("r.o", "m.0t1", Direction.OUTGOING),
         ]
-        assert len(_StubHandler.seen) == 3
-        assert _StubHandler.seen[1].endswith("SELECT ?relation ?head WHERE { ?head ?relation ns:m.0x } LIMIT 2")
-        assert "VALUES" in _StubHandler.seen[2]
+        assert len(sent()) == 3
+        assert sent()[1].endswith("SELECT ?relation ?head WHERE { ?head ?relation ns:m.0x } LIMIT 2")
+        assert "VALUES" in sent()[2]
 
     @pytest.mark.parametrize(
         "outgoing, incoming",
         [(2, 1), (1, 0), (2, 2), (0, 0)],
         ids=["short_of_full", "one_row", "full_both_at_limit", "empty"],
     )
-    def test_no_refill_unless_a_full_answer_leaves_a_direction_short(self, stub_server, outgoing, incoming):
-        _StubHandler.responses = [joined(
+    def test_no_refill_unless_a_full_answer_leaves_a_direction_short(self, json_stub, outgoing, incoming):
+        JsonStub.responses = [joined(
             [("r.o", f"m.0t{i}") for i in range(outgoing)], [("r.i", f"m.0h{i}") for i in range(incoming)], []
         ), label_batch([])]
-        store = make_sparql_store(stub_server, http_retries=0, kg_result_limit=2)
+        store = make_sparql_store(json_stub, http_retries=0, kg_result_limit=2)
         assert len(store.neighbors("m.0x")) == outgoing + incoming
-        assert "UNION" in _StubHandler.seen[0]
+        assert "UNION" in sent()[0]
         # a full answer without the entity's own label row leaves only that label to ask for
         full = outgoing + incoming == 4
-        assert [q.split("WHERE ")[1] for q in _StubHandler.seen[1:]] == [
+        assert [q.split("WHERE ")[1] for q in sent()[1:]] == [
             "{ VALUES ?x { ns:m.0x } ?x ns:type.object.name ?label }"
         ] * full
 
-    def test_cache_evicts_oldest_past_its_size(self, stub_server, monkeypatch):
+    def test_cache_evicts_oldest_past_its_size(self, json_stub, monkeypatch):
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 2)
-        _StubHandler.responses = [label_batch([(i, "L") for i in ["m.0a", "m.0b", "m.0c"]])]
-        store = make_sparql_store(stub_server, http_retries=0)
+        JsonStub.responses = [label_batch([(i, "L") for i in ["m.0a", "m.0b", "m.0c"]])]
+        store = make_sparql_store(json_stub, http_retries=0)
         for entity in ["m.0a", "m.0b", "m.0c", "m.0c", "m.0b"]:
             store.label(entity)
-        assert len(_StubHandler.seen) == 3
+        assert len(sent()) == 3
         store.label("m.0a")  # evicted first, so asked for again
-        assert len(_StubHandler.seen) == 4
+        assert len(sent()) == 4
 
     def test_cache_survives_concurrent_lookups_and_eviction(self, monkeypatch):
         # kgqa bench --concurrency shares one store between threads
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 8)
-        store = make_sparql_store("http://unused.invalid/sparql")
-        store._execute = lambda query: [
-            {"x": FREEBASE_PREFIX + i, "label": i.upper()} for i in re.findall(r"VALUES \?x \{ ns:(\S+) \}", query)
-        ]
         ids = [f"m.0{i}" for i in range(40)]
+        store = make_sparql_store("http://unused.invalid/sparql")
+        store._execute = TemplateEndpoint([], {i: [i.upper()] for i in ids})
 
         def lookups(worker):
             picks = [ids[(n * 7 + worker) % len(ids)] for n in range(10_000)]
@@ -640,30 +523,30 @@ class TestRoundTrips:
         for i in self.IDS:
             assert store.label(i) == ((labels.get(i) or [None])[0] if i in grammatical else None)
 
-    def test_session_opened_lazily_and_reused(self, stub_server, monkeypatch):
+    def test_session_opened_lazily_and_reused(self, json_stub, monkeypatch):
         opened = []
         open_pool = transport.open_pool
         monkeypatch.setattr(transport, "open_pool", lambda url: opened.append(url) or open_pool(url))
-        _StubHandler.responses = [label_batch([("m.0a", "L"), ("m.0b", "L")])]
-        store = make_sparql_store(stub_server, http_retries=0)
+        JsonStub.responses = [label_batch([("m.0a", "L"), ("m.0b", "L")])]
+        store = make_sparql_store(json_stub, http_retries=0)
         assert opened == []
         store.label("m.0a")
         store.label("m.0b")
-        assert opened == [stub_server] and len(_StubHandler.seen) == 2
+        assert opened == [json_stub] and len(sent()) == 2
 
-    def test_every_request_goes_through_execute(self, stub_server, monkeypatch):
+    def test_every_request_goes_through_execute(self, json_stub, monkeypatch):
         # the benchmark counts SPARQL round-trips by patching kg.execute
         queries = []
         monkeypatch.setattr(kg_mod, "execute", lambda url, query, **kw: queries.append(query) or execute(url, query, **kw))
         # a full union answer with one direction short: union, refill, label batch; then one label()
         outgoing = [("r.o", f"m.0t{i}") for i in range(3)]
-        _StubHandler.responses = [joined(outgoing, [("r.i", "m.0h")], [])]
-        _StubHandler.responses += [(200, sparql_json(union_rows([], [("r.i", "m.0h")]), ["relation", "head"]))]
-        _StubHandler.responses += [label_batch([("m.0x", "X")]), label_batch([])]
-        store = make_sparql_store(stub_server, http_retries=0, kg_result_limit=2)
+        JsonStub.responses = [joined(outgoing, [("r.i", "m.0h")], [])]
+        JsonStub.responses += [(200, sparql_json(union_rows([], [("r.i", "m.0h")]), ["relation", "head"]))]
+        JsonStub.responses += [label_batch([("m.0x", "X")]), label_batch([])]
+        store = make_sparql_store(json_stub, http_retries=0, kg_result_limit=2)
         store.neighbors("m.0x")
         assert store.label("m.0x") == "X" and store.label("m.0new") is None
-        assert len(queries) == 4 and queries == _StubHandler.seen
+        assert len(queries) == 4 and queries == sent()
 
 
 TLS = Path(__file__).parent / "tls"  # cert.pem: self-signed for IP 127.0.0.1 until 2126 (openssl req -x509)
@@ -781,29 +664,29 @@ class TestMalformedBindings:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_neighbors_raises_malformed(self, stub_server, case):
-        _StubHandler.responses = self.CASES[case]
+    def test_neighbors_raises_malformed(self, json_stub, case):
+        JsonStub.responses = self.CASES[case]
         with pytest.raises(MalformedResults):
-            make_sparql_store(stub_server, http_retries=0, kg_result_limit=2).neighbors("m.0x")
+            make_sparql_store(json_stub, http_retries=0, kg_result_limit=2).neighbors("m.0x")
 
-    def test_single_label_row_lacking_label(self, stub_server):
-        _StubHandler.responses = [(200, sparql_json([{"x": f"{self.ns}m.0x"}], ["x", "label"]))]
+    def test_single_label_row_lacking_label(self, json_stub):
+        JsonStub.responses = [(200, sparql_json([{"x": f"{self.ns}m.0x"}], ["x", "label"]))]
         with pytest.raises(MalformedResults):
-            make_sparql_store(stub_server, http_retries=0).label("m.0x")
+            make_sparql_store(json_stub, http_retries=0).label("m.0x")
 
-    def test_label_row_in_an_edges_only_answer(self, stub_server):
-        _StubHandler.responses = [(200, sparql_json([{"label": "X"}], ["relation", "tail", "head"]))]
-        store = make_sparql_store(stub_server, http_retries=0)
+    def test_label_row_in_an_edges_only_answer(self, json_stub):
+        JsonStub.responses = [(200, sparql_json([{"label": "X"}], ["relation", "tail", "head"]))]
+        store = make_sparql_store(json_stub, http_retries=0)
         store._join_labels = False  # as after a full answer that label rows crowded
         with pytest.raises(MalformedResults):
             store.neighbors("m.0x")
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_engine_run_still_finishes(self, stub_server, case):
-        _StubHandler.responses = self.CASES[case]
+    def test_engine_run_still_finishes(self, json_stub, case):
+        JsonStub.responses = self.CASES[case]
         engine = Engine(
             backend=StageBackend(),
-            kg=make_sparql_store(stub_server, http_retries=0, kg_result_limit=2),
+            kg=make_sparql_store(json_stub, http_retries=0, kg_result_limit=2),
             embedder=HashingEmbedder(),
         )
         result = engine.run("where is it?", ["m.0x"])
@@ -882,10 +765,16 @@ class TestInMemoryStore:
         assert store.neighbors("x") == [("r1", "c", Direction.OUTGOING), ("r2", "b", Direction.OUTGOING)]
 
     def test_entity_with_label(self):
-        store = InMemoryGraphStore()
+        store = make_store([("m.1", "r", "m.2"), ("m.3", "r", "m.1")])
         store.add_label("m.1", "Paris")
         assert store.entity_with_label("  paris ") == "m.1"
         assert store.entity_with_label("London") is None
         store.add_label("m.3", "Cairo")
         store.add_label("m.2", "cairo ")  # added later, but the smaller id
         assert store.entity_with_label("Cairo") == "m.2"
+
+    def test_entity_with_label_is_never_a_relation_id(self):
+        store = make_store([], {"location.capital": "Capital", "m.0zz": "capital"})
+        assert store.entity_with_label("capital") is None  # m.0zz is in no triple
+        store.add_triple("m.0zz", "location.capital", "m.0yy")
+        assert store.entity_with_label("capital") == "m.0zz"

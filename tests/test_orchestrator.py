@@ -616,6 +616,18 @@ class TestDegradedPaths:
         assert result.answer == "unknown"
         assert "no frontier" in result.error_note
 
+    def test_a_relation_label_names_no_topic_entity(self):
+        # "capital" labels the relation location.country.capital, no entity to explore from
+        engine = Engine(
+            backend=StageBackend({"extract": "ENTITY: capital"}),
+            kg=load_memory_store(FIXTURES / "happy_path" / "kg.tsv"),
+            embedder=HashingEmbedder(),
+            config=EngineConfig(),
+        )
+        result = engine.run("What is the capital of Egypt?", [])
+        assert "no frontier" in result.error_note
+        assert Stage.ACT not in [e.stage for e in result.trace]
+
     def test_empty_frontier_neighborhood_replans_then_finishes(self):
         # an isolated topic entity yields empty observations forever
         store = make_store([("a", "r", "b")])

@@ -82,6 +82,11 @@ def make_candidates(n, rng=None, vocab=None):
     return cands
 
 
+def constant(vectors):
+    """One vector for every text, as a ``TamperedEmbedder``'s tamper: every candidate scores the same."""
+    return [[1.0, 2.0]] * len(vectors)
+
+
 def cos(u, v):
     """Reference cosine: a fresh dot and two fresh norms over every component."""
     dot = sum(a * b for a, b in zip(u, v))
@@ -119,7 +124,7 @@ class TestPrune:
         ]
         later = CandidateTriple("m.1", "r9", "m.9", Direction.OUTGOING, "Nile", "zone", "Zambia")
         first, second = (twins[i] for i in order)
-        out = prune([later, first, later, second], "objective", 3, ConstantEmbedder())
+        out = prune([later, first, later, second], "objective", 3, TamperedEmbedder(constant))
         assert [id(c) for c in out] == [id(first), id(second), id(later)]
 
     def test_size_is_min_of_count_and_threshold(self):
@@ -157,7 +162,7 @@ class TestPrune:
                 )
             )
 
-        out = prune(cands, "objective", 70, ConstantEmbedder())
+        out = prune(cands, "objective", 70, TamperedEmbedder(constant))
         renders = sorted(c.render() for c in cands)[:70]
         assert sorted(c.render() for c in out) == renders
 
@@ -251,24 +256,6 @@ class TestPrune:
         assert [(c.key(), c.score) for c in with_none] == [(c.key(), c.score) for c in with_zero]
 
 
-class ConstantEmbedder:
-    """One vector for every text: every candidate scores the same."""
-
-    def embed(self, texts):
-        return [[1.0, 2.0]] * len(texts)
-
-
-class FixedEmbedder:
-    """Hands out preset vectors: the objective's first, then one per text."""
-
-    def __init__(self, vectors):
-        self.vectors = vectors
-
-    def embed(self, texts):
-        assert len(texts) == len(self.vectors)
-        return self.vectors
-
-
 # exact zeros make a vector sparse; the rest keep their squares clear of
 # underflow and overflow, so every reference norm is positive and finite
 component = st.one_of(
@@ -309,7 +296,7 @@ class TestPruneProperties:
     def test_scores_equal_reference_formula_bitwise(self, drawn):
         objective, vectors = drawn
         cands = make_candidates(len(vectors))
-        prune(cands, "objective", len(cands), FixedEmbedder([objective, *vectors]))
+        prune(cands, "objective", len(cands), TamperedEmbedder(lambda _: [objective, *vectors]))
         for cand, vec in zip(cands, vectors):
             expected = repr(max(-1.0, min(1.0, cos(objective, vec))))
             assert repr(cand.score) == expected
