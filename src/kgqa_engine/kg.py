@@ -16,7 +16,10 @@ edges-only query per direction it cut short, and one batched label query
 for the ids those bring in.  Once a full answer shows ids with several
 labels each, whose rows crowd edges out, the adapter asks for edges and
 labels apart from then on: the edges of both directions, then one batched
-label query for the ids not cached yet.
+label query for the ids not cached yet.  Each entity's neighbour list is
+cached per adapter as well, so a frontier read again, in a later question or
+after a Plan Correction, sends no edge query: only one batched label query,
+and only for those of its ids whose labels were evicted meanwhile.
 
 The SPARQL adapter reads every setting, the endpoint included, from the
 run's ``EngineConfig`` where it is used; it keeps no copy of any.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import re
+import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable
@@ -42,6 +46,9 @@ from .triples import Direction
 
 # Labels one SparqlGraphStore keeps; past this the oldest are evicted first.
 LABEL_CACHE_SIZE = 50_000
+# Edges one SparqlGraphStore keeps in its neighbour lists, an entity with none
+# counting as one; past this the oldest entities are evicted first.
+NEIGHBOR_CACHE_EDGES = 100_000
 
 Neighbor = tuple[str, str, str]  # (relation, other_entity, Direction.OUTGOING or INCOMING)
 
@@ -53,6 +60,7 @@ class _Direction(str):
 
 
 _OUT, _IN = _Direction(Direction.OUTGOING), _Direction(Direction.INCOMING)
+_BY_LETTER = {"o": _OUT, "i": _IN}  # a direction's first letter, as a cached neighbour list keeps it
 
 log = logging.getLogger(__name__)
 
@@ -274,18 +282,25 @@ class SparqlGraphStore(Client):
     """GraphStore over a remote SPARQL 1.1 endpoint.
 
     Every setting is read from ``config`` where it is used, ``sparql_url``
-    as the endpoint.  Labels, ``None`` included, are cached for the
-    adapter's lifetime, which assumes the graph does not change under it.
-    Every query goes through the module's ``execute`` and the store's
-    ``transport.Client`` pool, opened on the first query, which resolves
-    the environment's proxy, CA-bundle and netrc settings for the endpoint
-    once: changes to them after that query are not seen.  ``close()``
-    closes the pooled connections.  ``neighbors`` joins labels into its edge
-    query until a full answer shows ids with several labels each; the store
-    then asks for edges and labels apart for the rest of its lifetime.
+    as the endpoint.  Labels, ``None`` included, and each entity's sorted
+    neighbour list are cached for the adapter's lifetime, which assumes the
+    graph, its edges as its labels, does not change under it: build a new
+    adapter to see changes.  The label cache holds ``LABEL_CACHE_SIZE`` ids
+    and the neighbour cache ``NEIGHBOR_CACHE_EDGES`` edges, oldest evicted
+    first.  Every query goes through the module's ``execute`` and the
+    store's ``transport.Client`` pool, opened on the first query, which
+    resolves the environment's proxy, CA-bundle and netrc settings for the
+    endpoint once: changes to them after that query are not seen.
+    ``close()`` closes the pooled connections and clears neither cache.
+    ``neighbors`` joins labels into its edge query until a full answer shows
+    ids with several labels each; the store then asks for edges and labels
+    apart for the rest of its lifetime.
     """
 
     _join_labels = True  # cleared on the instance by the first full answer that label rows crowd
+    # entity -> (relations, far ends, direction letters), oldest first; set on the instance by the first insert
+    _neighbor_lists: OrderedDict[str, tuple[tuple[str, ...], tuple[str, ...], str]] | None = None
+    _neighbor_edges = 0  # the edges _neighbor_lists holds, an entity with none counting as one
 
     def __init__(self, config: EngineConfig):
         self.config = config
@@ -326,6 +341,23 @@ class SparqlGraphStore(Client):
             self._remember(fetched)
         return fetched
 
+    def _keep_neighbors(self, entity: str, neighbors: list[Neighbor]) -> None:
+        """Cache ``entity``'s neighbour list: its ids interned, so each is held once, its directions as letters."""
+        relations, ends, directions = zip(*neighbors) if neighbors else ((), (), ())
+        entry = (tuple(map(sys.intern, relations)), tuple(map(sys.intern, ends)),
+                 "".join([direction[0] for direction in directions]))
+        with self._lock:
+            lists = self._neighbor_lists
+            if lists is None:
+                lists = self._neighbor_lists = OrderedDict()
+            kept = self._neighbor_edges + (len(ends) or 1)
+            if (old := lists.pop(entity, None)) is not None:  # another thread read the same entity meanwhile
+                kept -= len(old[1]) or 1
+            lists[sys.intern(entity)] = entry
+            while kept > NEIGHBOR_CACHE_EDGES:
+                kept -= len(lists.popitem(last=False)[1][1]) or 1
+            self._neighbor_edges = kept
+
     def neighbors(self, entity: str) -> list[Neighbor]:
         """At most ``kg_result_limit`` edges per direction, and the labels of the ends, from one query.
 
@@ -342,7 +374,19 @@ class SparqlGraphStore(Client):
         one for the entity means ids with several labels crowd edges out: from
         then on the store sends the edges-only query, refills the same way and
         asks one batched label query for every id not cached.
+
+        A list returned once is cached, so the next call for the entity sends
+        no edge query, only one batched label query for the ids whose labels
+        were evicted since; the caller gets a fresh list each time.  A call
+        that raised caches nothing.
         """
+        cached = self._labels
+        lists = self._neighbor_lists
+        if lists and (entry := lists.get(entity)) is not None:
+            relations, ends, letters = entry
+            if missing := [i for i in (entity, *ends) if i not in cached]:
+                self._fetch_labels(missing, {})
+            return list(zip(relations, ends, map(_BY_LETTER.__getitem__, letters)))
         config = self.config
         limit = config.kg_result_limit
         joined = self._join_labels
@@ -380,8 +424,8 @@ class SparqlGraphStore(Client):
             found = {}  # an edges-only answer holds no label
         elif not full:
             found.setdefault(entity, None)  # a complete answer holds the entity's own label row, if it has one
-        cached = self._labels
         self._fetch_labels([i for i in [entity, *(end for _, end, _ in neighbors)] if i not in cached], found)
+        self._keep_neighbors(entity, neighbors)
         return neighbors
 
     def label(self, entity_or_relation: str) -> str | None:

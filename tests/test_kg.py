@@ -1,6 +1,8 @@
 """Graph access layer: query rendering, protocol client, in-memory store."""
 
 import base64
+import dataclasses
+import json
 import logging
 import random
 import re
@@ -26,6 +28,7 @@ from conftest import (
     serving,
     sparql_json,
 )
+from scenarios import FIXTURES, build_engine, events_by_stage, golden_trace, load_meta
 from kgqa_engine import kg as kg_mod
 from kgqa_engine import transport
 from kgqa_engine.config import FREEBASE_PREFIX, EngineConfig
@@ -269,7 +272,10 @@ class TestRoundTrips:
     answer, which label rows help fill, costs more: an edges-only query per direction it cut short, and
     one label batch for the ids those bring in and for the entity if its label row was cut.  A full
     answer that ids with several labels crowd makes the store ask for edges and labels apart from then
-    on: the edges of both directions, then one label batch for the ids not cached."""
+    on: the edges of both directions, then one label batch for the ids not cached.  An entity read
+    again costs no POST: its neighbour list is cached for the store's lifetime, up to
+    ``NEIGHBOR_CACHE_EDGES`` edges, oldest entities evicted first, and only the labels evicted since
+    cost one label batch.  ``close()`` clears neither cache."""
 
     def test_explore_costs_one_post(self, json_stub):
         JsonStub.responses = [joined(
@@ -380,10 +386,104 @@ class TestRoundTrips:
         del endpoint.answers[:]
         assert store.neighbors("m.0z") == [("r.z", "m.0w", Direction.OUTGOING)]
         assert store.neighbors("m.0z") == [("r.z", "m.0w", Direction.OUTGOING)]
-        # edges, then one label batch for the ids not cached; once they are, the edges alone
-        assert endpoint.answers == [("edges", 1), ("labels", 6), ("edges", 1)]
+        # edges, then one label batch for the ids not cached; the repeat is served from the neighbour cache
+        assert endpoint.answers == [("edges", 1), ("labels", 6)]
+        assert store.neighbors("m.0w") == [("r.z", "m.0z", Direction.INCOMING)]
+        assert endpoint.answers[2:] == [("edges", 1)]  # every id cached: the edges alone
         assert [store.label(i) for i in ["m.0z", "m.0w"]] == ["m.0z 0", "m.0w 0"]
         assert len(endpoint.answers) == 3
+
+    EDGES = [("m.0x", "r.o", "m.0t0"), ("m.0x", "r.o", "m.0t1"), ("m.0h0", "r.i", "m.0x")]
+    LABELS = {i: [i.upper()] for i in ["m.0x", "m.0t0", "m.0t1", "m.0h0"]}
+
+    def test_repeated_neighbors_send_nothing_and_return_a_fresh_list(self):
+        endpoint = TemplateEndpoint(self.EDGES, self.LABELS)
+        store = make_sparql_store("http://unused.invalid/sparql")
+        store._execute = endpoint
+        first = store.neighbors("m.0x")
+        second = store.neighbors("m.0x")
+        assert endpoint.answers == [("neighbors", 4)]
+        assert second == first == make_store(self.EDGES).neighbors("m.0x") and second is not first
+        first.reverse()
+        second.append(("r.z", "m.0junk", Direction.INCOMING))
+        store.close()  # closes the pool; both caches stay
+        assert store.neighbors("m.0x") == make_store(self.EDGES).neighbors("m.0x")
+        assert [store.label(i) for i in ["m.0x", "m.0h0", "m.0t0", "m.0t1"]] == ["M.0X", "M.0H0", "M.0T0", "M.0T1"]
+        assert len(endpoint.answers) == 1
+
+    def test_a_hit_whose_labels_were_evicted_asks_one_label_batch(self, monkeypatch):
+        monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 2)
+        endpoint = TemplateEndpoint(self.EDGES, self.LABELS)
+        store = make_sparql_store("http://unused.invalid/sparql")
+        store._execute = endpoint
+        neighbors = store.neighbors("m.0x")  # caches m.0x, m.0h0, m.0t0 and m.0t1 in turn: the last two stay
+        assert list(store._labels) == ["m.0t0", "m.0t1"]
+        del endpoint.answers[:]
+        assert store.neighbors("m.0x") == neighbors
+        assert endpoint.answers == [("labels", 2)]  # m.0x and m.0h0 in one batch, no label() each
+        assert list(store._labels.items()) == [("m.0x", "M.0X"), ("m.0h0", "M.0H0")]
+
+    @pytest.mark.parametrize("failure, error", [
+        ([(500, b"oops")] * 2, KgUnavailable),  # the first attempt and its one retry
+        ([(200, sparql_json([{"relation": f"{FREEBASE_PREFIX}r.b"}], ["relation", "tail", "head"]))],
+         MalformedResults),
+        # both directions at the limit and no own-label row: the label batch for m.0x is malformed
+        ([joined([("r.b", "m.0t0"), ("r.b", "m.0t1")], [("r.a", "m.0h0"), ("r.a", "m.0h1")], []),
+          (200, sparql_json([{"x": f"{FREEBASE_PREFIX}m.0x"}], ["x", "label"]))], MalformedResults),
+    ], ids=["unavailable", "malformed_edges", "malformed_label_batch"])
+    def test_a_call_that_raised_keeps_nothing(self, json_stub, fast_backoff, failure, error):
+        JsonStub.responses = [*failure, joined([("r.b", "m.0t")], [], [("m.0x", "X")])]
+        store = make_sparql_store(json_stub, http_retries=1, kg_result_limit=2)
+        with pytest.raises(error):
+            store.neighbors("m.0x")
+        assert len(sent()) == len(failure)
+        assert store.neighbors("m.0x") == [("r.b", "m.0t", Direction.OUTGOING)]  # asked again
+        assert len(sent()) == len(failure) + 1
+        assert store.neighbors("m.0x") == [("r.b", "m.0t", Direction.OUTGOING)]  # now kept
+        assert len(sent()) == len(failure) + 1
+
+    def test_an_entity_outside_the_grammar_is_never_kept(self, json_stub):
+        store = make_sparql_store(json_stub, http_retries=0)
+        for _ in range(2):
+            with pytest.raises(InvalidEntityId):
+                store.neighbors("M.0BAD")
+        assert sent() == [] and store._neighbor_lists is None
+
+    def test_neighbor_cache_evicts_the_oldest_entities_past_its_edge_bound(self, monkeypatch):
+        monkeypatch.setattr(kg_mod, "NEIGHBOR_CACHE_EDGES", 4)
+        endpoint = TemplateEndpoint(self.EDGES, self.LABELS)
+        store = make_sparql_store("http://unused.invalid/sparql")
+        store._execute = endpoint
+        for entity in ["m.0x", "m.0t0", "m.0h0", "m.0nothing"]:  # 3 edges, 1, 1, and none, which counts as 1
+            store.neighbors(entity)
+        assert list(store._neighbor_lists) == ["m.0t0", "m.0h0", "m.0nothing"] and store._neighbor_edges == 3
+        del endpoint.answers[:]
+        store.neighbors("m.0t0")
+        store.neighbors("m.0x")  # evicted first, so asked for again; it evicts m.0t0 in turn
+        assert endpoint.answers == [("neighbors", 4)]
+        assert list(store._neighbor_lists) == ["m.0nothing", "m.0x"] and store._neighbor_edges == 4
+
+    def test_plan_correction_reads_the_frontier_once(self):
+        meta = load_meta("replan")
+        edges, labels = [], {}
+        for line in (FIXTURES / "replan" / "kg.tsv").read_text().splitlines():
+            a, b, c = line.split("\t")
+            if a == "label":
+                labels[b] = [c]
+            else:
+                edges.append((a, b, c))
+        endpoint = TemplateEndpoint(edges, labels)
+        store = make_sparql_store("http://unused.invalid/sparql", **meta["config"])
+        store._execute = endpoint
+        result = dataclasses.replace(build_engine("replan"), kg=store).run(meta["question"], meta["topic_entities"])
+        golden = [json.loads(line) for line in golden_trace("replan").splitlines()]
+        explores = [e.payload["frontier"] for e in events_by_stage(result.trace, "act")]
+        assert explores == ["m.0danube"] * 3 and result.replans == 1
+        # the Path Correction retry re-ranks what it kept, and the replan's explore reads the neighbour cache
+        assert [template for template, _ in endpoint.answers] == ["neighbors"]
+        assert [e.payload["decision"] for e in events_by_stage(result.trace, "evaluate")] == [
+            e["payload"]["decision"] for e in golden if e["stage"] == "evaluate"]
+        assert result.answer == golden[-1]["payload"]["answer"] == meta["gold"]
 
     def test_full_answer_refills_the_short_direction(self, json_stub):
         # limit 2: four rows fill the union, so the single incoming row may be cut short
@@ -469,16 +569,19 @@ class TestRoundTrips:
         single._execute = TemplateEndpoint(edges, labels)
         expected = {entity: answer(single, entity) for entity in ids}
         monkeypatch.setattr(kg_mod, "LABEL_CACHE_SIZE", 8)
+        monkeypatch.setattr(kg_mod, "NEIGHBOR_CACHE_EDGES", 12)
         store = make_sparql_store("http://unused.invalid/sparql", kg_result_limit=3)
-        store._execute = TemplateEndpoint(edges, labels)
+        store._execute = endpoint = TemplateEndpoint(edges, labels)
 
         def calls(worker):
-            wrong, largest = 0, 0
+            wrong, largest = 0, (0, 0)
             for n in range(1_000):
                 entity = ids[(n * 7 + worker) % len(ids)]
                 wrong += answer(store, entity) != expected[entity]
-                with store._lock:  # the size between two updates, never mid-update
-                    largest = max(largest, len(store._labels))
+                with store._lock:  # the sizes between two updates, never mid-update
+                    kept = sum(len(ends) or 1 for _, ends, _ in (store._neighbor_lists or {}).values())
+                    assert kept == store._neighbor_edges
+                    largest = max(largest[0], len(store._labels)), max(largest[1], kept)
             return wrong, largest
 
         interval = sys.getswitchinterval()
@@ -489,7 +592,10 @@ class TestRoundTrips:
         finally:
             sys.setswitchinterval(interval)
         assert [wrong for wrong, _ in results] == [0] * 6
-        assert max(largest for _, largest in results) <= 8
+        label_sizes, edge_counts = zip(*(largest for _, largest in results))
+        assert max(label_sizes) <= 8 and max(edge_counts) <= 12
+        # 12 edges hold a few of the 30 entities, so entities were evicted and asked for again
+        assert sum(template in ("neighbors", "edges") for template, _ in endpoint.answers) > len(ids)
 
     IDS = ["m.0a", "m.0b", "m.0c", "m.0d", "M.0E", "m.0f g"]  # the last two are outside the id grammar
 
@@ -506,11 +612,13 @@ class TestRoundTrips:
         store._execute = endpoint
         memory_store = make_store(edges)
         grammatical = [i for i in self.IDS if re.fullmatch(store.config.entity_id_pattern, i)]
+        first = []
         for entity in grammatical:
             kept = {*[(r, t, Direction.OUTGOING) for h, r, t in edges if h == entity][:limit],
                     *[(r, h, Direction.INCOMING) for h, r, t in edges if t == entity][:limit]}
             joined, before = store._join_labels, len(endpoint.answers)
-            assert store.neighbors(entity) == [n for n in memory_store.neighbors(entity) if n in kept]
+            first.append(store.neighbors(entity))
+            assert first[-1] == [n for n in memory_store.neighbors(entity) if n in kept]
             answers = endpoint.answers[before:]
             if joined:  # the joined query, an edges-only query per direction, one label batch
                 assert answers[0][0] == "neighbors" and len(answers) <= 4
@@ -520,6 +628,9 @@ class TestRoundTrips:
                 assert answers[0][0] == "edges" and len(answers) <= 3
         if all(len(texts) <= 1 for texts in labels.values()):
             assert store._join_labels  # with at most one label per id, label rows never crowd an edge out
+        asked = len(endpoint.answers)
+        assert [store.neighbors(entity) for entity in grammatical] == first  # a second pass reads the caches
+        assert len(endpoint.answers) == asked
         for i in self.IDS:
             assert store.label(i) == ((labels.get(i) or [None])[0] if i in grammatical else None)
 
